@@ -45,7 +45,6 @@ def write_signature_batch(
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             return write_signature_batch(fh, signatures)
-    writer = csv.writer(sink)
     count = 0
     width = None
     complex_valued = None
@@ -62,14 +61,15 @@ def write_signature_batch(
             header += [f"real_{i}" for i in range(1, width + 1)]
             if complex_valued:
                 header += [f"imag_{i}" for i in range(1, width + 1)]
-            writer.writerow(header)
+            sink.write(",".join(header) + "\r\n")
         elif len(values) != width or (imag is not None) != complex_valued:
             raise FormatError("all signatures in a batch must share length and kind")
-        row = [sig.window_start, sig.window_end]
-        row += [repr(float(v)) for v in values]
+        # CSV as the csv module writes it: shortest round-trip reprs, CRLF
+        # line ends, and no quoting since no field holds a comma or quote.
+        fields = [str(sig.window_start), str(sig.window_end), *map(repr, values.tolist())]
         if imag is not None:
-            row += [repr(float(v)) for v in imag]
-        writer.writerow(row)
+            fields += map(repr, imag.tolist())
+        sink.write(",".join(fields) + "\r\n")
         count += 1
     if count == 0:
         raise EmptyInputError("no signatures to write")
@@ -133,6 +133,8 @@ def read_labels_csv(source: IO | str | Path) -> dict[int, str]:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != 2:
+            raise FormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
             start = int(row[0])
         except ValueError as exc:
@@ -190,9 +192,13 @@ def read_pgm(source: IO | str | Path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise FormatError("PGM header is truncated")
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise FormatError("not a binary PGM (P5) file")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise FormatError("PGM width, height and maxval must be unsigned integers")
     width, height, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval}")

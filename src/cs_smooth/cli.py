@@ -66,6 +66,16 @@ class Span:
         return self.value // interval_ms
 
 
+def parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers, e.g. ``--blocks 5,10``."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise InvalidParameterError(
+            f"{flag} must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def parse_span(text: str) -> Span:
     m = _SPAN_RE.match(text.strip())
     if not m:
@@ -237,7 +247,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    block_list = tuple(int(tok) for tok in args.blocks.split(","))
+    block_list = parse_int_list(args.blocks, "--blocks")
     config = RunConfig(
         dataset_dir=Path(args.dataset),
         window=parse_span(args.window),
@@ -378,8 +388,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in METHODS:
             raise InvalidParameterError(f"unknown method {m!r}")
-    n_list = [int(tok) for tok in args.n_list.split(",")]
-    wl_list = [int(tok) for tok in args.wl_list.split(",")]
+    n_list = parse_int_list(args.n_list, "--n-list")
+    wl_list = parse_int_list(args.wl_list, "--wl-list")
+    if min(n_list) < 1 or min(wl_list) < 1:
+        raise InvalidParameterError("--n-list and --wl-list values must be >= 1")
+    if args.reps < 1:
+        raise InvalidParameterError("--reps must be >= 1")
     rows = []
     for n in n_list:
         for wl in wl_list:

@@ -7,6 +7,7 @@ grid. Timestamps are integer milliseconds since epoch throughout.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -149,16 +150,80 @@ class Window:
 def load_sensor_csv(source: IO | str | Path, sensor_id: str) -> SensorSeries:
     """Parse a "timestamp,value" CSV stream into a SensorSeries.
 
-    Lines beginning with '#' are comments. Records are re-sorted by timestamp;
-    duplicate timestamps keep the last value seen in the file.
+    A line whose first non-blank character is '#' is a comment; any other '#'
+    is an error. Records are re-sorted by timestamp; duplicate timestamps keep
+    the last value seen in the file. Timestamps must fit in int64.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_sensor_csv(fh, sensor_id)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:
+            # The universal newlines a text-mode read applies.
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    else:
+        data = source.read()
+    return _parse_sensor_csv(data, sensor_id)
+
+
+# Bytes numpy's reader and the line loop read alike: digits, signs, decimal
+# point, exponent, comma, ASCII blanks and line ends. Anything else ('#',
+# 'nan', '_', non-ASCII digits or blanks, bad UTF-8) goes to the line loop.
+_FAST_ALPHABET = b"0123456789+-.eE, \t\r\n"
+_RECORD_DTYPE = np.dtype([("t", np.int64), ("v", np.float64)])
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_sensor_csv(data: bytes | str, sensor_id: str) -> SensorSeries:
+    records = _fast_records(data)
+    if records is None:
+        return _parse_lines(data, sensor_id)
+    ts, vs = records["t"], records["v"]
+    if not np.all(ts[1:] > ts[:-1]):
+        order = np.argsort(ts, kind="stable")
+        ts, vs = ts[order], vs[order]
+        # Keep the last row of each equal-timestamp run: the file's last value.
+        last = np.append(ts[1:] != ts[:-1], True)
+        ts, vs = ts[last], vs[last]
+    return SensorSeries(sensor_id=sensor_id, timestamps=ts, values=vs)
+
+
+def _fast_records(data: bytes | str) -> np.ndarray | None:
+    """Records parsed by numpy's C reader, or None where the line loop must run.
+
+    Returns None whenever the result could differ from the loop's: bytes
+    outside the shared alphabet, no records, a row numpy rejects (it reports
+    no line numbers) or a non-finite value.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if data.translate(None, _FAST_ALPHABET) or not data or data.isspace():
+        return None
+    try:
+        records = np.loadtxt(
+            io.BytesIO(data), delimiter=",", dtype=_RECORD_DTYPE, comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(records["v"])):
+        return None
+    return records
+
+
+def _parse_lines(data: bytes | str, sensor_id: str) -> SensorSeries:
+    """The reference line-by-line parser; it raises every ingest error."""
     points: dict[int, float] = {}
-    for lineno, raw in enumerate(source, start=1):
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    for lineno, raw in enumerate(data.split(newline), start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
+                    line=lineno,
+                ) from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,6 +235,8 @@ def load_sensor_csv(source: IO | str | Path, sensor_id: str) -> SensorSeries:
             val = float(parts[1].strip())
         except ValueError as exc:
             raise ParseError(f"cannot parse {line!r}: {exc}", line=lineno) from None
+        if not _INT64.min <= ts <= _INT64.max:
+            raise ParseError(f"timestamp {ts} does not fit in int64", line=lineno)
         if not math.isfinite(val):
             raise RejectedValueError(
                 f"sensor {sensor_id!r}: non-finite value at line {lineno}"

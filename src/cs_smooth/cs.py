@@ -57,15 +57,28 @@ class CSModel:
     version: str = MODEL_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "sensor_ids", tuple(self.sensor_ids))
-        perm = np.asarray(self.permutation, dtype=np.int64)
-        lo = np.asarray(self.lower_bounds, dtype=np.float64)
-        hi = np.asarray(self.upper_bounds, dtype=np.float64)
-        n = len(self.sensor_ids)
+        try:
+            ids = tuple(self.sensor_ids)
+            perm = np.asarray(self.permutation)
+            lo = np.asarray(self.lower_bounds, dtype=np.float64)
+            hi = np.asarray(self.upper_bounds, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed model field: {exc}") from None
+        object.__setattr__(self, "sensor_ids", ids)
+        n = len(ids)
+        if not all(isinstance(s, str) for s in ids):
+            raise FormatError("sensor ids must be strings")
+        if len(set(ids)) != n:
+            raise FormatError("sensor ids are not unique")
+        if perm.size and perm.dtype.kind not in "iu":
+            raise FormatError("permutation entries must be integers")
+        perm = np.asarray(perm, dtype=np.int64)
         if sorted(perm.tolist()) != list(range(n)):
             raise FormatError("permutation is not a bijection on the sensor rows")
         if lo.shape != (n,) or hi.shape != (n,):
             raise FormatError("bounds length does not match sensor count")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise FormatError("bounds must be finite")
         if np.any(lo > hi):
             raise FormatError("lower bound exceeds upper bound")
         for name, arr in (("permutation", perm), ("lower_bounds", lo), ("upper_bounds", hi)):
@@ -492,10 +505,10 @@ def load_model(source: IO | str | Path) -> CSModel:
         )
     try:
         return CSModel(
-            sensor_ids=tuple(payload["sensor_ids"]),
-            permutation=np.array(payload["permutation"], dtype=np.int64),
-            lower_bounds=np.array(payload["lower_bounds"], dtype=np.float64),
-            upper_bounds=np.array(payload["upper_bounds"], dtype=np.float64),
+            sensor_ids=payload["sensor_ids"],
+            permutation=payload["permutation"],
+            lower_bounds=payload["lower_bounds"],
+            upper_bounds=payload["upper_bounds"],
             version=version,
         )
     except KeyError as exc:

@@ -1,4 +1,5 @@
 import csv
+import io
 import sys
 
 import numpy as np
@@ -6,12 +7,19 @@ import pytest
 
 from cs_smooth import batchio, cs
 from cs_smooth.cli import main, parse_span
-from cs_smooth.errors import InvalidParameterError
+from cs_smooth.errors import FormatError, InvalidParameterError
 from cs_smooth.synthetic import class_stream
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_line_error(capsys, code):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}:")
+    assert "\n" not in err.strip()
+    assert "Traceback" not in err
 
 
 def read_report(path):
@@ -61,6 +69,25 @@ class TestTrainCommand:
         data = np.vstack([np.full(12, 7.0), np.arange(12, dtype=float)])
         dataset = write_dataset(data)
         assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"0,1.0\n99999999999999999999,1.0\n", "line 2: timestamp"),
+            (b"0,1.0\n1000,2.0\n2000,\xff3.0\n", "line 3: invalid UTF-8 byte 0xff"),
+        ],
+    )
+    def test_bad_sensor_file_is_one_line_parse_error(
+        self, write_dataset, tmp_path, capsys, content, reason
+    ):
+        dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
+        (dataset / "s001.csv").write_bytes(content)
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parse: {reason}")
+        assert "\n" not in err.strip()
 
 
 class TestSignCommand:
@@ -229,6 +256,55 @@ class TestRenderCommand:
         assert run("render", "--batch", path, "--out", tmp_path / "img.pgm") == 1
         assert capsys.readouterr().err.startswith("error: empty-input:")
 
+    @pytest.mark.parametrize(
+        "data", [b"P5\n3", b"P5\n3 2\n", b"", b"P5 # note\n", b"P5\n3 x\n255\n", b"P5\n-3 2\n255\n"]
+    )
+    def test_truncated_or_malformed_pgm_header(self, data):
+        with pytest.raises(FormatError, match="PGM"):
+            batchio.read_pgm(io.BytesIO(data))
+
+
+def _csv_writer_batch(sigs):
+    """The batch bytes as csv.writer with a per-float repr wrote them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    width = len(sigs[0].blocks_real)
+    writer.writerow(
+        ["window_start", "window_end"]
+        + [f"real_{i}" for i in range(1, width + 1)]
+        + [f"imag_{i}" for i in range(1, width + 1)]
+    )
+    for sig in sigs:
+        writer.writerow(
+            [sig.window_start, sig.window_end]
+            + [repr(float(v)) for v in sig.blocks_real]
+            + [repr(float(v)) for v in sig.blocks_imag]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+class TestBatchWriterBytes:
+    def test_matches_csv_writer_bytes(self, tmp_path):
+        layout = cs.block_layout(4, 4)
+        rng = np.random.default_rng(5)
+        sigs = [
+            cs.Signature(
+                blocks_real=np.array([-0.0, 1e-300, 0.1, 1.0]),
+                blocks_imag=np.array([0.1, -0.0, -1e-300, 5e-324]),
+                layout=layout, window_start=0, window_end=15_000,
+            ),
+            cs.Signature(
+                blocks_real=rng.uniform(size=4), blocks_imag=rng.uniform(-1, 1, size=4),
+                layout=layout, window_start=1_000, window_end=16_000,
+            ),
+        ]
+        path = tmp_path / "batch.csv"
+        assert batchio.write_signature_batch(path, sigs) == 2
+        assert path.read_bytes() == _csv_writer_batch(sigs)
+        buf = io.StringIO(newline="")
+        batchio.write_signature_batch(buf, sigs)
+        assert buf.getvalue().encode("utf-8") == _csv_writer_batch(sigs)
+
 
 class TestFidelityCommand:
     def test_report_rows_per_block_count(self, write_dataset, tmp_path):
@@ -271,6 +347,17 @@ class TestFidelityCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-block-count:")
+
+    def test_malformed_block_list(self, write_dataset, tmp_path, capsys):
+        dataset = write_dataset(np.random.default_rng(9).uniform(size=(4, 20)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        code = run(
+            "fidelity", "--dataset", dataset, "--model", model,
+            "--window", 5, "--step", 5, "--blocks", "1,,2", "--out", tmp_path / "f.csv",
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
 
 
 def make_labeled_batch(tmp_path, windows_per_class=12, n=12, wl=8, real_only_signal=True):
@@ -358,6 +445,15 @@ class TestEvalCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: label-mismatch:")
 
+    def test_one_field_labels_row(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        lines = labels.read_text().strip().splitlines()
+        lines[2] = lines[2].split(",")[0]
+        labels.write_text("\n".join(lines) + "\n")
+        code = run("eval", "--batch", batch, "--labels", labels, "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert_one_line_error(capsys, "format")
+
     def test_regression_task_reports_nrmse(self, tmp_path):
         batch, labels = make_labeled_batch(tmp_path)
         # numeric targets derived from the class index, plus jitter
@@ -440,6 +536,17 @@ class TestBenchCommand:
         code = run("bench", "--methods", "pca", "--out", tmp_path / "b.csv")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-parameter:")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n-list", "10,x"), ("--wl-list", "10,x"), ("--wl-list", "5,,6"),
+         ("--n-list", "-2"), ("--wl-list", "0"), ("--reps", "0")],
+    )
+    def test_bad_size_list_rejected(self, tmp_path, capsys, flag, value):
+        code = run("bench", "--methods", "cs", "--n-list", "4", "--wl-list", "5",
+                   flag, value, "--out", tmp_path / "b.csv")
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
 
     def test_cs_linear_vs_tuncer_superlinear_in_window(self, tmp_path):
         # sorted percentiles cost w*log(w) per row, so a 50x window costs

@@ -1,10 +1,14 @@
 import io
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cs_smooth import core
 from cs_smooth.core import (
     SensorMatrix,
     SensorSeries,
@@ -69,6 +73,178 @@ class TestLoadSensorCsv:
     def test_bytes_stream(self):
         s = load_sensor_csv(io.BytesIO(b"0,1.5\n1000,2.5"), "a")
         assert s.values.tolist() == [1.5, 2.5]
+
+    def test_mid_line_hash_is_an_error(self):
+        with pytest.raises(ParseError, match="line 2"):
+            load_sensor_csv(io.StringIO("0,1.0\n1000,2.0 # 3"), "a")
+
+    def test_indented_comment_skipped(self):
+        s = load_sensor_csv(io.StringIO("  # note\n0,1.0"), "a")
+        assert s.values.tolist() == [1.0]
+
+    def test_timestamp_beyond_int64(self):
+        with pytest.raises(ParseError, match="line 2: timestamp .* does not fit in int64"):
+            load_sensor_csv(io.StringIO("0,1.0\n99999999999999999999,1.0"), "a")
+
+    def test_invalid_utf8_carries_line_number(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"0,1.0\n1000,\xff2.0\n")
+        with pytest.raises(ParseError, match="line 2: invalid UTF-8 byte 0xff"):
+            load_sensor_csv(path, "a")
+
+    def test_file_lone_cr_is_a_line_break(self, tmp_path):
+        # A file is read with the universal newlines of text mode.
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1000,2.0\r0,1.0\r\n2000,3.0")
+        s = load_sensor_csv(path, "a")
+        assert s.timestamps.tolist() == [0, 1000, 2000]
+
+    def test_plain_file_takes_the_c_parser(self, tmp_path, monkeypatch):
+        def no_loop(data, sensor_id):
+            raise AssertionError("line loop used")
+
+        monkeypatch.setattr(core, "_parse_lines", no_loop)
+        path = tmp_path / "s.csv"
+        path.write_bytes(b" 2000 , +3.5\r\n0,1e-300\r\n\r\n+0001000,-0.0\r\n0,0.1\r\n")
+        s = load_sensor_csv(path, "a")
+        assert s.timestamps.tolist() == [0, 1000, 2000]
+        assert s.values.tobytes() == np.array([0.1, -0.0, 3.5]).tobytes()
+
+
+def _reference_load(lines, sensor_id):
+    """The per-line ingest loop, kept as an independent oracle for the parser."""
+    points = {}
+    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
+                    line=lineno,
+                ) from None
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'timestamp,value', got {line!r}", line=lineno)
+        try:
+            ts = int(parts[0].strip())
+            val = float(parts[1].strip())
+        except ValueError as exc:
+            raise ParseError(f"cannot parse {line!r}: {exc}", line=lineno) from None
+        if not -(2**63) <= ts < 2**63:
+            raise ParseError(f"timestamp {ts} does not fit in int64", line=lineno)
+        if not math.isfinite(val):
+            raise RejectedValueError(f"sensor {sensor_id!r}: non-finite value at line {lineno}")
+        points[ts] = val
+    if not points:
+        raise EmptyInputError(f"sensor {sensor_id!r}: no records in stream")
+    order = sorted(points)
+    return SensorSeries(
+        sensor_id=sensor_id,
+        timestamps=np.array(order, dtype=np.int64),
+        values=np.array([points[ts] for ts in order], dtype=np.float64),
+    )
+
+
+def _outcome(load):
+    try:
+        s = load()
+    except CsSmoothError as exc:
+        return type(exc), exc.code, str(exc), getattr(exc, "line", None)
+    return s.timestamps.dtype, s.timestamps.tobytes(), s.values.tobytes()
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_BLANK = st.sampled_from(["", "", " ", "\t", " \t "])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Text the C parser reads in full, and text that sends a file to the loop.
+_CLEAN_VALUE = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda v: f"{v:.6e}"),
+    st.sampled_from(["0.1", "-0.0", "1e-300", "5e-324", "1e-400", "+.5", "5.", "1E+05"]),
+)
+_VALUE = st.one_of(
+    _CLEAN_VALUE,
+    _CLEAN_VALUE,
+    st.sampled_from(["1e400", "-1e400", "1_000", "nan", "inf", "-inf", "٥", "0x10", "", "1 2"]),
+)
+
+
+@st.composite
+def _timestamp_text(draw, clean):
+    ranges = [st.integers(0, 12), st.integers(-(2**63), 2**63 - 1)]  # 0..12: duplicates
+    styles = ["plain"] * 4 + ["plus", "zeros"]
+    if not clean:
+        ranges.append(st.integers(10**19, 10**20 - 1))  # 20 digits, beyond int64
+        styles += ["underscore", "arabic"]
+    ts = draw(st.one_of(ranges))
+    text = str(ts)
+    style = draw(st.sampled_from(styles))
+    if style == "plus" and ts >= 0:
+        text = "+" + text
+    elif style == "zeros":
+        text = text.replace("-", "-00") if ts < 0 else "00" + text
+    elif style == "underscore" and len(text.lstrip("-")) > 1:
+        text = text[:-1] + "_" + text[-1]
+    elif style == "arabic":
+        text = text.translate(_ARABIC_INDIC)
+    return text
+
+
+@st.composite
+def _record_line(draw, clean):
+    value = draw(_CLEAN_VALUE if clean else _VALUE)
+    return (
+        draw(_BLANK) + draw(_timestamp_text(clean)) + draw(_BLANK) + ","
+        + draw(_BLANK) + value + draw(_BLANK)
+    ).encode("utf-8")
+
+
+_ODD_LINE = st.sampled_from([
+    b"", b"   ", b"\t", b"# comment", b"  # indented comment", b"#", b"# 5,1.0",
+    b"5,1.0 # note", b"5,1.0#", b"5,1.0 # 2", b"5#,1.0", b"7,1e400", b"7,-1e400",
+    b"5", b"5,1.0,2.0", b",", b"5,1.0,", b"\xff\xfe", b"5,1.\xe9", b"5,\xc3\xa9",
+    b"\xc2\xa05,1.0", b"5,1.0\x0b", b"\"5\",1.0", b"5;1.0", b"5,1.0\r7,2.0",
+])
+
+
+@st.composite
+def _sensor_file(draw):
+    clean = draw(st.booleans())
+    lines = draw(st.lists(_record_line(clean), max_size=10))
+    for odd in draw(st.lists(_ODD_LINE, min_size=0 if clean else 1, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join(lines) + draw(st.sampled_from([b"", newline]))
+
+
+class TestParserAgreesWithLineLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(_sensor_file())
+    def test_same_arrays_or_same_error(self, data):
+        expected = _outcome(lambda: _reference_load(io.BytesIO(data), "s"))
+        assert _outcome(lambda: load_sensor_csv(io.BytesIO(data), "s")) == expected
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        if text is not None:
+            expected_text = _outcome(lambda: _reference_load(io.StringIO(text), "s"))
+            assert _outcome(lambda: load_sensor_csv(io.StringIO(text), "s")) == expected_text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(data)
+            if text is not None:
+                with open(path, encoding="utf-8") as fh:
+                    expected_file = _outcome(lambda: _reference_load(fh, "s"))
+            else:
+                # Text mode's line split, with each line decoded on its own.
+                lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                expected_file = _outcome(lambda: _reference_load(io.BytesIO(lines), "s"))
+            assert _outcome(lambda: load_sensor_csv(path, "s")) == expected_file
 
 
 class TestSeriesInvariants:

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -431,6 +432,29 @@ class TestModelPersistence:
         save_model(model, path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(FormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("permutation", [1.7, 0, 2, 3, 4], "permutation entries must be integers"),
+            ("permutation", [1.0, 0, 2, 3, 4], "permutation entries must be integers"),
+            ("lower_bounds", [math.nan, 0.0, 0.0, 0.0, 0.0], "bounds must be finite"),
+            ("upper_bounds", [math.inf, 1.0, 1.0, 1.0, 1.0], "bounds must be finite"),
+            ("lower_bounds", [-math.inf, 0.0, 0.0, 0.0, 0.0], "bounds must be finite"),
+            ("sensor_ids", ["a", "b", "c", "d", "a"], "sensor ids are not unique"),
+            ("sensor_ids", ["a", "b", "c", "d", 5], "sensor ids must be strings"),
+            ("lower_bounds", ["x", 0.0, 0.0, 0.0, 0.0], "malformed model field"),
+        ],
+    )
+    def test_invalid_field_rejected(self, tmp_path, field, value, reason):
+        model = self.make_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))  # json writes NaN/Infinity literals
+        with pytest.raises(FormatError, match=reason):
             load_model(path)
 
     def test_model_id_stable_across_round_trip(self, tmp_path):
