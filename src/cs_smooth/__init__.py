@@ -26,8 +26,10 @@ from .cs import (
     CorrelationStats,
     CSModel,
     Signature,
+    SignatureBatch,
     block_layout,
     compute_signature,
+    compute_signature_batch,
     load_model,
     pairwise_correlation,
     resample_signature,

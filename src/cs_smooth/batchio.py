@@ -8,53 +8,40 @@ Baseline signatures use the same layout without the imaginary columns.
 from __future__ import annotations
 
 import csv
+import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
 from .baselines import BaselineSignature
-from .cs import Signature
+from .cs import Signature, SignatureBatch
 from .errors import EmptyInputError, FormatError
 
 
-@dataclass(frozen=True)
-class SignatureBatch:
-    """Columnar view of a batch file: block values plus window instants."""
-
-    window_starts: np.ndarray
-    window_ends: np.ndarray
-    real: np.ndarray
-    imag: np.ndarray | None
-
-    @property
-    def n_signatures(self) -> int:
-        return self.real.shape[0]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.real.shape[1]
-
-
 def write_signature_batch(
-    sink: IO | str | Path, signatures: Iterable[Signature | BaselineSignature]
+    sink: IO | str | Path,
+    signatures: SignatureBatch | Iterable[Signature | BaselineSignature],
 ) -> int:
-    """Write signatures as CSV, one per row; returns the row count."""
+    """Write signatures as CSV, one per row; returns the row count.
+
+    A SignatureBatch and the equivalent list of Signature objects give the
+    same bytes.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             return write_signature_batch(fh, signatures)
+    if isinstance(signatures, SignatureBatch):
+        b = signatures
+        imag = itertools.repeat(None) if b.imag is None else b.imag.tolist()
+        rows = zip(b.window_starts.tolist(), b.window_ends.tolist(), b.real.tolist(), imag)
+    else:
+        rows = map(_signature_row, signatures)
     count = 0
     width = None
     complex_valued = None
-    for sig in signatures:
-        if isinstance(sig, Signature):
-            values = sig.blocks_real
-            imag = sig.blocks_imag
-        else:
-            values = sig.values
-            imag = None
+    for start, end, values, imag in rows:
         if width is None:
             width, complex_valued = len(values), imag is not None
             header = ["window_start", "window_end"]
@@ -66,14 +53,21 @@ def write_signature_batch(
             raise FormatError("all signatures in a batch must share length and kind")
         # CSV as the csv module writes it: shortest round-trip reprs, CRLF
         # line ends, and no quoting since no field holds a comma or quote.
-        fields = [str(sig.window_start), str(sig.window_end), *map(repr, values.tolist())]
+        fields = [str(start), str(end), *map(repr, values)]
         if imag is not None:
-            fields += map(repr, imag.tolist())
+            fields += map(repr, imag)
         sink.write(",".join(fields) + "\r\n")
         count += 1
     if count == 0:
         raise EmptyInputError("no signatures to write")
     return count
+
+
+def _signature_row(sig: Signature | BaselineSignature) -> tuple:
+    """(window start, window end, real values, imaginary values or None)."""
+    if isinstance(sig, Signature):
+        return sig.window_start, sig.window_end, sig.blocks_real.tolist(), sig.blocks_imag.tolist()
+    return sig.window_start, sig.window_end, sig.values.tolist(), None
 
 
 def read_signature_batch(source: IO | str | Path) -> SignatureBatch:

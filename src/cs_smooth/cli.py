@@ -8,6 +8,7 @@ The CS_SMOOTH_LOG environment variable (debug/info/warning) controls logging.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import re
@@ -16,7 +17,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,8 +102,6 @@ class RunConfig:
     interval: int | None = None
     retrain_every: int | None = None
     lan_subsample: int = 10
-    seed: int = 0
-    threads: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -159,36 +157,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _sign_cs(args: argparse.Namespace, config: RunConfig, matrix: SensorMatrix):
+    """Sign every window, one batch per run of windows that share a model."""
     spec = _window_spec(config, matrix)
     model = cs.load_model(args.model)
     n_blocks = config.blocks[0] if config.blocks else 20
-    window_list = list(windows(matrix, spec))
-    if config.retrain_every:
-        sigs = []
-        current = model
-        for i, window in enumerate(window_list):
-            start_col = i * spec.step_samples
-            if i > 0 and i % config.retrain_every == 0 and start_col >= 2:
-                history = SensorMatrix(
-                    sensor_ids=matrix.sensor_ids,
-                    grid=TimeGrid(
-                        start=matrix.grid.start,
-                        interval=matrix.grid.interval,
-                        count=start_col,
-                    ),
-                    data=matrix.data[:, :start_col],
-                )
-                current = cs.train(history)
-                log.info("window %d: retrained model %s", i, current.model_id)
-            sigs.append(cs.compute_signature(window, current, n_blocks))
-        return sigs
-    workers = config.threads or os.cpu_count() or 1
-    if workers > 1 and len(window_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda w: cs.compute_signature(w, model, n_blocks), window_list)
-            )
-    return [cs.compute_signature(w, model, n_blocks) for w in window_list]
+    starts = spec.starts(matrix.n_samples)
+    every = config.retrain_every
+    cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
+    parts = []
+    for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
+        if first:
+            grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count=starts[first])
+            history = SensorMatrix(matrix.sensor_ids, grid, matrix.data[:, : starts[first]])
+            model = cs.train(history)
+            log.info("window %d: retrained model %s", first, model.model_id)
+        parts.append(cs.compute_signature_batch(matrix, model, spec, n_blocks, first, stop))
+    fields = ("window_starts", "window_ends", "real", "imag")
+    return cs.SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
@@ -201,7 +186,6 @@ def cmd_sign(args: argparse.Namespace) -> int:
         interval=args.interval,
         retrain_every=args.retrain_every,
         lan_subsample=args.lan_subsample,
-        threads=args.threads,
     )
     matrix = _load_matrix(config)
     if config.method == "cs":
@@ -216,10 +200,10 @@ def cmd_sign(args: argparse.Namespace) -> int:
             "lan": lambda w: baselines.lan_signature(w, config.lan_subsample),
         }[config.method]
         sigs = [maker(w) for w in windows(matrix, spec)]
-    if not sigs:
-        raise DegenerateInputError(
-            "no complete windows fit the data; shrink --window"
-        )
+        if not sigs:
+            raise DegenerateInputError(
+                "no complete windows fit the data; shrink --window"
+            )
     count = batchio.write_signature_batch(args.out, sigs)
     print(f"wrote {count} signatures to {args.out}")
     return 0
@@ -307,15 +291,17 @@ class _ExternalPredictor:
             raise CsSmoothError(
                 f"external predictor exited {proc.returncode}: {proc.stderr.strip()}"
             )
-        with open(pred_path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != "prediction":
+        with open(pred_path, "r", encoding="utf-8", newline="") as fh:
+            rows = [[f.strip() for f in row] for row in csv.reader(fh) if "".join(row).strip()]
+        if not rows or rows[0] != ["prediction"]:
             raise FormatError("predictions file must start with a 'prediction' header")
-        if len(lines) - 1 != len(features):
+        if any(len(row) != 1 for row in rows):
+            raise FormatError("predictions file must hold one field per row")
+        if len(rows) - 1 != len(features):
             raise FormatError(
-                f"expected {len(features)} predictions, got {len(lines) - 1}"
+                f"expected {len(features)} predictions, got {len(rows) - 1}"
             )
-        return np.array(lines[1:])
+        return np.array([row[0] for row in rows[1:]])
 
 
 def _dataset_from_files(args: argparse.Namespace) -> evaluation.LabeledDataset:
@@ -430,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="learn a sorting/normalization model")
     p_train.add_argument("--dataset", required=True, help="directory of per-sensor CSVs")
     p_train.add_argument("--interval", type=int, help="grid interval in ms (default: inferred)")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=0, help="ignored: training is deterministic")
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(handler=cmd_train)
 
@@ -444,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--lan-subsample", type=int, default=10)
     p_sign.add_argument("--retrain-every", type=int, help="retrain on history every k windows")
     p_sign.add_argument("--interval", type=int)
-    p_sign.add_argument("--seed", type=int, default=0)
-    p_sign.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    p_sign.add_argument("--seed", type=int, default=0, help="ignored: signing is deterministic")
+    p_sign.add_argument("--threads", type=int, default=0, help="ignored: signing is vectorized")
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(handler=cmd_sign)
 
@@ -488,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lan-subsample", type=int, default=10)
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=1, help="ignored: timings are serial")
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(handler=cmd_bench)
 

@@ -47,7 +47,8 @@ class SensorSeries:
                 f"sensor {self.sensor_id!r}: timestamps and values must be "
                 f"1-D and equally long ({len(ts)} vs {len(vs)})"
             )
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        # Compared pairwise: np.diff wraps around in int64.
+        if not np.all(ts[1:] > ts[:-1]):
             raise CsSmoothError(
                 f"sensor {self.sensor_id!r}: timestamps must be strictly increasing"
             )
@@ -129,6 +130,10 @@ class WindowSpec:
     def __post_init__(self):
         if self.length_samples < 1 or self.step_samples < 1:
             raise CsSmoothError("window length and step must be >= 1 samples")
+
+    def starts(self, n_samples: int) -> range:
+        """Start columns of the complete windows over ``n_samples`` columns."""
+        return range(0, n_samples - self.length_samples + 1, self.step_samples)
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,8 @@ def load_dataset_dir(path: str | Path) -> list[SensorSeries]:
     """Load every ``*.csv`` in a directory; the file stem is the sensor id.
 
     Files are read in sorted-name order so the resulting row order is stable.
-    ``labels.csv`` is reserved for window labels and skipped.
+    ``labels.csv`` is reserved for window labels and skipped. Ingest errors
+    name the file they come from.
     """
     path = Path(path)
     files = sorted(
@@ -264,7 +270,14 @@ def load_dataset_dir(path: str | Path) -> list[SensorSeries]:
     )
     if not files:
         raise EmptyInputError(f"no sensor CSV files in {path}")
-    return [load_sensor_csv(p, p.stem) for p in files]
+    series = []
+    for p in files:
+        try:
+            series.append(load_sensor_csv(p, p.stem))
+        except (ParseError, RejectedValueError, EmptyInputError) as exc:
+            exc.args = (f"{p.name}: {exc}",)
+            raise
+    return series
 
 
 def infer_grid(series: Sequence[SensorSeries], interval: int | None = None) -> TimeGrid:
@@ -320,11 +333,10 @@ def windows(matrix: SensorMatrix, spec: WindowSpec) -> Iterator[Window]:
     incomplete trailing windows are dropped. Yields an empty sequence when the
     window is longer than the matrix.
     """
-    wl, ws = spec.length_samples, spec.step_samples
+    wl = spec.length_samples
     data = matrix.data
-    t = matrix.n_samples
     instants = matrix.grid.instants()
-    for s in range(0, t - wl + 1, ws):
+    for s in spec.starts(matrix.n_samples):
         yield Window(
             sensor_ids=matrix.sensor_ids,
             values=data[:, s : s + wl],

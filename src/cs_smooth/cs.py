@@ -18,8 +18,9 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SensorMatrix, Window
+from .core import SensorMatrix, Window, WindowSpec
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -90,6 +91,13 @@ class CSModel:
         return len(self.sensor_ids)
 
     @functools.cached_property
+    def _scaling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower bounds, divisors, flat-row mask) of min-max normalization."""
+        span = self.upper_bounds - self.lower_bounds
+        flat = span == 0.0
+        return self.lower_bounds, np.where(flat, 1.0, span), flat
+
+    @functools.cached_property
     def model_id(self) -> str:
         digest = hashlib.sha256(_model_json(self).encode("utf-8")).hexdigest()
         return digest[:12]
@@ -131,6 +139,14 @@ class BlockLayout:
     def n_blocks(self) -> int:
         return len(self.ranges)
 
+    @functools.cached_property
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray]:
+        """(np.add.reduceat indices, block sizes) that sum rows into blocks."""
+        # Interleaved (start, stop) boundaries: reduceat sums every other
+        # segment, which tolerates the one-row overlap between adjacent blocks.
+        bounds = np.array([(b - 1, e) for b, e in self.ranges], dtype=np.int64).ravel()
+        return bounds[:-1], np.diff(bounds)[0::2]
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -162,6 +178,24 @@ class Signature:
     @property
     def n_blocks(self) -> int:
         return self.layout.n_blocks
+
+
+@dataclass(frozen=True)
+class SignatureBatch:
+    """Columnar signatures: one row of blocks per window, plus window instants."""
+
+    window_starts: np.ndarray
+    window_ends: np.ndarray
+    real: np.ndarray
+    imag: np.ndarray | None
+
+    @property
+    def n_signatures(self) -> int:
+        return self.real.shape[0]
+
+    @property
+    def n_blocks(self) -> int:
+        return self.real.shape[1]
 
 
 def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
@@ -231,11 +265,11 @@ def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray
     return order
 
 
-def _check_window_sensors(window: Window, model: CSModel) -> None:
-    if window.sensor_ids == model.sensor_ids:
+def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
+    if sensor_ids == model.sensor_ids:
         return
-    missing = set(model.sensor_ids) - set(window.sensor_ids)
-    extra = set(window.sensor_ids) - set(model.sensor_ids)
+    missing = set(model.sensor_ids) - set(sensor_ids)
+    extra = set(sensor_ids) - set(model.sensor_ids)
     if missing or extra:
         raise ModelIncompatibilityError(
             f"window sensors do not match model: missing={sorted(missing)} "
@@ -244,6 +278,17 @@ def _check_window_sensors(window: Window, model: CSModel) -> None:
     raise ModelIncompatibilityError(
         "window sensors match the model but are ordered differently"
     )
+
+
+def _normalize(values: np.ndarray, model: CSModel, rows=slice(None)) -> np.ndarray:
+    """Min-max normalize sensor rows ``rows`` into a new array, clamped to [0,1];
+    rows whose training bounds collapse map to 0."""
+    lo, denom, flat = model._scaling
+    norm = values - lo[rows, None]
+    np.divide(norm, denom[rows, None], out=norm)
+    np.clip(norm, 0.0, 1.0, out=norm)
+    norm[flat[rows]] = 0.0
+    return norm
 
 
 def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarray]:
@@ -255,17 +300,10 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     rows; the first column differences against the sample preceding the window
     when available and is 0 otherwise.
     """
-    _check_window_sensors(window, model)
-    lo = model.lower_bounds[:, None]
-    span = (model.upper_bounds - model.lower_bounds)[:, None]
-    flat = span[:, 0] == 0.0
-    denom = np.where(flat[:, None], 1.0, span)
-    normalized = np.clip((window.values - lo) / denom, 0.0, 1.0)
-    normalized[flat, :] = 0.0
+    _check_sensors(window.sensor_ids, model)
+    normalized = _normalize(window.values, model)
     if window.preceding is not None:
-        prev = np.clip((window.preceding - lo[:, 0]) / denom[:, 0], 0.0, 1.0)
-        prev[flat] = 0.0
-        first = normalized[:, :1] - prev[:, None]
+        first = normalized[:, :1] - _normalize(window.preceding[:, None], model)
     else:
         first = np.zeros((normalized.shape[0], 1))
     derivative = np.concatenate([first, np.diff(normalized, axis=1)], axis=1)
@@ -273,6 +311,7 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     return normalized[p], derivative[p]
 
 
+@functools.lru_cache(maxsize=64)
 def block_layout(n_sensors: int, n_blocks: int) -> BlockLayout:
     """Partition n sensor rows into l blocks of near-equal size.
 
@@ -309,11 +348,10 @@ def smooth(
             f"expected two {layout.n_sensors}-row matrices of equal shape, "
             f"got {values.shape} and {derivs.shape}"
         )
-    real = _block_means(values, layout)
-    imag = _block_means(derivs, layout)
+    width = values.shape[1]
     return Signature(
-        blocks_real=real,
-        blocks_imag=imag,
+        blocks_real=_block_means(values.sum(axis=1), layout, width),
+        blocks_imag=_block_means(derivs.sum(axis=1), layout, width),
         layout=layout,
         window_start=window_start,
         window_end=window_end,
@@ -321,21 +359,14 @@ def smooth(
     )
 
 
-def _block_means(matrix: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    row_sums = matrix.sum(axis=1)
-    sizes = np.fromiter((e - b + 1 for b, e in layout.ranges), dtype=np.int64)
-    return _range_sums(row_sums, layout) / (sizes * matrix.shape[1])
+def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.ndarray:
+    """Block means from per-row window sums, rows in block order along the last axis.
 
-
-def _range_sums(row_values: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    first = np.fromiter((b - 1 for b, _ in layout.ranges), dtype=np.int64)
-    last = np.fromiter((e for _, e in layout.ranges), dtype=np.int64)
-    # Interleave (start, stop) boundaries; reduceat sums every other segment,
-    # which tolerates the one-row overlap between adjacent blocks.
-    bounds = np.empty(2 * len(first), dtype=np.int64)
-    bounds[0::2] = first
-    bounds[1::2] = last
-    return np.add.reduceat(row_values, bounds[:-1])[0::2]
+    ``row_sums`` is 1-D for one window or C-contiguous (windows x rows) for many;
+    either way each block's rows are added in the same order.
+    """
+    bounds, sizes = layout._reduction
+    return np.add.reduceat(row_sums, bounds, axis=-1)[..., 0::2] / (sizes * width)
 
 
 _CHUNK_ROWS = 512
@@ -350,46 +381,69 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     column - column preceding the window). Rows are normalized in chunks so
     the working set stays cache-resident at large n. O(w * n).
     """
-    _check_window_sensors(window, model)
+    _check_sensors(window.sensor_ids, model)
     layout = block_layout(model.n_sensors, n_blocks)
     n, width = window.values.shape
-    lo = model.lower_bounds
-    span = model.upper_bounds - model.lower_bounds
-    flat = span == 0.0
-    denom = np.where(flat, 1.0, span)
-
     value_sums = np.empty(n)
     last_col = np.empty(n)
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, n))
-        chunk = window.values[rows] - lo[rows, None]
-        np.divide(chunk, denom[rows, None], out=chunk)
-        np.clip(chunk, 0.0, 1.0, out=chunk)
-        chunk[flat[rows]] = 0.0
+        chunk = _normalize(window.values[rows], model, rows)
         value_sums[rows] = chunk.sum(axis=1)
         last_col[rows] = chunk[:, -1]
-
-    if window.preceding is not None:
-        prev = np.clip((window.preceding - lo) / denom, 0.0, 1.0)
-        prev[flat] = 0.0
-    else:
-        first = np.clip((window.values[:, 0] - lo) / denom, 0.0, 1.0)
-        first[flat] = 0.0
-        prev = first
-    deriv_sums = last_col - prev
-
+    # Without a preceding column the first one stands in: its difference is 0.
+    before = window.values[:, :1] if window.preceding is None else window.preceding[:, None]
+    deriv_sums = last_col - _normalize(before, model)[:, 0]
     p = model.permutation
-    sizes = np.fromiter((e - b + 1 for b, e in layout.ranges), dtype=np.int64)
-    real = _range_sums(value_sums[p], layout) / (sizes * width)
-    imag = _range_sums(deriv_sums[p], layout) / (sizes * width)
     return Signature(
-        blocks_real=real,
-        blocks_imag=imag,
+        blocks_real=_block_means(value_sums[p], layout, width),
+        blocks_imag=_block_means(deriv_sums[p], layout, width),
         layout=layout,
         window_start=window.start,
         window_end=window.end,
         model_id=model.model_id,
     )
+
+
+_CHUNK_VALUES = 1 << 20  # normalized values per time chunk: 8 MB
+
+
+def compute_signature_batch(
+    matrix: SensorMatrix, model: CSModel, spec: WindowSpec, n_blocks: int,
+    first: int = 0, stop: int | None = None,
+) -> SignatureBatch:
+    """Signatures of windows ``first``..``stop - 1`` of windows(matrix, spec) at once.
+
+    Bit for bit the blocks of compute_signature, with each sample normalized
+    once instead of once per window: row sums come from a sliding view over
+    the normalized rows and derivative sums telescope as in compute_signature.
+    Windows go in time chunks of about _CHUNK_VALUES normalized values, so
+    memory stays bounded at any stream length.
+    """
+    _check_sensors(matrix.sensor_ids, model)
+    layout = block_layout(model.n_sensors, n_blocks)
+    width, step = spec.length_samples, spec.step_samples
+    starts = np.asarray(spec.starts(matrix.n_samples)[first:stop], dtype=np.int64)
+    if not len(starts):
+        raise DegenerateInputError("no complete windows fit the data; shrink the window")
+    real = np.empty((len(starts), n_blocks))
+    imag = np.empty_like(real)
+    p = model.permutation
+    per_chunk = max(1, _CHUNK_VALUES // (model.n_sensors * step))
+    for i in range(0, len(starts), per_chunk):
+        chunk = starts[i : i + per_chunk]
+        # Normalized columns from the one preceding the chunk's first window on.
+        origin = max(int(chunk[0]) - 1, 0)
+        norm = _normalize(matrix.data[:, origin : int(chunk[-1]) + width], model)
+        offsets = chunk - origin
+        # A basic slice keeps the window view a view; its sums run along each
+        # window's contiguous row segment, as compute_signature's do.
+        sums = sliding_window_view(norm, width, axis=1)[:, offsets[0] :: step].sum(axis=2)
+        derivs = norm[:, offsets + width - 1] - norm[:, np.maximum(offsets - 1, 0)]
+        real[i : i + len(chunk)] = _block_means(sums.T.take(p, axis=1), layout, width)
+        imag[i : i + len(chunk)] = _block_means(derivs.T.take(p, axis=1), layout, width)
+    t0, dt = matrix.grid.start, matrix.grid.interval
+    return SignatureBatch(t0 + dt * starts, t0 + dt * (starts + width - 1), real, imag)
 
 
 def resample_signature(sig: Signature, new_blocks: int) -> Signature:

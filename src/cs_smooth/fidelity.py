@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SensorMatrix, Window, WindowSpec, windows
-from .cs import BlockLayout, CSModel, Signature, compute_signature, sort_normalize
+from .core import SensorMatrix, Window, WindowSpec
+from .cs import (
+    BlockLayout, CSModel, Signature, block_layout, compute_signature_batch, sort_normalize,
+)
+from .cs import compute_signature  # noqa: F401  (perfbench/spans.py times it under this module)
 from .errors import DegenerateInputError, IncompatibilityError
 
 DEFAULT_BINS = 100
@@ -155,12 +158,10 @@ def fidelity_components(
         end=int(original.grid.end),
     )
     norm_full, deriv_full = sort_normalize(full, model)
-    sigs = [compute_signature(w, model, n_blocks) for w in windows(original, spec)]
-    if not sigs:
-        raise DegenerateInputError(
-            "no complete windows: shrink the window or provide more data"
-        )
-    real_exp, imag_exp = expand_signatures(sigs, original.n_sensors)
+    batch = compute_signature_batch(original, model, spec, n_blocks)
+    # Expanded as expand_signatures does, from the block arrays.
+    assignment = _row_to_block(block_layout(model.n_sensors, n_blocks), original.n_sensors)
+    real_exp, imag_exp = batch.real[:, assignment].T, batch.imag[:, assignment].T
     p_vals = build_distribution(norm_full, bins, (0.0, 1.0))
     q_vals = build_distribution(real_exp, bins, (0.0, 1.0))
     p_derivs = build_distribution(deriv_full, bins, (-1.0, 1.0))

@@ -14,7 +14,7 @@ import pytest
 from cs_smooth.baselines import tuncer_signature
 from cs_smooth.cli import main as cli_main
 from cs_smooth.core import SensorMatrix, SensorSeries, TimeGrid, WindowSpec, align, finite_difference, windows
-from cs_smooth.cs import block_layout, compute_signature, train
+from cs_smooth.cs import block_layout, compute_signature, compute_signature_batch, train
 from cs_smooth.evaluation import (
     CLASSIFICATION,
     LabeledDataset,
@@ -35,10 +35,17 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_oracle_equivalence():
-    """compute_signature matches the brute-force reference on random inputs."""
+    """compute_signature and the batched kernel match the brute-force reference.
+
+    Each case trains on a short matrix, then signs every window of a longer
+    stream that starts with it: windows at the first column and after it,
+    steps shorter and longer than the window, values clamped beyond the
+    training bounds.
+    """
     rng = np.random.default_rng(20240101)
     started = time.perf_counter()
     worst = 0.0
+    checked = 0
     for case in range(200):
         n = int(rng.integers(2, 17))
         wl = int(rng.integers(2, 33))
@@ -53,24 +60,38 @@ def test_criterion_1_oracle_equivalence():
         model = train(matrix)
         perm, lo, hi = naive_train(data.tolist())
         assert model.permutation.tolist() == perm, f"case {case}: permutations differ"
-        window = list(windows(matrix, WindowSpec(wl, 1)))[-1]
-        sig = compute_signature(window, model, n_blocks)
-        ref_real, ref_imag = naive_signature(
-            window.values.tolist(),
-            None if window.preceding is None else window.preceding.tolist(),
-            perm,
-            lo,
-            hi,
-            n_blocks,
+        step = int(rng.integers(1, wl + 3))
+        extra = rng.uniform(-6.0, 6.0, size=(n, int(rng.integers(0, 3 * step + 1))))
+        stream = SensorMatrix(
+            sensor_ids=matrix.sensor_ids,
+            grid=TimeGrid(0, 1000, wl + prefix + extra.shape[1]),
+            data=np.hstack([data, extra]),
         )
-        worst = max(
-            worst,
-            float(np.max(np.abs(sig.blocks_real - ref_real))),
-            float(np.max(np.abs(sig.blocks_imag - ref_imag))),
-        )
+        spec = WindowSpec(wl, step)
+        batch = compute_signature_batch(stream, model, spec, n_blocks)
+        for k, window in enumerate(windows(stream, spec)):
+            sig = compute_signature(window, model, n_blocks)
+            ref_real, ref_imag = naive_signature(
+                window.values.tolist(),
+                None if window.preceding is None else window.preceding.tolist(),
+                perm,
+                lo,
+                hi,
+                n_blocks,
+            )
+            for real, imag in ((sig.blocks_real, sig.blocks_imag), (batch.real[k], batch.imag[k])):
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(real - ref_real))),
+                    float(np.max(np.abs(imag - ref_imag))),
+                )
+            checked += 1
+        assert k == batch.n_signatures - 1, f"case {case}: window counts differ"
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 10.0
-    assert report(1, ok, f"200 cases, max |diff| {worst:.2e}, {elapsed:.2f}s")
+    assert report(
+        1, ok, f"200 cases, {checked} windows, max |diff| {worst:.2e}, {elapsed:.2f}s"
+    )
 
 
 def test_criterion_2_block_layout_exhaustive():

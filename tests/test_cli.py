@@ -75,8 +75,8 @@ class TestIngestErrors:
     @pytest.mark.parametrize(
         "content, reason",
         [
-            (b"0,1.0\n99999999999999999999,1.0\n", "line 2: timestamp"),
-            (b"0,1.0\n1000,2.0\n2000,\xff3.0\n", "line 3: invalid UTF-8 byte 0xff"),
+            (b"0,1.0\n99999999999999999999,1.0\n", "s001.csv: line 2: timestamp"),
+            (b"0,1.0\n1000,2.0\n2000,\xff3.0\n", "s001.csv: line 3: invalid UTF-8 byte 0xff"),
         ],
     )
     def test_bad_sensor_file_is_one_line_parse_error(
@@ -87,6 +87,26 @@ class TestIngestErrors:
         assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: parse: {reason}")
+        assert "\n" not in err.strip()
+
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"1000,x\n", "parse: s001.csv: line 1: cannot parse '1000,x'"),
+            (
+                b"0,1.0\n1000,nan\n",
+                "rejected-value: s001.csv: sensor 's001': non-finite value at line 2",
+            ),
+            (b"# nothing here\n", "empty-input: s001.csv: sensor 's001': no records"),
+        ],
+    )
+    def test_error_names_the_file(self, write_dataset, tmp_path, capsys, content, expected):
+        dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
+        (dataset / "s001.csv").write_bytes(content)
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}")
         assert "\n" not in err.strip()
 
 
@@ -207,6 +227,29 @@ class TestSignCommand:
         assert capsys.readouterr().err.startswith("error: model-incompatible:")
 
 
+class TestWindowLongerThanData:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sign", "--step", 1],
+            ["sign", "--step", 1, "--retrain-every", 2],
+            ["sign", "--step", 1, "--method", "tuncer"],
+            ["fidelity", "--step", 1],
+        ],
+    )
+    def test_one_degenerate_input_line(self, write_dataset, tmp_path, capsys, argv):
+        dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        capsys.readouterr()
+        code = run(
+            *argv, "--dataset", dataset, "--model", model, "--window", 11,
+            "--blocks", 2, "--out", tmp_path / "out.csv",
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "degenerate-input")
+
+
 class TestRenderCommand:
     def write_batch(self, tmp_path, sigs):
         path = tmp_path / "batch.csv"
@@ -304,6 +347,14 @@ class TestBatchWriterBytes:
         buf = io.StringIO(newline="")
         batchio.write_signature_batch(buf, sigs)
         assert buf.getvalue().encode("utf-8") == _csv_writer_batch(sigs)
+        columns = cs.SignatureBatch(
+            window_starts=np.array([s.window_start for s in sigs]),
+            window_ends=np.array([s.window_end for s in sigs]),
+            real=np.stack([s.blocks_real for s in sigs]),
+            imag=np.stack([s.blocks_imag for s in sigs]),
+        )
+        assert batchio.write_signature_batch(path, columns) == 2
+        assert path.read_bytes() == _csv_writer_batch(sigs)
 
 
 class TestFidelityCommand:
@@ -510,6 +561,40 @@ with open(out_path, "w") as fh:
         ) == 0
         rows = read_report(out)
         assert float(rows[-1]["score"]) >= 0.95
+
+
+    def test_external_predictor_labels_hold_commas_and_quotes(self, tmp_path):
+        batch, labels = make_labeled_batch(tmp_path)
+        with open(labels, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(labels, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [rows[0], *([start, f'{label}, "quoted"'] for start, label in rows[1:])]
+            )
+        plugin = tmp_path / "plugin.py"
+        plugin.write_text(
+            """
+import csv, sys
+train_path, test_path, out_path = sys.argv[1:4]
+with open(train_path, newline="") as fh:
+    rows = list(csv.DictReader(fh))
+with open(test_path, newline="") as fh:
+    tests = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
+def nearest(q):
+    dist = lambda r: sum((float(r[k]) - v) ** 2 for k, v in zip(list(r)[1:], q))
+    return min(rows, key=dist)["label"]
+with open(out_path, "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["prediction"])
+    writer.writerows([nearest(q)] for q in tests)
+"""
+        )
+        out = tmp_path / "metrics.csv"
+        assert run(
+            "eval", "--batch", batch, "--labels", labels,
+            "--predictor-cmd", f"{sys.executable} {plugin}", "--out", out,
+        ) == 0
+        assert float(read_report(out)[-1]["score"]) >= 0.95
 
 
 def read_report_batch(path):

@@ -252,6 +252,13 @@ class TestSeriesInvariants:
         with pytest.raises(CsSmoothError):
             series([2, 1], [0.0, 1.0])
 
+    def test_int64_extremes_in_order_accepted(self):
+        # np.diff would wrap around: max - min overflows int64.
+        text = "-9223372036854775808,1\n9223372036854775807,2\n"
+        loaded = load_sensor_csv(io.StringIO(text), "s")
+        assert loaded.timestamps.tolist() == [-(2**63), 2**63 - 1]
+        assert loaded.values.tolist() == [1.0, 2.0]
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(CsSmoothError):
             series([1, 2, 3], [0.0, 1.0])

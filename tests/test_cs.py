@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cs_smooth.core import SensorMatrix, TimeGrid, Window, WindowSpec, windows
+from cs_smooth import cs
 from cs_smooth.cs import (
     BlockLayout,
     CSModel,
     Signature,
     block_layout,
     compute_signature,
+    compute_signature_batch,
     load_model,
     pairwise_correlation,
     resample_signature,
@@ -293,6 +295,76 @@ class TestComputeSignature:
         assert np.all((sig.blocks_imag >= -1) & (sig.blocks_imag <= 1))
         assert np.all(np.isfinite(sig.blocks_real))
         assert np.all(np.isfinite(sig.blocks_imag))
+
+
+class TestComputeSignatureBatch:
+    @staticmethod
+    def per_window(matrix, model, spec, n_blocks, first=0, stop=None):
+        sigs = [compute_signature(w, model, n_blocks) for w in windows(matrix, spec)]
+        return sigs[first:stop]
+
+    def assert_same(self, batch, sigs):
+        assert np.array_equal(batch.real, np.stack([s.blocks_real for s in sigs]))
+        assert np.array_equal(batch.imag, np.stack([s.blocks_imag for s in sigs]))
+        assert batch.window_starts.tolist() == [s.window_start for s in sigs]
+        assert batch.window_ends.tolist() == [s.window_end for s in sigs]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 50),
+        st.integers(0, 80),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_window_signatures_bit_for_bit(self, seed, n, wl, step, extra, data):
+        # extra = 0 makes the stream exactly one window long (t == w); a step
+        # beyond the window length skips samples between windows.
+        t = max(2, wl + extra)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, t)) * rng.uniform(0.1, 100.0)
+        flat = data.draw(st.integers(-1, n - 1), label="flat row")
+        if flat >= 0:
+            values[flat] = 3.0
+        # Trained on a prefix, so later values fall outside the bounds.
+        model = train(matrix_from(values[:, : max(2, t // 2)]))
+        n_blocks = data.draw(st.integers(1, n), label="blocks")
+        mat, spec = matrix_from(values), WindowSpec(wl, step)
+        count = len(spec.starts(t))
+        first = data.draw(st.integers(0, count - 1), label="first")
+        stop = data.draw(st.integers(first + 1, count), label="stop")
+        self.assert_same(
+            compute_signature_batch(mat, model, spec, n_blocks),
+            self.per_window(mat, model, spec, n_blocks),
+        )
+        self.assert_same(
+            compute_signature_batch(mat, model, spec, n_blocks, first, stop),
+            self.per_window(mat, model, spec, n_blocks, first, stop),
+        )
+
+    @pytest.mark.parametrize("step", [1, 3, 20, 37])
+    def test_time_chunks_do_not_change_the_result(self, monkeypatch, step):
+        rng = np.random.default_rng(step)
+        mat = matrix_from(rng.uniform(-1.0, 1.0, size=(7, 400)))
+        model = train(matrix_from(mat.data[:, :100]))
+        spec = WindowSpec(16, step)
+        monkeypatch.setattr(cs, "_CHUNK_VALUES", 7 * 40)
+        self.assert_same(
+            compute_signature_batch(mat, model, spec, 3),
+            self.per_window(mat, model, spec, 3),
+        )
+
+    def test_window_longer_than_data_is_degenerate(self):
+        mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))
+        with pytest.raises(DegenerateInputError):
+            compute_signature_batch(mat, train(mat), WindowSpec(11, 1), 2)
+
+    def test_mismatched_sensors_rejected(self):
+        mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))
+        other = train(matrix_from(np.random.default_rng(1).uniform(size=(4, 10))))
+        with pytest.raises(ModelIncompatibilityError):
+            compute_signature_batch(mat, other, WindowSpec(4, 1), 2)
 
 
 class TestResample:
