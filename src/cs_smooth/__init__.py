@@ -32,6 +32,7 @@ from .cs import (
     compute_signature_batch,
     load_model,
     pairwise_correlation,
+    prefix_models,
     resample_signature,
     save_model,
     smooth,

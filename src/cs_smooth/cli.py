@@ -25,7 +25,6 @@ import numpy as np
 from . import baselines, batchio, cs, evaluation, fidelity, synthetic
 from .core import (
     SensorMatrix,
-    TimeGrid,
     WindowSpec,
     align,
     infer_grid,
@@ -164,13 +163,14 @@ def _sign_cs(args: argparse.Namespace, config: RunConfig, matrix: SensorMatrix):
     starts = spec.starts(matrix.n_samples)
     every = config.retrain_every
     cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
+    # Each retrain learns from every sample before its first window.
+    retrained = cs.prefix_models(matrix, (starts[i] for i in cuts))
     parts = []
     for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
         if first:
-            grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count=starts[first])
-            history = SensorMatrix(matrix.sensor_ids, grid, matrix.data[:, : starts[first]])
-            model = cs.train(history)
-            log.info("window %d: retrained model %s", first, model.model_id)
+            model = next(retrained)
+            if log.isEnabledFor(logging.INFO):
+                log.info("window %d: retrained model %s", first, model.model_id)
         parts.append(cs.compute_signature_batch(matrix, model, spec, n_blocks, first, stop))
     fields = ("window_starts", "window_ends", "real", "imag")
     return cs.SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
@@ -406,8 +406,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line, like any bad input."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cs-smooth",
         description="Compress monitoring time-series into compact image-like signatures.",
     )
@@ -489,9 +496,8 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CsSmoothError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

@@ -14,13 +14,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SensorMatrix, Window, WindowSpec
+from .core import SensorMatrix, TimeGrid, Window, WindowSpec
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -207,28 +208,27 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
     """
     if matrix.n_samples < 2:
         raise DegenerateInputError("need at least 2 samples to correlate rows")
-    pairwise = _shifted_correlation(matrix.data)
-    n = matrix.n_sensors
-    if n == 1:
-        global_coeffs = np.array([2.0])
-    else:
-        global_coeffs = (pairwise.sum(axis=1) - 2.0) / (n - 1)
-    return CorrelationStats(pairwise=pairwise, global_coeffs=global_coeffs)
-
-
-def _shifted_correlation(data: np.ndarray) -> np.ndarray:
-    t = data.shape[1]
+    data = matrix.data
     centered = data - data.mean(axis=1, keepdims=True)
-    cov = (centered @ centered.T) / t
+    return _correlation_stats((centered @ centered.T) / data.shape[1])
+
+
+def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
+    """Shifted correlation and global coefficients from a population covariance."""
     sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     flat = sd == 0.0
     denom = np.where(flat, 1.0, sd)
     corr = cov / np.outer(denom, denom)
     corr[flat, :] = 0.0
     corr[:, flat] = 0.0
-    shifted = np.clip(corr, -1.0, 1.0) + 1.0
-    np.fill_diagonal(shifted, 2.0)
-    return shifted
+    pairwise = np.clip(corr, -1.0, 1.0) + 1.0
+    np.fill_diagonal(pairwise, 2.0)
+    n = len(pairwise)
+    if n == 1:
+        global_coeffs = np.array([2.0])
+    else:
+        global_coeffs = (pairwise.sum(axis=1) - 2.0) / (n - 1)
+    return CorrelationStats(pairwise=pairwise, global_coeffs=global_coeffs)
 
 
 def train(matrix: SensorMatrix) -> CSModel:
@@ -250,19 +250,93 @@ def train(matrix: SensorMatrix) -> CSModel:
 
 
 def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray:
-    n = len(global_coeffs)
-    available = np.ones(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
+    # scores[c, i] = pairwise[i, c] * global_coeffs[i]: candidate i's score
+    # after row c; a picked row's column is set to -inf.
+    scores = (pairwise * global_coeffs[:, None]).T.copy()
+    order = np.empty(len(global_coeffs), dtype=np.int64)
     current = int(np.argmax(global_coeffs))
-    order[0] = current
-    available[current] = False
-    for k in range(1, n):
-        scores = pairwise[:, current] * global_coeffs
-        scores[~available] = -np.inf
-        current = int(np.argmax(scores))
+    for k in range(len(order)):
         order[k] = current
-        available[current] = False
+        scores[:, current] = -np.inf
+        current = int(scores[current].argmax())
     return order
+
+
+def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
+    """Smallest lead of the winning over the runner-up score among the greedy
+    picks that produced ``order`` (the first pick scores global coefficients)."""
+    n = len(order)
+    if n < 2:
+        return math.inf
+    g = stats.global_coeffs[order]
+    # scores[k, i]: the score of row order[i] at pick k, as _greedy_order forms it.
+    scores = np.empty((n, n))
+    scores[0] = g
+    scores[1:] = stats.pairwise[order[None, :], order[:-1, None]] * g
+    scores[np.tril_indices(n, -1)] = -np.inf  # rows picked before pick k
+    top_two = -np.partition(-scores[:-1], 1, axis=1)[:, :2]
+    return float(np.min(top_two[:, 0] - top_two[:, 1]))
+
+
+# A greedy pick won by less than this may go the other way in batch train: the
+# incremental and the batch covariance round differently (by about 1e-14 in
+# the scores), while real picks are won by 1e-9 and more.
+_SCORE_MARGIN = 1e-11
+# Batch train centres each row on its rounded mean, which moves the row's
+# correlations by about (1e-16 * magnitude / deviation)^2: past _SCORE_MARGIN
+# once a row deviates by less than this fraction of its magnitude.
+_MIN_SPREAD = 1e-8
+
+
+def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel]:
+    """Yield train(matrix[:, :end]) for each end of increasing ``ends``.
+
+    Reads each sample once. Co-moments of the data shifted by its first column
+    are merged one segment of new columns at a time with the pairwise update of
+    Chan, Golub & LeVeque (1979) and bounds are running min/max, so a model
+    costs O(n^2) plus O(n^2) per new column instead of O(n^2 end). The
+    covariance goes through train's correlation and ordering code. Where the
+    order could differ from batch train's (a pick won by less than
+    _SCORE_MARGIN, or a constant or nearly constant row, see _MIN_SPREAD),
+    train runs on the prefix instead.
+    """
+    data = matrix.data
+    n, t = data.shape
+    shift = data[:, :1]
+    per_segment = max(1, _CHUNK_VALUES // n)
+    count = 0
+    mean = np.zeros(n)
+    comoment = np.zeros((n, n))
+    lo = np.full(n, np.inf)
+    hi = np.full(n, -np.inf)
+    for end in ends:
+        if not (max(count + 1, 2) <= end <= t):
+            raise InvalidParameterError(
+                f"prefix ends must increase within [2, {t}]; got {end} after {count}"
+            )
+        for first in range(count, end, per_segment):
+            raw = data[:, first : min(first + per_segment, end)]
+            lo = np.minimum(lo, raw.min(axis=1))
+            hi = np.maximum(hi, raw.max(axis=1))
+            segment = raw - shift
+            width = segment.shape[1]
+            seg_mean = segment.mean(axis=1)
+            centered = segment - seg_mean[:, None]
+            delta = seg_mean - mean
+            total = count + width
+            comoment += centered @ centered.T
+            comoment += np.outer(delta, delta) * (count * width / total)
+            mean += delta * (width / total)
+            count = total
+        cov = comoment / count
+        if np.all(np.sqrt(np.diag(cov)) > _MIN_SPREAD * np.maximum(-lo, hi)):
+            stats = _correlation_stats(cov)
+            perm = _greedy_order(stats.pairwise, stats.global_coeffs)
+            if _min_margin(stats, perm) >= _SCORE_MARGIN:
+                yield CSModel(matrix.sensor_ids, perm, lo, hi)
+                continue
+        grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count)
+        yield train(SensorMatrix(matrix.sensor_ids, grid, data[:, :count]))
 
 
 def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:

@@ -19,7 +19,7 @@ from .cs import (
     BlockLayout, CSModel, Signature, block_layout, compute_signature_batch, sort_normalize,
 )
 from .cs import compute_signature  # noqa: F401  (perfbench/spans.py times it under this module)
-from .errors import DegenerateInputError, IncompatibilityError
+from .errors import DegenerateInputError, IncompatibilityError, InvalidParameterError
 
 DEFAULT_BINS = 100
 
@@ -68,6 +68,8 @@ def build_distribution(
     data = np.asarray(matrix, dtype=np.float64)
     if data.ndim != 2 or data.size == 0:
         raise DegenerateInputError("distribution needs a non-empty 2-D matrix")
+    if bins < 1:
+        raise InvalidParameterError(f"bin count must be >= 1, got {bins}")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not hi > lo:
         raise DegenerateInputError(f"value range must satisfy hi > lo, got ({lo}, {hi})")
@@ -77,10 +79,9 @@ def build_distribution(
     idx = np.minimum(
         ((clipped - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1
     )
-    mass = np.zeros((n, bins))
-    rows = np.repeat(np.arange(n), width)
-    np.add.at(mass, (rows, idx.ravel()), 1.0)
-    mass /= width * n
+    # Row r's bin b is counted at flat index r * bins + b.
+    flat = idx + bins * np.arange(n)[:, None]
+    mass = np.bincount(flat.ravel(), minlength=n * bins).reshape(n, bins) / (width * n)
     return Histogram2D(bins=bins, value_range=(lo, hi), mass=mass)
 
 

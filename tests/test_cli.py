@@ -1,14 +1,23 @@
+import contextlib
 import csv
 import io
+import json
+import math
+import re
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cs_smooth import batchio, cs
 from cs_smooth.cli import main, parse_span
+from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, align, infer_grid, load_dataset_dir
 from cs_smooth.errors import FormatError, InvalidParameterError
-from cs_smooth.synthetic import class_stream
+from cs_smooth.synthetic import anti_correlated_matrix, class_stream
 
 
 def run(*argv):
@@ -198,6 +207,40 @@ class TestSignCommand:
         b = batchio.read_signature_batch(retrained)
         assert np.array_equal(a.real[0], b.real[0])  # before the first retrain
         assert not np.array_equal(a.real[-1], b.real[-1])
+
+    @pytest.mark.parametrize("window,step", [(6, 1), (5, 4)])
+    def test_retrain_every_window_matches_per_prefix_train(
+        self, write_dataset, tmp_path, window, step
+    ):
+        # The reference retrains from scratch on every sample before each
+        # window (from the third sample on), as sign did before it updated
+        # the correlation incrementally.
+        data = anti_correlated_matrix(4, 3, 2, t=90, seed=13).data
+        dataset = write_dataset(data)
+        model_path = self.make_model(dataset, tmp_path)
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--model", model_path, "--window", window,
+            "--step", step, "--blocks", 4, "--retrain-every", 1, "--out", out,
+        ) == 0
+        series = load_dataset_dir(dataset)
+        matrix = align(series, infer_grid(series))
+        spec = WindowSpec(window, step)
+        model = cs.load_model(model_path)
+        parts = []
+        for i, start in enumerate(spec.starts(matrix.n_samples)):
+            if start >= 2:
+                history = SensorMatrix(
+                    matrix.sensor_ids, TimeGrid(0, 1000, start), matrix.data[:, :start]
+                )
+                model = cs.train(history)
+            parts.append(cs.compute_signature_batch(matrix, model, spec, 4, i, i + 1))
+        expected = tmp_path / "expected.csv"
+        batchio.write_signature_batch(expected, cs.SignatureBatch(*(
+            np.concatenate([getattr(p, f) for p in parts])
+            for f in ("window_starts", "window_ends", "real", "imag")
+        )))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_thread_count_does_not_change_output(self, write_dataset, tmp_path):
         rng = np.random.default_rng(11)
@@ -664,3 +707,163 @@ class TestLoggingEnvVar:
         monkeypatch.setenv("CS_SMOOTH_LOG", "debug")
         dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 8)))
         assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+
+
+_ERROR_LINE = re.compile(r"error: [a-z-]+: \S")
+_JUNK = st.text(alphabet="abxyz@!?;:_/", min_size=1, max_size=6)
+_STAMP = st.integers(0, 11).map(lambda k: str(1000 * k))
+_BAD_LINE = st.one_of(
+    st.builds("{},{}".format, _STAMP, _JUNK),
+    st.builds("{},{}".format, _STAMP, st.sampled_from(["nan", "-inf", "Infinity", "1e999", "--1"])),
+    st.builds("{},1.0".format, _JUNK),
+    st.builds("{}.5,1.0".format, _STAMP),
+    st.builds("{},1.0".format, st.integers(2**63, 10**30) | st.integers(-(10**30), -(2**63) - 1)),
+    _STAMP,
+    st.builds("{},1.0,{}".format, _STAMP, st.integers(0, 9)),
+    st.builds("{},1.0 #{}".format, _STAMP, _JUNK),
+).map(str.encode) | st.sampled_from([b"0,\xff1.0", b"\xc3\x28,1.0"])
+_NO_RECORDS = st.sampled_from([b"", b"\n\n", b"# no records\n"])
+_MODEL_FIELDS = ("version", "sensor_ids", "permutation", "lower_bounds", "upper_bounds")
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_ONE_NON_FINITE = st.builds(
+    lambda i, x: [x if j == i else 0.0 for j in range(3)], st.integers(0, 2), _NON_FINITE
+)
+_WRONG_LENGTH = st.lists(st.floats(-1, 1), max_size=4).filter(lambda b: len(b) != 3)
+_BAD_FIELD = {
+    "version": st.text(max_size=3).filter(lambda v: v != "v1") | st.none() | st.integers(),
+    "sensor_ids": st.lists(st.sampled_from(["s000", "s001", "s002", "x"]), max_size=4).filter(
+        lambda ids: ids != ["s000", "s001", "s002"]
+    ) | st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    "permutation": st.lists(st.integers(-1, 3), max_size=4).filter(lambda p: sorted(p) != [0, 1, 2])
+    | st.lists(st.floats(), min_size=1, max_size=3)
+    | st.sampled_from([None, "012", [[0], [1], [2]], [True, False, True]]),
+    # The data lie in [-2, 2]: bounds beyond 3 cross their partner.
+    "lower_bounds": _WRONG_LENGTH | _ONE_NON_FINITE | st.lists(st.floats(3, 9), min_size=3, max_size=3),
+    "upper_bounds": _WRONG_LENGTH | _ONE_NON_FINITE | st.lists(st.floats(-9, -3), min_size=3, max_size=3)
+    | st.sampled_from([None, {}, ["a", 0, 0]]),
+}
+_BAD_SPAN = _JUNK | st.sampled_from(["0", "0s", "1500ms", "2.5", "-3"])
+_NOT_POSITIVE = st.integers(-5, 0).map(str)
+_COMMON_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["--dataset", "--out"]), st.none()),
+    st.tuples(st.just("--interval"), _NOT_POSITIVE | _JUNK),
+    st.tuples(st.sampled_from(["--bogus", "-q"]), st.just("1")),
+)
+# Flags with a bad value: None drops the flag, "<missing>" names no file and
+# "<dir>" names a directory.
+_BAD_ARGUMENT = {
+    "train": _COMMON_FAULTS
+    | st.sampled_from([("--dataset", "<missing>"), ("--out", "<dir>")]),
+    "sign": st.one_of(
+        _COMMON_FAULTS,
+        st.tuples(st.sampled_from(["--window", "--step", "--model"]), st.none()),
+        st.tuples(st.just("--window"), _BAD_SPAN | st.integers(13, 10**6).map(str)),
+        st.tuples(st.just("--step"), _BAD_SPAN),
+        st.tuples(st.just("--blocks"), _JUNK | (st.integers(-3, 0) | st.integers(4, 99)).map(str)),
+        st.tuples(st.just("--retrain-every"), _NOT_POSITIVE | _JUNK),
+        st.tuples(st.just("--method"), _JUNK),
+        st.sampled_from([("--dataset", "<missing>"), ("--model", "<missing>"), ("--out", "<dir>")]),
+    ),
+    "fidelity": st.one_of(
+        _COMMON_FAULTS,
+        st.tuples(st.sampled_from(["--window", "--step", "--model", "--blocks"]), st.none()),
+        st.tuples(st.just("--window"), _BAD_SPAN | st.integers(13, 10**6).map(str)),
+        st.tuples(st.just("--step"), _BAD_SPAN),
+        st.tuples(st.just("--blocks"), _JUNK | st.sampled_from(["5,,1", "", "1,x", "0", "2,-1", "4"])),
+        st.tuples(st.just("--bins"), _NOT_POSITIVE | _JUNK),
+        st.sampled_from([("--dataset", "<missing>"), ("--model", "<missing>"), ("--out", "<dir>")]),
+    ),
+}
+
+
+class TestErrorContractFuzz:
+    """Every malformed dataset file, model file or command line ends in exit
+    code 1 and exactly one ``error: <code>: <reason>`` line, never a traceback."""
+
+    DATA = np.random.default_rng(21).uniform(-2.0, 2.0, size=(3, 12))
+    ARGS = {
+        "train": {},
+        "sign": {"--window": "4", "--step": "2", "--blocks": "2", "--retrain-every": "2"},
+        "fidelity": {"--window": "4", "--step": "2", "--blocks": "2,3", "--bins": "10"},
+    }
+
+    def run_case(self, root, command, lines=None, model=None, args=None):
+        """Run ``command`` on the three-sensor dataset; returns (exit code, stderr)."""
+        lines = lines or {}
+        dataset = root / "dataset"
+        dataset.mkdir()
+        for i, row in enumerate(self.DATA):
+            default = [f"{1000 * k},{v!r}".encode() for k, v in enumerate(row.tolist())]
+            (dataset / f"s{i:03d}.csv").write_bytes(b"\n".join(lines.get(i, default)) + b"\n")
+        (root / "model.json").write_text(model if model is not None else json.dumps({
+            "version": "v1",
+            "sensor_ids": ["s000", "s001", "s002"],
+            "permutation": [0, 1, 2],
+            "lower_bounds": self.DATA.min(axis=1).tolist(),
+            "upper_bounds": self.DATA.max(axis=1).tolist(),
+        }))
+        (root / "a_dir").mkdir()
+        flags = {"--dataset": str(dataset), "--out": str(root / "out.csv")}
+        if command != "train":
+            flags["--model"] = str(root / "model.json")
+        flags.update(self.ARGS.get(command, {}))
+        flags.update(args or {})
+        paths = {"<missing>": str(root / "missing"), "<dir>": str(root / "a_dir")}
+        argv = [command]
+        for flag, value in flags.items():
+            if value is not None:
+                argv += [flag, paths.get(value, value)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command", ["train", "sign", "fidelity"])
+    def test_unbroken_inputs_succeed(self, tmp_path, command):
+        assert self.run_case(tmp_path, command) == (0, "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_malformed_input_is_one_error_line(self, data):
+        command = data.draw(st.sampled_from(["train", "sign", "fidelity"]), label="command")
+        kinds = ["dataset", "argument"] if command == "train" else ["dataset", "model", "argument"]
+        kinds.append("command")
+        kind = data.draw(st.sampled_from(kinds), label="fault")
+        case = {}
+        if kind == "dataset":
+            sensor = data.draw(st.integers(0, 2), label="sensor")
+            lines = [f"{1000 * k},{v!r}".encode() for k, v in enumerate(self.DATA[sensor].tolist())]
+            if data.draw(st.booleans(), label="no records"):
+                lines = [data.draw(_NO_RECORDS)]
+            else:
+                lines[data.draw(st.integers(0, 11), label="line")] = data.draw(_BAD_LINE)
+            case["lines"] = {sensor: lines}
+        elif kind == "model":
+            payload = {
+                "version": "v1", "sensor_ids": ["s000", "s001", "s002"], "permutation": [0, 1, 2],
+                "lower_bounds": [-2.0] * 3, "upper_bounds": [2.0] * 3,
+            }
+            field = data.draw(st.sampled_from(_MODEL_FIELDS), label="field")
+            how = data.draw(st.sampled_from(["value", "drop", "truncate", "not an object"]))
+            if how == "value":
+                payload[field] = data.draw(_BAD_FIELD[field], label="value")
+                case["model"] = json.dumps(payload)
+            elif how == "drop":
+                del payload[field]
+                case["model"] = json.dumps(payload)
+            elif how == "truncate":
+                # Every cut before the closing brace leaves invalid JSON.
+                text = json.dumps(payload, indent=2)
+                case["model"] = text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+            else:
+                case["model"] = data.draw(st.sampled_from(["[]", "3", "null", '"v1"']))
+        elif kind == "argument":
+            flag, value = data.draw(_BAD_ARGUMENT[command], label="flag")
+            case["args"] = {flag: value}
+        else:
+            command = data.draw(_JUNK | st.sampled_from(["", "--out", "trains"]), label="command")
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = self.run_case(Path(tmp), command, **case)
+        assert code == 1, err
+        assert len(err.splitlines()) == 1 and _ERROR_LINE.match(err), err
+        assert "Traceback" not in err

@@ -34,7 +34,7 @@ from cs_smooth.errors import (
     ModelIncompatibilityError,
     UnsupportedVersionError,
 )
-from cs_smooth.synthetic import anti_correlated_matrix
+from cs_smooth.synthetic import anti_correlated_matrix, clustered_plateau_matrix
 
 from naive_reference import naive_signature, naive_train
 
@@ -146,6 +146,98 @@ class TestTrain:
             ):
                 hits += 1
         assert hits >= 19
+
+
+def prefix(matrix, end):
+    grid = TimeGrid(matrix.grid.start, matrix.grid.interval, end)
+    return SensorMatrix(matrix.sensor_ids, grid, matrix.data[:, :end])
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Count the batch train calls prefix_models falls back to."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.n_samples)
+        return train(matrix)
+
+    monkeypatch.setattr(cs, "train", counting)
+    return calls
+
+
+class TestPrefixModels:
+    def assert_batch_equal(self, matrix, ends):
+        models = list(cs.prefix_models(matrix, ends))
+        assert len(models) == len(ends)
+        for end, model in zip(ends, models):
+            expected = train(prefix(matrix, end))
+            assert model.permutation.tolist() == expected.permutation.tolist(), f"end {end}"
+            assert np.array_equal(model.lower_bounds, expected.lower_bounds), f"end {end}"
+            assert np.array_equal(model.upper_bounds, expected.upper_bounds), f"end {end}"
+            assert model.sensor_ids == matrix.sensor_ids
+
+    def test_oracle_random_matrices(self):
+        # The random regime of the criterion 1 oracle, at every kind of gap
+        # between prefix ends.
+        rng = np.random.default_rng(20240101)
+        for _ in range(60):
+            n = int(rng.integers(2, 17))
+            t = int(rng.integers(3, 80))
+            data = rng.uniform(-5.0, 5.0, size=(n, t))
+            ends = sorted(rng.choice(np.arange(2, t + 1), size=min(t - 1, 6), replace=False))
+            self.assert_batch_equal(matrix_from(data), [int(e) for e in ends])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            clustered_plateau_matrix(6, 4, 4, t=400, seed=3),
+            anti_correlated_matrix(6, 4, 4, t=300, seed=3),
+        ],
+        ids=["clustered-plateau", "anti-correlated"],
+    )
+    def test_clustered_generators(self, matrix):
+        self.assert_batch_equal(matrix, list(range(2, matrix.n_samples + 1, 13)))
+
+    def test_ends_one_sample_apart(self):
+        matrix = anti_correlated_matrix(4, 3, 2, t=120, seed=5)
+        self.assert_batch_equal(matrix, list(range(2, 121)))
+
+    def test_constant_row_falls_back(self, train_calls):
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((5, 60))
+        data[2] = 4.25
+        ends = [10, 30, 60]
+        self.assert_batch_equal(matrix_from(data), ends)
+        assert train_calls == ends
+
+    def test_duplicate_rows_tie_falls_back(self, train_calls):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((5, 50))
+        data[3] = data[1]
+        ends = [20, 35, 50]
+        self.assert_batch_equal(matrix_from(data), ends)
+        assert train_calls == ends
+
+    def test_large_offset_small_noise_falls_back(self, train_calls):
+        # Batch train's rounded row means move these correlations by ~1e-8,
+        # far past the score margin, so every prefix is trained in batch.
+        rng = np.random.default_rng(9)
+        data = 1e9 + 1e-3 * rng.standard_normal((6, 200))
+        ends = list(range(5, 201, 15))
+        self.assert_batch_equal(matrix_from(data), ends)
+        assert train_calls == ends
+
+    def test_clustered_data_needs_no_fallback(self, train_calls):
+        matrix = clustered_plateau_matrix(8, 5, 5, t=600, seed=11)
+        models = list(cs.prefix_models(matrix, range(3, 601)))
+        assert len(models) == 598
+        assert train_calls == []
+
+    @pytest.mark.parametrize("ends", [[1], [5, 5], [6, 4], [0], [41]])
+    def test_ends_must_increase_within_the_matrix(self, ends):
+        with pytest.raises(InvalidParameterError):
+            list(cs.prefix_models(matrix_from(np.ones((2, 40))), ends))
 
 
 class TestSortNormalize:

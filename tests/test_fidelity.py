@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cs_smooth.core import WindowSpec
 from cs_smooth.cs import BlockLayout, Signature, block_layout, train
-from cs_smooth.errors import DegenerateInputError, IncompatibilityError
+from cs_smooth.errors import DegenerateInputError, IncompatibilityError, InvalidParameterError
 from cs_smooth.fidelity import (
     Histogram2D,
     build_distribution,
@@ -38,6 +38,27 @@ class TestBuildDistribution:
         h = build_distribution(np.array([[1.5, -0.5]]), 4, (0.0, 1.0))
         assert h.mass[0].tolist() == [0.5, 0.0, 0.0, 0.5]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 12),
+        width=st.integers(1, 40),
+        bins=st.integers(1, 30),
+        value_range=st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (-0.25, 3.5)]),
+    )
+    def test_counts_equal_add_at_reference(self, seed, n, width, bins, value_range):
+        lo, hi = value_range
+        rng = np.random.default_rng(seed)
+        # A third of the values fall outside the range, plus both edges exactly.
+        span = hi - lo
+        data = rng.uniform(lo - span / 2, hi + span / 2, size=(n, width))
+        data.flat[rng.integers(0, data.size, size=2)] = [lo, hi]
+        idx = np.minimum(((np.clip(data, lo, hi) - lo) * (bins / span)).astype(np.int64), bins - 1)
+        reference = np.zeros((n, bins))
+        np.add.at(reference, (np.repeat(np.arange(n), width), idx.ravel()), 1.0)
+        reference /= width * n
+        assert np.array_equal(build_distribution(data, bins, value_range).mass, reference)
+
     def test_empty_matrix(self):
         with pytest.raises(DegenerateInputError):
             build_distribution(np.empty((0, 0)), 4, (0.0, 1.0))
@@ -45,6 +66,11 @@ class TestBuildDistribution:
     def test_bad_range(self):
         with pytest.raises(DegenerateInputError):
             build_distribution(np.ones((1, 3)), 4, (1.0, 1.0))
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bin_count_below_one(self, bins):
+        with pytest.raises(InvalidParameterError):
+            build_distribution(np.ones((1, 3)), bins, (0.0, 1.0))
 
 
 class TestExpandSignatures:
