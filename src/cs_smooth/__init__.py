@@ -35,7 +35,6 @@ from .cs import (
     prefix_models,
     resample_signature,
     save_model,
-    smooth,
     sort_normalize,
     train,
     trim_central,

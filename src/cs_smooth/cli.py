@@ -1,6 +1,7 @@
 """Command-line front end: train, sign, render, fidelity, eval, bench.
 
-Every command is deterministic given its inputs and --seed. Errors exit
+Every command is deterministic given its inputs; eval and bench also take
+--seed, for the fold shuffle and the random bench windows. Errors exit
 nonzero after printing a single parsable line, "error: <code>: <reason>".
 The CS_SMOOTH_LOG environment variable (debug/info/warning) controls logging.
 """
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="learn a sorting/normalization model")
     p_train.add_argument("--dataset", required=True, help="directory of per-sensor CSVs")
     p_train.add_argument("--interval", type=int, help="grid interval in ms (default: inferred)")
-    p_train.add_argument("--seed", type=int, default=0, help="ignored: training is deterministic")
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(handler=cmd_train)
 
@@ -437,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--lan-subsample", type=int, default=10)
     p_sign.add_argument("--retrain-every", type=int, help="retrain on history every k windows")
     p_sign.add_argument("--interval", type=int)
-    p_sign.add_argument("--seed", type=int, default=0, help="ignored: signing is deterministic")
-    p_sign.add_argument("--threads", type=int, default=0, help="ignored: signing is vectorized")
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(handler=cmd_sign)
 
@@ -481,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lan-subsample", type=int, default=10)
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=1, help="ignored: timings are serial")
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(handler=cmd_bench)
 

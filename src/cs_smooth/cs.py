@@ -202,15 +202,29 @@ class SignatureBatch:
 def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
     """Shifted Pearson correlation between all row pairs, plus row means.
 
-    Uses population covariance/deviations; a zero-variance row correlates 1
-    (shifted) with everything, i.e. raw correlation 0. The diagonal is exactly
-    2. For a single row the global coefficient is 2 by convention. O(n^2 t).
+    Uses population covariance/deviations of the data shifted by its first
+    column (see _comoments); a zero-variance row correlates 1 (shifted) with
+    everything, i.e. raw correlation 0. The diagonal is exactly 2. For a
+    single row the global coefficient is 2 by convention. O(n^2 t).
     """
     if matrix.n_samples < 2:
         raise DegenerateInputError("need at least 2 samples to correlate rows")
     data = matrix.data
-    centered = data - data.mean(axis=1, keepdims=True)
-    return _correlation_stats((centered @ centered.T) / data.shape[1])
+    _, comoment = _comoments(data, data[:, :1])
+    return _correlation_stats(comoment / data.shape[1])
+
+
+def _comoments(raw: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and co-moment matrix (sums of centred products) of raw - shift.
+
+    Shifting each row by one of its own samples keeps the centring exact on
+    data with a large offset and small spread; a constant row becomes exact
+    zeros, so it is flat. The mean is subtracted in place: one n x t temporary.
+    """
+    centered = raw - shift
+    mean = centered.mean(axis=1)
+    centered -= mean[:, None]
+    return mean, centered @ centered.T
 
 
 def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
@@ -282,10 +296,6 @@ def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
 # incremental and the batch covariance round differently (by about 1e-14 in
 # the scores), while real picks are won by 1e-9 and more.
 _SCORE_MARGIN = 1e-11
-# Batch train centres each row on its rounded mean, which moves the row's
-# correlations by about (1e-16 * magnitude / deviation)^2: past _SCORE_MARGIN
-# once a row deviates by less than this fraction of its magnitude.
-_MIN_SPREAD = 1e-8
 
 
 def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel]:
@@ -297,8 +307,7 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
     costs O(n^2) plus O(n^2) per new column instead of O(n^2 end). The
     covariance goes through train's correlation and ordering code. Where the
     order could differ from batch train's (a pick won by less than
-    _SCORE_MARGIN, or a constant or nearly constant row, see _MIN_SPREAD),
-    train runs on the prefix instead.
+    _SCORE_MARGIN), train runs on the prefix instead.
     """
     data = matrix.data
     n, t = data.shape
@@ -318,23 +327,19 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
             raw = data[:, first : min(first + per_segment, end)]
             lo = np.minimum(lo, raw.min(axis=1))
             hi = np.maximum(hi, raw.max(axis=1))
-            segment = raw - shift
-            width = segment.shape[1]
-            seg_mean = segment.mean(axis=1)
-            centered = segment - seg_mean[:, None]
+            seg_mean, seg_comoment = _comoments(raw, shift)
+            width = raw.shape[1]
             delta = seg_mean - mean
             total = count + width
-            comoment += centered @ centered.T
+            comoment += seg_comoment
             comoment += np.outer(delta, delta) * (count * width / total)
             mean += delta * (width / total)
             count = total
-        cov = comoment / count
-        if np.all(np.sqrt(np.diag(cov)) > _MIN_SPREAD * np.maximum(-lo, hi)):
-            stats = _correlation_stats(cov)
-            perm = _greedy_order(stats.pairwise, stats.global_coeffs)
-            if _min_margin(stats, perm) >= _SCORE_MARGIN:
-                yield CSModel(matrix.sensor_ids, perm, lo, hi)
-                continue
+        stats = _correlation_stats(comoment / count)
+        perm = _greedy_order(stats.pairwise, stats.global_coeffs)
+        if _min_margin(stats, perm) >= _SCORE_MARGIN:
+            yield CSModel(matrix.sensor_ids, perm, lo, hi)
+            continue
         grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count)
         yield train(SensorMatrix(matrix.sensor_ids, grid, data[:, :count]))
 
@@ -405,34 +410,6 @@ def _block_ranges(n: int, l: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def smooth(
-    sorted_values: np.ndarray,
-    sorted_derivs: np.ndarray,
-    layout: BlockLayout,
-    *,
-    window_start: int = 0,
-    window_end: int = 0,
-    model_id: str = "",
-) -> Signature:
-    """Average each block's rows over the whole window, for values and derivatives."""
-    values = np.asarray(sorted_values, dtype=np.float64)
-    derivs = np.asarray(sorted_derivs, dtype=np.float64)
-    if values.shape != derivs.shape or values.shape[0] != layout.n_sensors:
-        raise DimensionError(
-            f"expected two {layout.n_sensors}-row matrices of equal shape, "
-            f"got {values.shape} and {derivs.shape}"
-        )
-    width = values.shape[1]
-    return Signature(
-        blocks_real=_block_means(values.sum(axis=1), layout, width),
-        blocks_imag=_block_means(derivs.sum(axis=1), layout, width),
-        layout=layout,
-        window_start=window_start,
-        window_end=window_end,
-        model_id=model_id,
-    )
-
-
 def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.ndarray:
     """Block means from per-row window sums, rows in block order along the last axis.
 
@@ -449,8 +426,8 @@ _CHUNK_ROWS = 512
 def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
     """Full signature pipeline: normalize and sort, then smooth into l blocks.
 
-    Produces the same blocks as smooth(sort_normalize(window, model), layout)
-    without materializing the sorted matrices: block means only need per-row
+    Produces the block means of sort_normalize(window, model) without
+    materializing the sorted matrices: block means only need per-row
     window sums, and the backward differences telescope to (last normalized
     column - column preceding the window). Rows are normalized in chunks so
     the working set stays cache-resident at large n. O(w * n).

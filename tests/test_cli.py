@@ -242,20 +242,18 @@ class TestSignCommand:
         )))
         assert out.read_bytes() == expected.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, write_dataset, tmp_path):
+    def test_threads_flag_rejected(self, write_dataset, tmp_path, capsys):
         rng = np.random.default_rng(11)
         dataset = write_dataset(rng.uniform(size=(6, 40)))
         model = self.make_model(dataset, tmp_path)
-        outputs = []
-        for threads in (1, 4):
-            out = tmp_path / f"batch_t{threads}.csv"
-            assert run(
-                "sign", "--dataset", dataset, "--model", model,
-                "--window", 5, "--step", 5, "--blocks", 3,
-                "--threads", threads, "--out", out,
-            ) == 0
-            outputs.append(out.read_text())
-        assert outputs[0] == outputs[1]
+        capsys.readouterr()
+        code = run(
+            "sign", "--dataset", dataset, "--model", model,
+            "--window", 5, "--step", 5, "--blocks", 3,
+            "--threads", 2, "--out", tmp_path / "batch.csv",
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
 
     def test_model_mismatch_reported(self, write_dataset, tmp_path, capsys):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +21,12 @@ from cs_smooth.cs import (
     pairwise_correlation,
     resample_signature,
     save_model,
-    smooth,
     sort_normalize,
     train,
     trim_central,
 )
 from cs_smooth.errors import (
     DegenerateInputError,
-    DimensionError,
     FormatError,
     InvalidBlockCountError,
     InvalidParameterError,
@@ -92,6 +91,19 @@ class TestPairwiseCorrelation:
         stats = pairwise_correlation(matrix_from([[1, 2, 3]]))
         assert stats.global_coeffs.tolist() == [2.0]
 
+    def test_large_offset_does_not_move_correlations(self):
+        # Centring on a rounded mean would carry that rounding into the
+        # correlations (by about 2e-8 here); the shifted co-moments do not.
+        rng = np.random.default_rng(9)
+        noise = 1e-3 * rng.standard_normal((8, 300))
+        data = 1e9 + noise
+        stats = pairwise_correlation(matrix_from(data))
+        expected = pairwise_correlation(matrix_from(data - 1e9))
+        np.testing.assert_allclose(stats.pairwise, expected.pairwise, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            stats.global_coeffs, expected.global_coeffs, rtol=0, atol=1e-12
+        )
+
     def test_too_few_samples_rejected_at_matrix_boundary(self):
         # a one-column matrix cannot exist, so correlation never sees t < 2
         with pytest.raises(DegenerateInputError):
@@ -114,6 +126,19 @@ class TestTrain:
     def test_identical_rows_tie_break_by_index(self):
         model = train(matrix_from([[1, 2, 3], [1, 2, 3]]))
         assert model.permutation.tolist() == [0, 1]
+
+    def test_two_samples_follow_exact_ties(self):
+        # With two samples every pair of non-flat rows correlates exactly +1
+        # or -1, so most greedy picks are exact ties; they must go to the
+        # lowest index, as in rational arithmetic.
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            data = rng.standard_normal((n, 2))
+            flat = rng.random(n) < 0.2
+            data[flat, 1] = data[flat, 0]
+            expected = exact_greedy_order_two_samples(data)
+            assert train(matrix_from(data)).permutation.tolist() == expected, data.tolist()
 
     @given(st.integers(0, 10_000), st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
     @settings(max_examples=40, deadline=None)
@@ -146,6 +171,27 @@ class TestTrain:
             ):
                 hits += 1
         assert hits >= 19
+
+
+def exact_greedy_order_two_samples(data):
+    """train's greedy order on a two-sample matrix, in exact rationals."""
+    n = len(data)
+    step = [Fraction(float(b)) - Fraction(float(a)) for a, b in data]
+    # Population covariance d_i * d_j / 4 and variances d_i^2 / 4, so the
+    # squared correlation of two non-flat rows is exactly 1.
+    sign = [(d > 0) - (d < 0) for d in step]
+    pairwise = [
+        [Fraction(2) if i == j else Fraction(1 + sign[i] * sign[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    glob = [(sum(row) - 2) / (n - 1) for row in pairwise]
+    current = max(range(n), key=lambda i: (glob[i], -i))
+    order = [current]
+    while len(order) < n:
+        left = [i for i in range(n) if i not in order]
+        current = max(left, key=lambda i: (pairwise[i][current] * glob[i], -i))
+        order.append(current)
+    return order
 
 
 def prefix(matrix, end):
@@ -203,13 +249,14 @@ class TestPrefixModels:
         matrix = anti_correlated_matrix(4, 3, 2, t=120, seed=5)
         self.assert_batch_equal(matrix, list(range(2, 121)))
 
-    def test_constant_row_falls_back(self, train_calls):
+    def test_constant_row_needs_no_fallback(self, train_calls):
+        # After the shift a constant row is exact zeros on both paths.
         rng = np.random.default_rng(7)
         data = rng.standard_normal((5, 60))
         data[2] = 4.25
         ends = [10, 30, 60]
         self.assert_batch_equal(matrix_from(data), ends)
-        assert train_calls == ends
+        assert train_calls == []
 
     def test_duplicate_rows_tie_falls_back(self, train_calls):
         rng = np.random.default_rng(8)
@@ -219,14 +266,14 @@ class TestPrefixModels:
         self.assert_batch_equal(matrix_from(data), ends)
         assert train_calls == ends
 
-    def test_large_offset_small_noise_falls_back(self, train_calls):
-        # Batch train's rounded row means move these correlations by ~1e-8,
-        # far past the score margin, so every prefix is trained in batch.
+    def test_large_offset_small_noise_needs_no_fallback(self, train_calls):
+        # Both paths centre the data shifted by its first column, so the
+        # offset costs no precision and no pick comes near the score margin.
         rng = np.random.default_rng(9)
         data = 1e9 + 1e-3 * rng.standard_normal((6, 200))
         ends = list(range(5, 201, 15))
         self.assert_batch_equal(matrix_from(data), ends)
-        assert train_calls == ends
+        assert train_calls == []
 
     def test_clustered_data_needs_no_fallback(self, train_calls):
         matrix = clustered_plateau_matrix(8, 5, 5, t=600, seed=11)
@@ -316,28 +363,28 @@ class TestBlockLayout:
             assert max(sizes) - min(sizes) <= 1
 
 
-class TestSmooth:
+def identity_model(n):
+    """Bounds [0, 1] and no reordering: signatures average the raw rows."""
+    return CSModel(tuple(f"s{i}" for i in range(n)), range(n), np.zeros(n), np.ones(n))
+
+
+class TestComputeSignature:
     def test_hand_averaged_block(self):
-        sig = smooth([[0, 1], [0.5, 0.5]], [[0, 1], [0, 0]], block_layout(2, 1))
+        sig = compute_signature(window_from([[0, 1], [0.5, 0.5]]), identity_model(2), 1)
         assert sig.blocks_real.tolist() == [0.5]
         assert sig.blocks_imag.tolist() == [0.25]
 
     def test_all_zero(self):
-        sig = smooth(np.zeros((3, 4)), np.zeros((3, 4)), block_layout(3, 2))
+        sig = compute_signature(window_from(np.zeros((3, 4))), identity_model(3), 2)
         assert sig.blocks_real.tolist() == [0.0, 0.0]
         assert sig.blocks_imag.tolist() == [0.0, 0.0]
 
     def test_identity_blocks_single_column(self):
-        col = np.array([[0.1], [0.9], [0.4]])
-        sig = smooth(col, np.zeros((3, 1)), block_layout(3, 3))
+        col = [[0.1], [0.9], [0.4]]
+        sig = compute_signature(window_from(col), identity_model(3), 3)
         assert sig.blocks_real.tolist() == [0.1, 0.9, 0.4]
+        assert sig.blocks_imag.tolist() == [0.0, 0.0, 0.0]
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            smooth(np.zeros((3, 4)), np.zeros((2, 4)), block_layout(3, 2))
-
-
-class TestComputeSignature:
     def test_identity_configuration_returns_permuted_column(self):
         data = np.array([[0.0, 4.0], [8.0, 0.0], [2.0, 2.0]])
         mat = matrix_from(data)
