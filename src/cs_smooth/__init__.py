@@ -8,6 +8,7 @@ harness round out the toolkit.
 """
 
 from .baselines import BaselineSignature, bodik_signature, lan_signature, tuncer_signature
+from .baselines import baseline_signature_batch
 from .core import (
     SensorMatrix,
     SensorSeries,

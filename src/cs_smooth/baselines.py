@@ -3,16 +3,21 @@
 All three summarize each sensor row independently on raw window data, so the
 signature length grows with the sensor count: statistical indicators (tuncer,
 11 per row), distribution percentiles (bodik, 9 per row), or a mean-filter
-sub-sampling of the row itself (lan, one value per retained sample).
+sub-sampling of the row itself (lan, one value per retained sample). Each
+method's maths maps the last two axes, ``... x n x w`` windows, to ``... x k*n``
+features, so one window and a batch of windows run the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Window
+from . import cs
+from .core import SensorMatrix, Window, WindowSpec
 from .errors import DegenerateInputError, InvalidParameterError
 
 TUNCER_PER_ROW = 11
@@ -40,19 +45,57 @@ class BaselineSignature:
         return len(self.values)
 
 
-def _sorted_percentiles(rows: np.ndarray, qs: tuple[float, ...]) -> np.ndarray:
+def _by_row(values: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """Per-row feature columns (each ``... x n``) as ``... x k*n``, row by row."""
+    return np.stack(columns, axis=-1).reshape(*values.shape[:-2], -1)
+
+
+def _sorted_percentiles(values: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
     # Linear interpolation between closest ranks, from an explicit sort so the
     # per-row cost is the documented O(w log w).
-    ordered = np.sort(rows, axis=1)
-    w = rows.shape[1]
-    out = np.empty((rows.shape[0], len(qs)))
-    for j, q in enumerate(qs):
+    ordered = np.sort(values, axis=-1)
+    w = values.shape[-1]
+    out = []
+    for q in qs:
         pos = q / 100.0 * (w - 1)
         lo = int(np.floor(pos))
         hi = min(lo + 1, w - 1)
         frac = pos - lo
-        out[:, j] = ordered[:, lo] + frac * (ordered[:, hi] - ordered[:, lo])
+        out.append(ordered[..., lo] + frac * (ordered[..., hi] - ordered[..., lo]))
     return out
+
+
+def _tuncer(values: np.ndarray) -> np.ndarray:
+    if values.shape[-1] < 2:
+        raise DegenerateInputError("tuncer signatures need windows of >= 2 samples")
+    diffs = np.diff(values, axis=-1)
+    return _by_row(values, [
+        values.mean(axis=-1),
+        values.std(axis=-1),
+        values.min(axis=-1),
+        values.max(axis=-1),
+        *_sorted_percentiles(values, _TUNCER_PERCENTILES),
+        diffs.sum(axis=-1),
+        np.abs(diffs).sum(axis=-1),
+    ])
+
+
+def _bodik(values: np.ndarray) -> np.ndarray:
+    return _by_row(values, [
+        values.min(axis=-1),
+        values.max(axis=-1),
+        *_sorted_percentiles(values, _BODIK_PERCENTILES),
+    ])
+
+
+def _lan(values: np.ndarray, subsample_len: int) -> np.ndarray:
+    w = values.shape[-1]
+    if not (1 <= subsample_len <= w):
+        raise InvalidParameterError(
+            f"subsample length must be in [1, {w}], got {subsample_len}"
+        )
+    chunks = np.array_split(values, subsample_len, axis=-1)
+    return _by_row(values, [c.mean(axis=-1) for c in chunks])
 
 
 def tuncer_signature(window: Window) -> BaselineSignature:
@@ -61,45 +104,12 @@ def tuncer_signature(window: Window) -> BaselineSignature:
     Per row: mean, population std, min, max, percentiles 5/25/50/75/95, sum of
     changes, absolute sum of changes. Length 11n.
     """
-    rows = window.values
-    if rows.shape[1] < 2:
-        raise DegenerateInputError("tuncer signatures need windows of >= 2 samples")
-    diffs = np.diff(rows, axis=1)
-    feats = np.column_stack(
-        [
-            rows.mean(axis=1),
-            rows.std(axis=1),
-            rows.min(axis=1),
-            rows.max(axis=1),
-            _sorted_percentiles(rows, _TUNCER_PERCENTILES),
-            diffs.sum(axis=1),
-            np.abs(diffs).sum(axis=1),
-        ]
-    )
-    return BaselineSignature(
-        values=feats.ravel(),
-        method="tuncer",
-        window_start=window.start,
-        window_end=window.end,
-    )
+    return BaselineSignature(_tuncer(window.values), "tuncer", window.start, window.end)
 
 
 def bodik_signature(window: Window) -> BaselineSignature:
     """Min, max and seven percentiles per row, concatenated. Length 9n."""
-    rows = window.values
-    feats = np.column_stack(
-        [
-            rows.min(axis=1),
-            rows.max(axis=1),
-            _sorted_percentiles(rows, _BODIK_PERCENTILES),
-        ]
-    )
-    return BaselineSignature(
-        values=feats.ravel(),
-        method="bodik",
-        window_start=window.start,
-        window_end=window.end,
-    )
+    return BaselineSignature(_bodik(window.values), "bodik", window.start, window.end)
 
 
 def lan_signature(window: Window, subsample_len: int) -> BaselineSignature:
@@ -108,17 +118,31 @@ def lan_signature(window: Window, subsample_len: int) -> BaselineSignature:
     Rows split into contiguous chunks whose sizes differ by at most one,
     larger chunks first; each chunk is replaced by its mean. Length n * subsample_len.
     """
-    rows = window.values
-    w = rows.shape[1]
-    if not (1 <= subsample_len <= w):
-        raise InvalidParameterError(
-            f"subsample length must be in [1, {w}], got {subsample_len}"
-        )
-    chunks = np.array_split(rows, subsample_len, axis=1)
-    feats = np.column_stack([c.mean(axis=1) for c in chunks])
-    return BaselineSignature(
-        values=feats.ravel(),
-        method="lan",
-        window_start=window.start,
-        window_end=window.end,
-    )
+    return BaselineSignature(_lan(window.values, subsample_len), "lan", window.start, window.end)
+
+
+def baseline_signature_batch(
+    matrix: SensorMatrix, spec: WindowSpec, method: str, lan_subsample: int = 10
+) -> cs.SignatureBatch:
+    """Signatures of every window of windows(matrix, spec) by one baseline method.
+
+    ``method`` is "tuncer", "bodik" or "lan" (``lan_subsample`` values per row).
+    The values are the per-window functions' bit for bit: the same maths runs on
+    time chunks of a sliding window view, each of about cs._CHUNK_VALUES window
+    values, so memory stays bounded. The batch has no imaginary part.
+    """
+    maths = {"tuncer": _tuncer, "bodik": _bodik, "lan": partial(_lan, subsample_len=lan_subsample)}
+    if method not in maths:
+        raise InvalidParameterError(f"unknown baseline method {method!r}")
+    width = spec.length_samples
+    starts, *instants = cs._windows(matrix, spec)
+    view = sliding_window_view(matrix.data, width, axis=1)[:, :: spec.step_samples]
+    view = view.transpose(1, 0, 2)  # windows x sensors x samples, still a view
+    per_chunk = max(1, cs._CHUNK_VALUES // (matrix.n_sensors * width))
+    values = None
+    for i in range(0, len(starts), per_chunk):
+        part = maths[method](view[i : i + per_chunk])
+        if values is None:
+            values = np.empty((len(starts), part.shape[1]))
+        values[i : i + len(part)] = part
+    return cs.SignatureBatch(*instants, values, None)

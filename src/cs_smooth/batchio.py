@@ -15,59 +15,33 @@ from typing import IO
 
 import numpy as np
 
-from .baselines import BaselineSignature
-from .cs import Signature, SignatureBatch
+from .cs import SignatureBatch
 from .errors import EmptyInputError, FormatError
 
 
-def write_signature_batch(
-    sink: IO | str | Path,
-    signatures: SignatureBatch | Iterable[Signature | BaselineSignature],
-) -> int:
-    """Write signatures as CSV, one per row; returns the row count.
-
-    A SignatureBatch and the equivalent list of Signature objects give the
-    same bytes.
-    """
+def write_signature_batch(sink: IO | str | Path, batch: SignatureBatch) -> int:
+    """Write a batch as CSV, one signature per row; returns the row count."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
-            return write_signature_batch(fh, signatures)
-    if isinstance(signatures, SignatureBatch):
-        b = signatures
-        imag = itertools.repeat(None) if b.imag is None else b.imag.tolist()
-        rows = zip(b.window_starts.tolist(), b.window_ends.tolist(), b.real.tolist(), imag)
-    else:
-        rows = map(_signature_row, signatures)
-    count = 0
-    width = None
-    complex_valued = None
-    for start, end, values, imag in rows:
-        if width is None:
-            width, complex_valued = len(values), imag is not None
-            header = ["window_start", "window_end"]
-            header += [f"real_{i}" for i in range(1, width + 1)]
-            if complex_valued:
-                header += [f"imag_{i}" for i in range(1, width + 1)]
-            sink.write(",".join(header) + "\r\n")
-        elif len(values) != width or (imag is not None) != complex_valued:
-            raise FormatError("all signatures in a batch must share length and kind")
-        # CSV as the csv module writes it: shortest round-trip reprs, CRLF
-        # line ends, and no quoting since no field holds a comma or quote.
-        fields = [str(start), str(end), *map(repr, values)]
-        if imag is not None:
-            fields += map(repr, imag)
-        sink.write(",".join(fields) + "\r\n")
-        count += 1
-    if count == 0:
+            return write_signature_batch(fh, batch)
+    if batch.n_signatures == 0:
         raise EmptyInputError("no signatures to write")
-    return count
-
-
-def _signature_row(sig: Signature | BaselineSignature) -> tuple:
-    """(window start, window end, real values, imaginary values or None)."""
-    if isinstance(sig, Signature):
-        return sig.window_start, sig.window_end, sig.blocks_real.tolist(), sig.blocks_imag.tolist()
-    return sig.window_start, sig.window_end, sig.values.tolist(), None
+    width = batch.n_blocks
+    header = ["window_start", "window_end", *(f"real_{i}" for i in range(1, width + 1))]
+    if batch.imag is not None:
+        header += [f"imag_{i}" for i in range(1, width + 1)]
+    sink.write(",".join(header) + "\r\n")
+    # CSV as csv.writer writes it: shortest round-trip reprs, CRLF line ends and
+    # no quoting (no field holds a comma or quote). Rows are boxed one at a time.
+    imag = itertools.repeat(None) if batch.imag is None else batch.imag
+    for start, end, real_row, imag_row in zip(
+        batch.window_starts.tolist(), batch.window_ends.tolist(), batch.real, imag
+    ):
+        fields = [str(start), str(end), *map(repr, real_row.tolist())]
+        if imag_row is not None:
+            fields += map(repr, imag_row.tolist())
+        sink.write(",".join(fields) + "\r\n")
+    return batch.n_signatures
 
 
 def read_signature_batch(source: IO | str | Path) -> SignatureBatch:

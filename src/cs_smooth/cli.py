@@ -1,7 +1,9 @@
 """Command-line front end: train, sign, render, fidelity, eval, bench.
 
 Every command is deterministic given its inputs; eval and bench also take
---seed, for the fold shuffle and the random bench windows. Errors exit
+--seed, for the fold shuffle and the random bench windows. sign
+--retrain-every k retrains the cs model every k windows; the baseline
+methods (tuncer, bodik, lan) have no model and reject it. Errors exit
 nonzero after printing a single parsable line, "error: <code>: <reason>".
 The CS_SMOOTH_LOG environment variable (debug/info/warning) controls logging.
 """
@@ -30,11 +32,9 @@ from .core import (
     align,
     infer_grid,
     load_dataset_dir,
-    windows,
 )
 from .errors import (
     CsSmoothError,
-    DegenerateInputError,
     FormatError,
     InvalidParameterError,
     LabelMismatchError,
@@ -110,6 +110,8 @@ class RunConfig:
             raise InvalidParameterError("block counts must be >= 1")
         if self.retrain_every is not None and self.retrain_every < 1:
             raise InvalidParameterError("--retrain-every must be >= 1")
+        if self.retrain_every is not None and self.method != "cs":
+            raise InvalidParameterError("--retrain-every needs method cs: baselines have no model")
         if self.interval is not None and self.interval < 1:
             raise InvalidParameterError("--interval must be >= 1 ms")
         if self.lan_subsample < 1:
@@ -192,20 +194,13 @@ def cmd_sign(args: argparse.Namespace) -> int:
     if config.method == "cs":
         if not args.model:
             raise InvalidParameterError("--model is required for method cs")
-        sigs = _sign_cs(args, config, matrix)
+        batch = _sign_cs(args, config, matrix)
     else:
         spec = _window_spec(config, matrix)
-        maker = {
-            "tuncer": baselines.tuncer_signature,
-            "bodik": baselines.bodik_signature,
-            "lan": lambda w: baselines.lan_signature(w, config.lan_subsample),
-        }[config.method]
-        sigs = [maker(w) for w in windows(matrix, spec)]
-        if not sigs:
-            raise DegenerateInputError(
-                "no complete windows fit the data; shrink --window"
-            )
-    count = batchio.write_signature_batch(args.out, sigs)
+        batch = baselines.baseline_signature_batch(
+            matrix, spec, config.method, config.lan_subsample
+        )
+    count = batchio.write_signature_batch(args.out, batch)
     print(f"wrote {count} signatures to {args.out}")
     return 0
 

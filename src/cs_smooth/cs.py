@@ -474,9 +474,7 @@ def compute_signature_batch(
     _check_sensors(matrix.sensor_ids, model)
     layout = block_layout(model.n_sensors, n_blocks)
     width, step = spec.length_samples, spec.step_samples
-    starts = np.asarray(spec.starts(matrix.n_samples)[first:stop], dtype=np.int64)
-    if not len(starts):
-        raise DegenerateInputError("no complete windows fit the data; shrink the window")
+    starts, *instants = _windows(matrix, spec, first, stop)
     real = np.empty((len(starts), n_blocks))
     imag = np.empty_like(real)
     p = model.permutation
@@ -493,8 +491,19 @@ def compute_signature_batch(
         derivs = norm[:, offsets + width - 1] - norm[:, np.maximum(offsets - 1, 0)]
         real[i : i + len(chunk)] = _block_means(sums.T.take(p, axis=1), layout, width)
         imag[i : i + len(chunk)] = _block_means(derivs.T.take(p, axis=1), layout, width)
+    return SignatureBatch(*instants, real, imag)
+
+
+def _windows(
+    matrix: SensorMatrix, spec: WindowSpec, first: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start columns of windows ``first``..``stop - 1`` of windows(matrix, spec) and
+    the grid instants of their first and last samples; none is a DegenerateInputError."""
+    starts = np.asarray(spec.starts(matrix.n_samples)[first:stop], dtype=np.int64)
+    if not len(starts):
+        raise DegenerateInputError("no complete windows fit the data; shrink the window")
     t0, dt = matrix.grid.start, matrix.grid.interval
-    return SignatureBatch(t0 + dt * starts, t0 + dt * (starts + width - 1), real, imag)
+    return starts, t0 + dt * starts, t0 + dt * (starts + spec.length_samples - 1)
 
 
 def resample_signature(sig: Signature, new_blocks: int) -> Signature:

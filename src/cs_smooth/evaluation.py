@@ -163,6 +163,8 @@ def cross_validate(
         try:
             predictor.fit(dataset.features[train_idx], dataset.labels[train_idx])
             predicted = predictor.predict(dataset.features[test_idx])
+            if dataset.task == REGRESSION:
+                predicted = np.asarray(predicted, dtype=np.float64)
         except Exception as exc:
             raise PredictorError(f"fold {i}: predictor failed: {exc}") from exc
         truth = dataset.labels[test_idx]

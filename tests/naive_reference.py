@@ -11,9 +11,15 @@ import math
 
 
 def naive_correlation(data: list[list[float]]) -> tuple[list[list[float]], list[float]]:
-    """Shifted pairwise Pearson coefficients and per-row global means."""
+    """Shifted pairwise Pearson coefficients and per-row global means.
+
+    Each row is first shifted by its own first sample, which leaves every
+    coefficient unchanged in exact arithmetic but keeps the centring exact on
+    rows with a large offset and small spread.
+    """
     n = len(data)
     t = len(data[0])
+    data = [[v - row[0] for v in row] for row in data]
     means = [sum(row) / t for row in data]
     sds = []
     for i, row in enumerate(data):
@@ -109,3 +115,51 @@ def naive_signature(
         real.append(sum(sum(sorted_norm[j]) for j in range(b - 1, e)) / count)
         imag.append(sum(sum(sorted_deriv[j]) for j in range(b - 1, e)) / count)
     return real, imag
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """Linear interpolation between the closest ranks of a sorted row."""
+    pos = q / 100.0 * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
+
+
+def naive_tuncer(values: list[list[float]]) -> list[float]:
+    """Per row: mean, population std, min, max, percentiles 5/25/50/75/95, sum
+    of changes, absolute sum of changes; rows concatenated in order."""
+    out = []
+    for row in values:
+        w = len(row)
+        mean = sum(row) / w
+        std = math.sqrt(sum((v - mean) ** 2 for v in row) / w)
+        ordered = sorted(row)
+        changes = [row[k] - row[k - 1] for k in range(1, w)]
+        out += [mean, std, ordered[0], ordered[-1]]
+        out += [_percentile(ordered, q) for q in (5, 25, 50, 75, 95)]
+        out += [sum(changes), sum(abs(c) for c in changes)]
+    return out
+
+
+def naive_bodik(values: list[list[float]]) -> list[float]:
+    """Per row: min, max, percentiles 5/25/35/50/65/75/95; rows concatenated."""
+    out = []
+    for row in values:
+        ordered = sorted(row)
+        out += [ordered[0], ordered[-1]]
+        out += [_percentile(ordered, q) for q in (5, 25, 35, 50, 65, 75, 95)]
+    return out
+
+
+def naive_lan(values: list[list[float]], subsample_len: int) -> list[float]:
+    """Each row cut into ``subsample_len`` contiguous chunks, sizes differing by
+    at most one with the larger first, and each chunk replaced by its mean."""
+    out = []
+    for row in values:
+        size, extra = divmod(len(row), subsample_len)
+        pos = 0
+        for j in range(subsample_len):
+            chunk = row[pos : pos + size + (1 if j < extra else 0)]
+            out.append(sum(chunk) / len(chunk))
+            pos += len(chunk)
+    return out

@@ -1,19 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cs_smooth import cs
 from cs_smooth.baselines import (
     BODIK_PER_ROW,
     TUNCER_PER_ROW,
+    baseline_signature_batch,
     bodik_signature,
     lan_signature,
     tuncer_signature,
 )
-from cs_smooth.core import Window
+from cs_smooth.core import SensorMatrix, TimeGrid, Window, WindowSpec, windows
 from cs_smooth.errors import DegenerateInputError, InvalidParameterError
+
+from naive_reference import naive_bodik, naive_lan, naive_tuncer
 
 
 def window_from(rows):
@@ -145,3 +150,87 @@ def test_row_locality_under_permutation(n, wl, seed):
         per_row = len(base) // n
         base_rows = base.reshape(n, per_row)
         np.testing.assert_array_equal(permuted.reshape(n, per_row), base_rows[perm])
+
+
+def matrix_from(values):
+    values = np.asarray(values, dtype=float)
+    return SensorMatrix(
+        sensor_ids=tuple(f"s{i}" for i in range(values.shape[0])),
+        grid=TimeGrid(5_000, 250, values.shape[1]),
+        data=values,
+    )
+
+
+class TestBaselineSignatureBatch:
+    @staticmethod
+    def per_window(matrix, spec, method, sub):
+        makers = {
+            "tuncer": tuncer_signature,
+            "bodik": bodik_signature,
+            "lan": lambda w: lan_signature(w, sub),
+        }
+        return [makers[method](w) for w in windows(matrix, spec)]
+
+    def assert_same(self, batch, sigs):
+        assert batch.imag is None
+        assert np.array_equal(batch.real, np.stack([s.values for s in sigs]))
+        assert batch.window_starts.tolist() == [s.window_start for s in sigs]
+        assert batch.window_ends.tolist() == [s.window_end for s in sigs]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 12),
+        st.integers(1, 25),
+        st.integers(0, 40),
+        st.integers(1, 400),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_window_and_naive(self, seed, n, wl, step, extra, chunk, data):
+        # A small chunk size makes windows cross chunk boundaries; a step
+        # beyond the window length skips samples between windows.
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, wl + extra)) * rng.uniform(0.1, 10.0) + rng.uniform(-10, 10)
+        flat = data.draw(st.integers(-1, n - 1), label="flat row")
+        if flat >= 0:
+            values[flat] = 3.0
+        mat, spec = matrix_from(values), WindowSpec(wl, step)
+        subs = {data.draw(st.integers(1, wl), label="lan subsample"), wl}
+        naive = {"tuncer": naive_tuncer, "bodik": naive_bodik}
+        with mock.patch.object(cs, "_CHUNK_VALUES", chunk):
+            for method, sub in [("tuncer", 0), ("bodik", 0), *(("lan", k) for k in subs)]:
+                batch = baseline_signature_batch(mat, spec, method, sub)
+                self.assert_same(batch, self.per_window(mat, spec, method, sub))
+                for row, w in zip(batch.real, windows(mat, spec)):
+                    rows = w.values.tolist()
+                    expected = naive_lan(rows, sub) if method == "lan" else naive[method](rows)
+                    np.testing.assert_allclose(row, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("step", [1, 3, 16, 37])
+    @pytest.mark.parametrize("offset", [0.0, 1e11])
+    def test_time_chunks_do_not_change_the_result(self, monkeypatch, step, offset):
+        rng = np.random.default_rng(step)
+        mat = matrix_from(offset + rng.uniform(-1.0, 1.0, size=(7, 400)))
+        spec = WindowSpec(16, step)
+        monkeypatch.setattr(cs, "_CHUNK_VALUES", 7 * 16 * 3)
+        for method in ("tuncer", "bodik", "lan"):
+            self.assert_same(
+                baseline_signature_batch(mat, spec, method, 5),
+                self.per_window(mat, spec, method, 5),
+            )
+
+    def test_window_longer_than_data_is_degenerate(self):
+        mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))
+        for method in ("tuncer", "bodik", "lan"):
+            with pytest.raises(DegenerateInputError):
+                baseline_signature_batch(mat, WindowSpec(11, 1), method, 2)
+
+    def test_per_window_parameter_checks_apply(self):
+        mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))
+        with pytest.raises(DegenerateInputError):
+            baseline_signature_batch(mat, WindowSpec(1, 1), "tuncer")
+        with pytest.raises(InvalidParameterError):
+            baseline_signature_batch(mat, WindowSpec(4, 1), "lan", 5)
+        with pytest.raises(InvalidParameterError):
+            baseline_signature_batch(mat, WindowSpec(4, 1), "pca")

@@ -236,11 +236,20 @@ class TestSignCommand:
                 model = cs.train(history)
             parts.append(cs.compute_signature_batch(matrix, model, spec, 4, i, i + 1))
         expected = tmp_path / "expected.csv"
-        batchio.write_signature_batch(expected, cs.SignatureBatch(*(
-            np.concatenate([getattr(p, f) for p in parts])
-            for f in ("window_starts", "window_ends", "real", "imag")
-        )))
+        batchio.write_signature_batch(expected, concat_batches(parts))
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("method", ["tuncer", "bodik", "lan"])
+    def test_retrain_every_rejected_for_baselines(self, write_dataset, tmp_path, capsys, method):
+        # Baselines have no model, so there is nothing to retrain.
+        dataset = write_dataset(np.random.default_rng(11).uniform(size=(3, 40)))
+        code = run(
+            "sign", "--dataset", dataset, "--method", method, "--window", 5, "--step", 5,
+            "--lan-subsample", 2, "--retrain-every", 2, "--out", tmp_path / "batch.csv",
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
+        assert not (tmp_path / "batch.csv").exists()
 
     def test_threads_flag_rejected(self, write_dataset, tmp_path, capsys):
         rng = np.random.default_rng(11)
@@ -292,22 +301,17 @@ class TestWindowLongerThanData:
 
 
 class TestRenderCommand:
-    def write_batch(self, tmp_path, sigs):
+    def write_batch(self, tmp_path, real, imag):
+        """A batch file of the given (signatures x blocks) rows, all at instant 0."""
         path = tmp_path / "batch.csv"
-        batchio.write_signature_batch(path, sigs)
+        instants = np.zeros(len(real), dtype=np.int64)
+        batchio.write_signature_batch(path, cs.SignatureBatch(
+            instants, instants, np.asarray(real, dtype=float), np.asarray(imag, dtype=float)
+        ))
         return path
 
-    def make_sig(self, real, imag, n):
-        return cs.Signature(
-            blocks_real=np.asarray(real, dtype=float),
-            blocks_imag=np.asarray(imag, dtype=float),
-            layout=cs.block_layout(n, len(real)),
-        )
-
     def test_real_pixel_mapping(self, tmp_path):
-        batch = self.write_batch(
-            tmp_path, [self.make_sig([1.0, 0.0, 0.5], [0.0, 0.0, 0.0], 3)]
-        )
+        batch = self.write_batch(tmp_path, [[1.0, 0.0, 0.5]], [[0.0, 0.0, 0.0]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "real", "--out", out) == 0
         img = batchio.read_pgm(out)
@@ -315,10 +319,7 @@ class TestRenderCommand:
         assert img[:, 0].tolist() == [0, 255, 128]
 
     def test_constant_imag_renders_mid_gray(self, tmp_path):
-        batch = self.write_batch(
-            tmp_path,
-            [self.make_sig([0.1, 0.2], [0.3, 0.3], 2), self.make_sig([0.4, 0.5], [0.3, 0.3], 2)],
-        )
+        batch = self.write_batch(tmp_path, [[0.1, 0.2], [0.4, 0.5]], [[0.3, 0.3], [0.3, 0.3]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "imag", "--out", out) == 0
         img = batchio.read_pgm(out)
@@ -326,9 +327,7 @@ class TestRenderCommand:
         assert np.all(img == 128)
 
     def test_imag_rescaled_over_batch(self, tmp_path):
-        batch = self.write_batch(
-            tmp_path, [self.make_sig([0.0, 0.0], [-0.2, 0.6], 2)]
-        )
+        batch = self.write_batch(tmp_path, [[0.0, 0.0]], [[-0.2, 0.6]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "imag", "--out", out) == 0
         img = batchio.read_pgm(out)
@@ -348,54 +347,49 @@ class TestRenderCommand:
             batchio.read_pgm(io.BytesIO(data))
 
 
-def _csv_writer_batch(sigs):
+def _csv_writer_batch(batch):
     """The batch bytes as csv.writer with a per-float repr wrote them."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    width = len(sigs[0].blocks_real)
+    width = batch.n_blocks
+    parts = ("real",) if batch.imag is None else ("real", "imag")
     writer.writerow(
         ["window_start", "window_end"]
-        + [f"real_{i}" for i in range(1, width + 1)]
-        + [f"imag_{i}" for i in range(1, width + 1)]
+        + [f"{part}_{i}" for part in parts for i in range(1, width + 1)]
     )
-    for sig in sigs:
+    for k in range(batch.n_signatures):
         writer.writerow(
-            [sig.window_start, sig.window_end]
-            + [repr(float(v)) for v in sig.blocks_real]
-            + [repr(float(v)) for v in sig.blocks_imag]
+            [int(batch.window_starts[k]), int(batch.window_ends[k])]
+            + [repr(float(v)) for part in parts for v in getattr(batch, part)[k]]
         )
     return buf.getvalue().encode("utf-8")
 
 
+def concat_batches(parts):
+    """One batch holding the rows of ``parts`` (complex batches) in order."""
+    return cs.SignatureBatch(*(
+        np.concatenate([getattr(p, f) for p in parts])
+        for f in ("window_starts", "window_ends", "real", "imag")
+    ))
+
+
 class TestBatchWriterBytes:
     def test_matches_csv_writer_bytes(self, tmp_path):
-        layout = cs.block_layout(4, 4)
         rng = np.random.default_rng(5)
-        sigs = [
-            cs.Signature(
-                blocks_real=np.array([-0.0, 1e-300, 0.1, 1.0]),
-                blocks_imag=np.array([0.1, -0.0, -1e-300, 5e-324]),
-                layout=layout, window_start=0, window_end=15_000,
-            ),
-            cs.Signature(
-                blocks_real=rng.uniform(size=4), blocks_imag=rng.uniform(-1, 1, size=4),
-                layout=layout, window_start=1_000, window_end=16_000,
-            ),
-        ]
-        path = tmp_path / "batch.csv"
-        assert batchio.write_signature_batch(path, sigs) == 2
-        assert path.read_bytes() == _csv_writer_batch(sigs)
-        buf = io.StringIO(newline="")
-        batchio.write_signature_batch(buf, sigs)
-        assert buf.getvalue().encode("utf-8") == _csv_writer_batch(sigs)
-        columns = cs.SignatureBatch(
-            window_starts=np.array([s.window_start for s in sigs]),
-            window_ends=np.array([s.window_end for s in sigs]),
-            real=np.stack([s.blocks_real for s in sigs]),
-            imag=np.stack([s.blocks_imag for s in sigs]),
-        )
-        assert batchio.write_signature_batch(path, columns) == 2
-        assert path.read_bytes() == _csv_writer_batch(sigs)
+        real = np.array([[-0.0, 1e-300, 0.1, 1.0], rng.uniform(size=4)])
+        imag = np.array([[0.1, -0.0, -1e-300, 5e-324], rng.uniform(-1, 1, size=4)])
+        starts, ends = np.array([0, 1_000]), np.array([15_000, 16_000])
+        # A complex batch, then a baseline batch without imaginary columns.
+        for batch in (
+            cs.SignatureBatch(starts, ends, real, imag),
+            cs.SignatureBatch(starts, ends, real, None),
+        ):
+            path = tmp_path / "batch.csv"
+            assert batchio.write_signature_batch(path, batch) == 2
+            assert path.read_bytes() == _csv_writer_batch(batch)
+            buf = io.StringIO(newline="")
+            batchio.write_signature_batch(buf, batch)
+            assert buf.getvalue().encode("utf-8") == _csv_writer_batch(batch)
 
 
 class TestFidelityCommand:
@@ -454,24 +448,19 @@ class TestFidelityCommand:
 
 def make_labeled_batch(tmp_path, windows_per_class=12, n=12, wl=8, real_only_signal=True):
     """Three separable classes of CS signatures plus a labels CSV."""
-    from cs_smooth.core import WindowSpec, windows as iter_windows
-    from cs_smooth.cs import compute_signature, train
-
-    sigs, labels = [], {}
     streams = [
         class_stream(label, n, wl * windows_per_class + 1, seed=17 + label)
         for label in range(3)
     ]
     merged = np.concatenate([s.data for s in streams], axis=1)
-    from cs_smooth.core import SensorMatrix, TimeGrid
-
-    model = train(
+    model = cs.train(
         SensorMatrix(
             sensor_ids=streams[0].sensor_ids,
             grid=TimeGrid(0, 1000, merged.shape[1]),
             data=merged,
         )
     )
+    parts, labels = [], {}
     offset = 0
     for label, stream in enumerate(streams):
         shifted = SensorMatrix(
@@ -479,12 +468,11 @@ def make_labeled_batch(tmp_path, windows_per_class=12, n=12, wl=8, real_only_sig
             grid=TimeGrid(offset, 1000, stream.n_samples),
             data=stream.data,
         )
-        for w in iter_windows(shifted, WindowSpec(wl, wl)):
-            sigs.append(compute_signature(w, model, 6))
-            labels[sigs[-1].window_start] = f"app{label}"
+        parts.append(cs.compute_signature_batch(shifted, model, WindowSpec(wl, wl), 6))
+        labels.update((start, f"app{label}") for start in parts[-1].window_starts.tolist())
         offset += stream.n_samples * 1000
     batch_path = tmp_path / "batch.csv"
-    batchio.write_signature_batch(batch_path, sigs)
+    batchio.write_signature_batch(batch_path, concat_batches(parts))
     labels_path = tmp_path / "labels.csv"
     labels_path.write_text(
         "window_start,label\n"
@@ -603,6 +591,28 @@ with open(out_path, "w") as fh:
         rows = read_report(out)
         assert float(rows[-1]["score"]) >= 0.95
 
+
+    def test_external_predictor_non_numeric_regression_output(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        labels.write_text("window_start,label\n" + "\n".join(
+            f"{row['window_start']},{i * 0.5}" for i, row in enumerate(read_report_batch(batch))
+        ) + "\n")
+        plugin = tmp_path / "plugin.py"
+        plugin.write_text(
+            """
+import sys
+with open(sys.argv[2]) as fh:
+    count = len(fh.read().splitlines()) - 1
+with open(sys.argv[3], "w") as fh:
+    fh.write("prediction\\n" + "abc\\n" * count)
+"""
+        )
+        code = run(
+            "eval", "--batch", batch, "--labels", labels, "--task", "regression",
+            "--predictor-cmd", f"{sys.executable} {plugin}", "--out", tmp_path / "m.csv",
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "predictor")
 
     def test_external_predictor_labels_hold_commas_and_quotes(self, tmp_path):
         batch, labels = make_labeled_batch(tmp_path)

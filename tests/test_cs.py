@@ -130,7 +130,8 @@ class TestTrain:
     def test_two_samples_follow_exact_ties(self):
         # With two samples every pair of non-flat rows correlates exactly +1
         # or -1, so most greedy picks are exact ties; they must go to the
-        # lowest index, as in rational arithmetic.
+        # lowest index, as in rational arithmetic. The brute-force oracle
+        # must order them the same way.
         rng = np.random.default_rng(2)
         for _ in range(300):
             n = int(rng.integers(2, 13))
@@ -139,6 +140,7 @@ class TestTrain:
             data[flat, 1] = data[flat, 0]
             expected = exact_greedy_order_two_samples(data)
             assert train(matrix_from(data)).permutation.tolist() == expected, data.tolist()
+            assert naive_train(data.tolist())[0] == expected, data.tolist()
 
     @given(st.integers(0, 10_000), st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
     @settings(max_examples=40, deadline=None)
