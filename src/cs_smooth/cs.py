@@ -92,11 +92,12 @@ class CSModel:
         return len(self.sensor_ids)
 
     @functools.cached_property
-    def _scaling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lower bounds, divisors, flat-row mask) of min-max normalization."""
+    def _scaling(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower bounds, divisors) of min-max normalization. A flat row (lo == hi)
+        gets +inf and 1: any finite value maps to -inf, which clamps to +0.0."""
         span = self.upper_bounds - self.lower_bounds
         flat = span == 0.0
-        return self.lower_bounds, np.where(flat, 1.0, span), flat
+        return np.where(flat, np.inf, self.lower_bounds), np.where(flat, 1.0, span)
 
     @functools.cached_property
     def model_id(self) -> str:
@@ -287,7 +288,7 @@ def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
     scores = np.empty((n, n))
     scores[0] = g
     scores[1:] = stats.pairwise[order[None, :], order[:-1, None]] * g
-    scores[np.tril_indices(n, -1)] = -np.inf  # rows picked before pick k
+    scores[np.tri(n, k=-1, dtype=bool)] = -np.inf  # rows picked before pick k
     top_two = -np.partition(-scores[:-1], 1, axis=1)[:, :2]
     return float(np.min(top_two[:, 0] - top_two[:, 1]))
 
@@ -345,7 +346,8 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
 
 
 def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
-    if sensor_ids == model.sensor_ids:
+    # CSModel keeps the caller's tuple: identity spares comparing every id.
+    if sensor_ids is model.sensor_ids or sensor_ids == model.sensor_ids:
         return
     missing = set(model.sensor_ids) - set(sensor_ids)
     extra = set(sensor_ids) - set(model.sensor_ids)
@@ -359,15 +361,15 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
     )
 
 
-def _normalize(values: np.ndarray, model: CSModel, rows=slice(None)) -> np.ndarray:
-    """Min-max normalize sensor rows ``rows`` into a new array, clamped to [0,1];
-    rows whose training bounds collapse map to 0."""
-    lo, denom, flat = model._scaling
-    norm = values - lo[rows, None]
-    np.divide(norm, denom[rows, None], out=norm)
-    np.clip(norm, 0.0, 1.0, out=norm)
-    norm[flat[rows]] = 0.0
-    return norm
+def _normalize(values: np.ndarray, model: CSModel, rows=slice(None), out=None) -> np.ndarray:
+    """Min-max normalize sensor rows ``rows`` (a column or rows x samples) into ``out``
+    or a new array, clamped to [0,1]; rows whose training bounds collapse map to 0."""
+    lo, denom = (a[rows] for a in model._scaling)
+    if values.ndim == 2:
+        lo, denom = lo[:, None], denom[:, None]
+    norm = np.subtract(values, lo, out=out)
+    np.divide(norm, denom, out=norm)
+    return np.clip(norm, 0.0, 1.0, out=norm)
 
 
 def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarray]:
@@ -413,14 +415,11 @@ def _block_ranges(n: int, l: int) -> tuple[tuple[int, int], ...]:
 def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.ndarray:
     """Block means from per-row window sums, rows in block order along the last axis.
 
-    ``row_sums`` is 1-D for one window or C-contiguous (windows x rows) for many;
-    either way each block's rows are added in the same order.
+    ``row_sums`` is C-contiguous, 1-D or with leading axes (windows, or real and
+    imaginary sums); each block's rows are added in the same order either way.
     """
     bounds, sizes = layout._reduction
     return np.add.reduceat(row_sums, bounds, axis=-1)[..., 0::2] / (sizes * width)
-
-
-_CHUNK_ROWS = 512
 
 
 def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
@@ -429,26 +428,27 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     Produces the block means of sort_normalize(window, model) without
     materializing the sorted matrices: block means only need per-row
     window sums, and the backward differences telescope to (last normalized
-    column - column preceding the window). Rows are normalized in chunks so
-    the working set stays cache-resident at large n. O(w * n).
+    column - column preceding the window). Each value is normalized once, in
+    row chunks of about _CHUNK_VALUES values. O(w * n).
     """
     _check_sensors(window.sensor_ids, model)
     layout = block_layout(model.n_sensors, n_blocks)
     n, width = window.values.shape
-    value_sums = np.empty(n)
-    last_col = np.empty(n)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, n))
-        chunk = _normalize(window.values[rows], model, rows)
-        value_sums[rows] = chunk.sum(axis=1)
-        last_col[rows] = chunk[:, -1]
+    sums = np.empty((2, n))  # per-row value sums, then derivative sums
     # Without a preceding column the first one stands in: its difference is 0.
-    before = window.values[:, :1] if window.preceding is None else window.preceding[:, None]
-    deriv_sums = last_col - _normalize(before, model)[:, 0]
-    p = model.permutation
+    before = window.values[:, 0] if window.preceding is None else window.preceding
+    _normalize(before, model, out=sums[1])
+    # One buffer for all chunks: a new 8 MB array per chunk faults its pages in anew.
+    chunk = np.empty((min(n, max(1, _CHUNK_VALUES // width)), width))
+    for start in range(0, n, len(chunk)):
+        rows = slice(start, start + len(chunk))
+        norm = _normalize(window.values[rows], model, rows, out=chunk[: n - start])
+        norm.sum(axis=1, out=sums[0, rows])
+        np.subtract(norm[:, -1], sums[1, rows], out=sums[1, rows])
+    real, imag = _block_means(sums.take(model.permutation, axis=1), layout, width)
     return Signature(
-        blocks_real=_block_means(value_sums[p], layout, width),
-        blocks_imag=_block_means(deriv_sums[p], layout, width),
+        blocks_real=real,
+        blocks_imag=imag,
         layout=layout,
         window_start=window.start,
         window_end=window.end,
@@ -456,7 +456,7 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     )
 
 
-_CHUNK_VALUES = 1 << 20  # normalized values per time chunk: 8 MB
+_CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
 
 
 def compute_signature_batch(

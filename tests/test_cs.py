@@ -437,6 +437,39 @@ class TestComputeSignature:
         assert np.all(np.isfinite(sig.blocks_real))
         assert np.all(np.isfinite(sig.blocks_imag))
 
+    @pytest.mark.parametrize("chunk", [1, 16 * 3, 16 * 36])
+    @pytest.mark.parametrize("with_preceding", [True, False])
+    def test_row_chunks_do_not_change_the_result(self, monkeypatch, chunk, with_preceding):
+        rng = np.random.default_rng(chunk)
+        data = rng.uniform(-1.0, 1.0, size=(37, 17))
+        data[5] = 0.25  # flat in training, so a flat row of the model
+        data[5, 9:] = [0.5, 0.0, 0.25, 1.0, 0.25, -3.0, 0.25, 0.25]
+        model = train(matrix_from(data[:, :8]))
+        window = window_from(data[:, 1:], preceding=data[:, 0] if with_preceding else None)
+        whole = compute_signature(window, model, 6)
+        # 16-sample windows: 1, 3 or 36 rows per chunk, so 37 rows end in a short chunk.
+        monkeypatch.setattr(cs, "_CHUNK_VALUES", chunk)
+        chunked = compute_signature(window, model, 6)
+        assert whole.blocks_real.tobytes() == chunked.blocks_real.tobytes()
+        assert whole.blocks_imag.tobytes() == chunked.blocks_imag.tobytes()
+
+    def test_flat_row_blocks_are_positive_zero(self):
+        # Row s1 is flat (lo == hi == 2): its window values lie above, below
+        # and at the bound, and the sample before the window is off it.
+        model = CSModel(("s0", "s1", "s2"), [2, 1, 0], [0.0, 2.0, -1.0], [1.0, 2.0, 1.0])
+        preceding = np.array([0.1, 2.5, 0.0])
+        values = np.array([[0.2, 0.4, 0.9], [3.0, 1.0, 2.0], [0.0, -0.5, 0.5]])
+        window = window_from(values, preceding=preceding)
+        sig = compute_signature(window, model, 3)
+        mat = matrix_from(np.column_stack([preceding, values]))
+        batch = compute_signature_batch(mat, model, WindowSpec(3, 1), 3, first=1, stop=2)
+        norm, deriv = sort_normalize(window, model)
+        # With l = n each block is one row in permutation order: s1 is block 1.
+        flat_row = [sig.blocks_real[1], sig.blocks_imag[1], batch.real[0, 1], batch.imag[0, 1],
+                    *norm[1], *deriv[1]]
+        assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in flat_row), flat_row
+        assert sig.blocks_real[0] > 0.0 and sig.blocks_real[2] > 0.0
+
 
 class TestComputeSignatureBatch:
     @staticmethod
@@ -573,26 +606,33 @@ class TestTrimCentral:
 
 class TestRuntimeScaling:
     @staticmethod
-    def median_seconds(n, wl, reps=20):
+    def median_seconds(shapes, reps=20):
+        """Median seconds of one compute_signature call per (n, wl) shape. The shapes
+        are timed in turn within each rep, so a burst of load on the host lands on
+        all of them rather than on one side of a ratio."""
         import time
 
         from cs_smooth.synthetic import random_window
 
-        window = random_window(n, wl, seed=1)
-        rng = np.random.default_rng(2)
-        model = CSModel(
-            sensor_ids=window.sensor_ids,
-            permutation=rng.permutation(n),
-            lower_bounds=window.values.min(axis=1),
-            upper_bounds=window.values.max(axis=1),
-        )
-        compute_signature(window, model, 20)  # warm-up
-        times = []
+        calls = []
+        for n, wl in shapes:
+            window = random_window(n, wl, seed=1)
+            rng = np.random.default_rng(2)
+            model = CSModel(
+                sensor_ids=window.sensor_ids,
+                permutation=rng.permutation(n),
+                lower_bounds=window.values.min(axis=1),
+                upper_bounds=window.values.max(axis=1),
+            )
+            compute_signature(window, model, 20)  # warm-up
+            calls.append((window, model))
+        times = [[] for _ in shapes]
         for _ in range(reps):
-            t0 = time.perf_counter()
-            compute_signature(window, model, 20)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
+            for (window, model), shape_times in zip(calls, times):
+                t0 = time.perf_counter()
+                compute_signature(window, model, 20)
+                shape_times.append(time.perf_counter() - t0)
+        return [float(np.median(t)) for t in times]
 
     def test_doubling_sensor_count_stays_linear(self):
         # Each doubling of n may cost at most 2.2x. A single 4,000 -> 8,000
@@ -600,11 +640,13 @@ class TestRuntimeScaling:
         # per-doubling bound is checked over three doublings, where that noise
         # is small against the span; a quadratic kernel would grow 64x.
         doublings = 3
-        ratio = self.median_seconds(4000 * 2**doublings, 100) / self.median_seconds(4000, 100)
+        small, large = self.median_seconds([(4000, 100), (4000 * 2**doublings, 100)])
+        ratio = large / small
         assert ratio <= 2.2**doublings, f"{2**doublings}x the sensors cost {ratio:.2f}x"
 
     def test_doubling_window_length_stays_linear(self):
-        ratio = self.median_seconds(100, 8000) / self.median_seconds(100, 4000)
+        small, large = self.median_seconds([(100, 4000), (100, 8000)])
+        ratio = large / small
         assert ratio <= 2.2, f"doubling window cost {ratio:.2f}x"
 
 
