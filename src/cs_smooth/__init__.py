@@ -31,6 +31,7 @@ from .cs import (
     block_layout,
     compute_signature,
     compute_signature_batch,
+    compute_signature_batches,
     load_model,
     pairwise_correlation,
     prefix_models,
@@ -60,6 +61,7 @@ from .fidelity import (
     cs_fidelity,
     expand_signatures,
     fidelity_components,
+    fidelity_table,
     js_divergence,
 )
 

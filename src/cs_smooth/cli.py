@@ -238,9 +238,9 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     matrix = _load_matrix(config)
     spec = _window_spec(config, matrix)
     model = cs.load_model(args.model)
+    table = fidelity.fidelity_table(matrix, model, spec, block_list, bins=args.bins)
     rows = []
-    for n_blocks in block_list:
-        comp = fidelity.fidelity_components(matrix, model, spec, n_blocks, bins=args.bins)
+    for n_blocks, comp in zip(block_list, table):
         rows.append((n_blocks, comp.js_real, comp.js_imag, comp.js_mean))
         log.info("l=%d js_real=%.4f js_imag=%.4f", n_blocks, comp.js_real, comp.js_imag)
     batchio.write_csv_report(args.out, ["l", "js_real", "js_imag", "js_mean"], rows)

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SensorMatrix, TimeGrid, Window, WindowSpec
 from .errors import (
@@ -457,6 +456,7 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
+_TILE_ROWS = 64  # rows per tile of compute_signature_batches' transposing copy
 
 
 def compute_signature_batch(
@@ -465,33 +465,73 @@ def compute_signature_batch(
 ) -> SignatureBatch:
     """Signatures of windows ``first``..``stop - 1`` of windows(matrix, spec) at once.
 
-    Bit for bit the blocks of compute_signature, with each sample normalized
-    once instead of once per window: row sums come from a sliding view over
-    the normalized rows and derivative sums telescope as in compute_signature.
-    Windows go in time chunks of about _CHUNK_VALUES normalized values, so
-    memory stays bounded at any stream length.
+    Bit for bit the blocks of compute_signature; the one-count case of
+    compute_signature_batches.
+    """
+    return compute_signature_batches(matrix, model, spec, (n_blocks,), first, stop)[0]
+
+
+def compute_signature_batches(
+    matrix: SensorMatrix, model: CSModel, spec: WindowSpec, block_counts: Iterable[int],
+    first: int = 0, stop: int | None = None,
+) -> list[SignatureBatch]:
+    """compute_signature_batch for each of ``block_counts``, from one pass over the data.
+
+    Each sample is normalized once instead of once per window: row sums come
+    from a sliding view over the normalized rows and derivative sums telescope
+    as in compute_signature. Both are put in permutation order once per time
+    chunk, then reduced into every layout's blocks. Windows go in time chunks
+    of about _CHUNK_VALUES normalized values that share one set of buffers, so
+    memory stays bounded at any stream length. Every block count is checked
+    before any window is signed.
     """
     _check_sensors(matrix.sensor_ids, model)
-    layout = block_layout(model.n_sensors, n_blocks)
+    n = model.n_sensors
+    layouts = [block_layout(n, n_blocks) for n_blocks in block_counts]
     width, step = spec.length_samples, spec.step_samples
     starts, *instants = _windows(matrix, spec, first, stop)
-    real = np.empty((len(starts), n_blocks))
-    imag = np.empty_like(real)
+    blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
     p = model.permutation
-    per_chunk = max(1, _CHUNK_VALUES // (model.n_sensors * step))
+    per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
+    # Buffers sized by the first chunk, the largest: fresh ones in every chunk
+    # fault their pages in anew. A chunk's normalized columns start with the one
+    # before its first window, so a chunk of k windows spans (k - 1) step + w + 1.
+    norm_buf = np.empty(n * ((per_chunk - 1) * step + width + 1))
+    sums_buf = np.empty(2 * per_chunk * n)
     for i in range(0, len(starts), per_chunk):
         chunk = starts[i : i + per_chunk]
-        # Normalized columns from the one preceding the chunk's first window on.
-        origin = max(int(chunk[0]) - 1, 0)
-        norm = _normalize(matrix.data[:, origin : int(chunk[-1]) + width], model)
-        offsets = chunk - origin
-        # A basic slice keeps the window view a view; its sums run along each
-        # window's contiguous row segment, as compute_signature's do.
-        sums = sliding_window_view(norm, width, axis=1)[:, offsets[0] :: step].sum(axis=2)
-        derivs = norm[:, offsets + width - 1] - norm[:, np.maximum(offsets - 1, 0)]
-        real[i : i + len(chunk)] = _block_means(sums.T.take(p, axis=1), layout, width)
-        imag[i : i + len(chunk)] = _block_means(derivs.T.take(p, axis=1), layout, width)
-    return SignatureBatch(*instants, real, imag)
+        k, begin, end = len(chunk), int(chunk[0]), int(chunk[-1]) + width
+        cols = end - begin + 1
+        norm = norm_buf[: n * cols].reshape(n, cols)
+        if begin:
+            _normalize(matrix.data[:, begin - 1 : end], model, out=norm)
+        else:  # the first column stands in for the one before it: difference 0
+            _normalize(matrix.data[:, :end], model, out=norm[:, 1:])
+            norm[:, 0] = norm[:, 1]
+        # Window sums, then derivative sums (last column minus the one before
+        # the window). The windows are a strided view of norm from column 1 on
+        # (as sliding_window_view builds it, at a fraction of the call cost);
+        # each window's sum runs along its contiguous row segment, as
+        # compute_signature's does.
+        sums = sums_buf[: 2 * n * k].reshape(2, n, k)
+        windows = np.ndarray(
+            (n, k, width), buffer=norm_buf, offset=8, strides=(8 * cols, 8 * step, 8)
+        )
+        windows.sum(axis=2, out=sums[0])
+        np.subtract(norm[:, width::step], norm[:, : (k - 1) * step + 1 : step], out=sums[1])
+        # The normalized block is spent: its buffer takes each half transposed to
+        # windows x rows, _TILE_ROWS rows at a time so the copy stays in cache.
+        # The spent half then takes those rows in permutation order, so every
+        # block's rows are contiguous; mode="clip" (the indices are valid) writes
+        # straight into ``out``, where the default mode buffers it.
+        transposed = norm_buf[: k * n].reshape(k, n)
+        for half, row_sums in enumerate(sums):
+            for r in range(0, n, _TILE_ROWS):
+                transposed[:, r : r + _TILE_ROWS] = row_sums[r : r + _TILE_ROWS].T
+            permuted = transposed.take(p, 1, row_sums.reshape(k, n), "clip")
+            for layout, out in zip(layouts, blocks):
+                out[half, i : i + k] = _block_means(permuted, layout, width)
+    return [SignatureBatch(*instants, real, imag) for real, imag in blocks]
 
 
 def _windows(

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SensorMatrix, Window, WindowSpec
+from .core import SensorMatrix, WindowSpec
 from .cs import (
-    BlockLayout, CSModel, Signature, block_layout, compute_signature_batch, sort_normalize,
+    _CHUNK_VALUES, BlockLayout, CSModel, Signature, _normalize, block_layout,
+    compute_signature_batches,
 )
-from .cs import compute_signature  # noqa: F401  (perfbench/spans.py times it under this module)
+# perfbench/spans.py times these under this module's names.
+from .cs import compute_signature, sort_normalize  # noqa: F401
 from .errors import DegenerateInputError, IncompatibilityError, InvalidParameterError
 
 DEFAULT_BINS = 100
@@ -74,15 +76,26 @@ def build_distribution(
     if not hi > lo:
         raise DegenerateInputError(f"value range must satisfy hi > lo, got ({lo}, {hi})")
     n, width = data.shape
-    clipped = np.clip(data, lo, hi)
-    # Scale into bin indices; the right edge joins the last bin.
-    idx = np.minimum(
-        ((clipped - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1
-    )
-    # Row r's bin b is counted at flat index r * bins + b.
-    flat = idx + bins * np.arange(n)[:, None]
-    mass = np.bincount(flat.ravel(), minlength=n * bins).reshape(n, bins) / (width * n)
+    mass = _bin_counts(data, bins, lo, hi) / (width * n)
     return Histogram2D(bins=bins, value_range=(lo, hi), mass=mass)
+
+
+def _bin_counts(values: np.ndarray, bins: int, lo: float, hi: float, out=None) -> np.ndarray:
+    """Per-row counts (rows x bins) of ``values`` binned uniformly over [lo, hi].
+
+    Values outside the range are clamped into the edge bins; the right edge
+    joins the last bin. The clamped values go into ``out`` (``values`` itself
+    to work in place) or one new array, which is scaled in place.
+    """
+    scaled = np.clip(values, lo, hi, out=out)
+    scaled -= lo
+    scaled *= bins / (hi - lo)
+    idx = scaled.astype(np.int64)
+    np.minimum(idx, bins - 1, out=idx)
+    # Row r's bin b is counted at flat index r * bins + b.
+    rows = len(idx)
+    idx += bins * np.arange(rows)[:, None]
+    return np.bincount(idx.ravel(order="K"), minlength=rows * bins).reshape(rows, bins)
 
 
 def expand_signatures(
@@ -137,6 +150,64 @@ def _entropy(mass: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def fidelity_table(
+    original: SensorMatrix,
+    model: CSModel,
+    spec: WindowSpec,
+    block_counts: Sequence[int],
+    bins: int = DEFAULT_BINS,
+) -> list[FidelityComponents]:
+    """Compare signature sets against the data they compress, one per block count.
+
+    Runs the comparison twice: real parts against the sorted+normalized
+    original values over (0,1), imaginary parts against their first
+    differences over (-1,1); signature columns are expanded back to n rows
+    first. Lower is better; 0 means indistinguishable up to binning.
+
+    The same numbers as build_distribution and js_divergence over
+    sort_normalize and expand_signatures, without their n x t and n x windows
+    copies: every block count comes from one kernel pass, the original rows are
+    binned once and their counts put in permutation order, and each count's
+    l block rows are binned once and their counts gathered to the n rows that
+    expansion would give them. Bins and every block count are checked before
+    any histogram work.
+    """
+    if bins < 1:
+        raise InvalidParameterError(f"bin count must be >= 1, got {bins}")
+    batches = compute_signature_batches(original, model, spec, block_counts)
+    # Original side: rows in chunks of about _CHUNK_VALUES values, sharing two
+    # buffers that are binned in place; count rows then go to permutation order.
+    n, t = original.data.shape
+    values, derivs = np.empty((2, n, bins), dtype=np.int64)
+    per_chunk = min(n, max(1, _CHUNK_VALUES // t))
+    norm_buf, diff_buf = np.empty((2, per_chunk, t))
+    for start in range(0, n, per_chunk):
+        rows = slice(start, start + per_chunk)
+        norm, diff = norm_buf[: n - start], diff_buf[: n - start]
+        _normalize(original.data[rows], model, rows, out=norm)
+        # Backward differences; the first column has none before it: 0.
+        diff[:, 0] = 0.0
+        np.subtract(norm[:, 1:], norm[:, :-1], out=diff[:, 1:])
+        values[rows] = _bin_counts(norm, bins, 0.0, 1.0, out=norm)
+        derivs[rows] = _bin_counts(diff, bins, -1.0, 1.0, out=diff)
+    p = model.permutation
+    p_vals = Histogram2D(bins, (0.0, 1.0), values[p] / (t * n))
+    p_derivs = Histogram2D(bins, (-1.0, 1.0), derivs[p] / (t * n))
+    # Signature side: an expanded row holds its block's values, so it has its
+    # block's counts.
+    table = []
+    for n_blocks, batch in zip(block_counts, batches):
+        assignment = _row_to_block(block_layout(n, n_blocks), n)
+        total = batch.n_signatures * n
+        q_vals = _bin_counts(batch.real.T, bins, 0.0, 1.0)[assignment] / total
+        q_derivs = _bin_counts(batch.imag.T, bins, -1.0, 1.0)[assignment] / total
+        table.append(FidelityComponents(
+            js_real=js_divergence(p_vals, Histogram2D(bins, (0.0, 1.0), q_vals)),
+            js_imag=js_divergence(p_derivs, Histogram2D(bins, (-1.0, 1.0), q_derivs)),
+        ))
+    return table
+
+
 def fidelity_components(
     original: SensorMatrix,
     model: CSModel,
@@ -144,33 +215,8 @@ def fidelity_components(
     n_blocks: int,
     bins: int = DEFAULT_BINS,
 ) -> FidelityComponents:
-    """Compare signature sets against the data they compress.
-
-    Runs the comparison twice: real parts against the sorted+normalized
-    original values over (0,1), imaginary parts against their first
-    differences over (-1,1); signature columns are expanded back to n rows
-    first. Lower is better; 0 means indistinguishable up to binning.
-    """
-    full = Window(
-        sensor_ids=original.sensor_ids,
-        values=original.data,
-        preceding=None,
-        start=int(original.grid.start),
-        end=int(original.grid.end),
-    )
-    norm_full, deriv_full = sort_normalize(full, model)
-    batch = compute_signature_batch(original, model, spec, n_blocks)
-    # Expanded as expand_signatures does, from the block arrays.
-    assignment = _row_to_block(block_layout(model.n_sensors, n_blocks), original.n_sensors)
-    real_exp, imag_exp = batch.real[:, assignment].T, batch.imag[:, assignment].T
-    p_vals = build_distribution(norm_full, bins, (0.0, 1.0))
-    q_vals = build_distribution(real_exp, bins, (0.0, 1.0))
-    p_derivs = build_distribution(deriv_full, bins, (-1.0, 1.0))
-    q_derivs = build_distribution(imag_exp, bins, (-1.0, 1.0))
-    return FidelityComponents(
-        js_real=js_divergence(p_vals, q_vals),
-        js_imag=js_divergence(p_derivs, q_derivs),
-    )
+    """fidelity_table for one block count."""
+    return fidelity_table(original, model, spec, (n_blocks,), bins)[0]
 
 
 def cs_fidelity(

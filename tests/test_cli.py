@@ -434,6 +434,26 @@ class TestFidelityCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-block-count:")
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--blocks", "5,500"], "invalid-block-count"),
+            (["--blocks", "5", "--bins", "0"], "invalid-parameter"),
+        ],
+    )
+    def test_bad_count_or_bins_writes_no_report(self, write_dataset, tmp_path, capsys, flags, code):
+        dataset = write_dataset(np.random.default_rng(9).uniform(size=(8, 40)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run(
+            "fidelity", "--dataset", dataset, "--model", model,
+            "--window", 5, "--step", 1, *flags, "--out", out,
+        ) == 1
+        assert_one_line_error(capsys, code)
+        assert not out.exists()
+
     def test_malformed_block_list(self, write_dataset, tmp_path, capsys):
         dataset = write_dataset(np.random.default_rng(9).uniform(size=(4, 20)))
         model = tmp_path / "model.json"

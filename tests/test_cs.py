@@ -2,6 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cs_smooth.cs import (
     block_layout,
     compute_signature,
     compute_signature_batch,
+    compute_signature_batches,
     load_model,
     pairwise_correlation,
     resample_signature,
@@ -528,6 +530,53 @@ class TestComputeSignatureBatch:
             compute_signature_batch(mat, model, spec, 3),
             self.per_window(mat, model, spec, 3),
         )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.sampled_from([None, 1, 5, 64]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_count_of_one_pass_equals_its_own_call(self, seed, n, wl, step, chunk, data):
+        # chunk: windows per time chunk forced through _CHUNK_VALUES, with rows
+        # transposed in tiles of 1 to 7 (None keeps both constants).
+        t = wl + data.draw(st.integers(1, 60), label="extra")
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, t))
+        model = train(matrix_from(values[:, : max(2, t // 2)]))
+        mat, spec = matrix_from(values), WindowSpec(wl, step)
+        counts = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4), label="counts")
+        count = len(spec.starts(t))
+        first = data.draw(st.integers(0, count - 1), label="first")
+        chunk_values = chunk * n * step if chunk else cs._CHUNK_VALUES
+        tile = data.draw(st.integers(1, 7), label="tile rows") if chunk else cs._TILE_ROWS
+        with mock.patch.object(cs, "_CHUNK_VALUES", chunk_values), \
+                mock.patch.object(cs, "_TILE_ROWS", tile):
+            batches = compute_signature_batches(mat, model, spec, counts, first)
+            singles = [compute_signature_batch(mat, model, spec, c, first) for c in counts]
+        assert len(batches) == len(counts)
+        for batch, single in zip(batches, singles):
+            assert np.array_equal(batch.real, single.real)
+            assert np.array_equal(batch.imag, single.imag)
+            assert np.array_equal(batch.window_starts, single.window_starts)
+            assert np.array_equal(batch.window_ends, single.window_ends)
+        if not chunk:
+            return
+        # Several time chunks and row tiles give the bits of one of each.
+        for batch, c in zip(batches, counts):
+            whole = compute_signature_batch(mat, model, spec, c, first)
+            assert np.array_equal(batch.real, whole.real)
+            assert np.array_equal(batch.imag, whole.imag)
+
+    def test_every_block_count_checked_before_signing(self, monkeypatch):
+        mat = matrix_from(np.random.default_rng(0).uniform(size=(4, 20)))
+        model = train(mat)
+        monkeypatch.setattr(cs, "_normalize", None)  # signing would call it
+        with pytest.raises(InvalidBlockCountError):
+            compute_signature_batches(mat, model, WindowSpec(4, 1), [2, 5])
 
     def test_window_longer_than_data_is_degenerate(self):
         mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))

@@ -1,17 +1,29 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cs_smooth.core import WindowSpec
-from cs_smooth.cs import BlockLayout, Signature, block_layout, train
-from cs_smooth.errors import DegenerateInputError, IncompatibilityError, InvalidParameterError
+from cs_smooth import cs, fidelity
+from cs_smooth.core import SensorMatrix, TimeGrid, Window, WindowSpec, windows
+from cs_smooth.cs import (
+    BlockLayout, Signature, block_layout, compute_signature, sort_normalize, train,
+)
+from cs_smooth.errors import (
+    DegenerateInputError,
+    IncompatibilityError,
+    InvalidBlockCountError,
+    InvalidParameterError,
+)
 from cs_smooth.fidelity import (
+    FidelityComponents,
     Histogram2D,
     build_distribution,
     cs_fidelity,
     expand_signatures,
     fidelity_components,
+    fidelity_table,
     js_divergence,
 )
 from cs_smooth.synthetic import anti_correlated_matrix
@@ -185,3 +197,74 @@ class TestCsFidelity:
             build_distribution(data, 16, (0.0, 1.0)),
             build_distribution(data.copy(), 16, (0.0, 1.0)),
         ) == 0.0
+
+
+def reference_table(matrix, model, spec, block_counts, bins):
+    """fidelity_table from the public pieces: sorted and expanded copies, then
+    one build_distribution per matrix and js_divergence."""
+    full = Window(matrix.sensor_ids, matrix.data, None, 0, 0)
+    norm, deriv = sort_normalize(full, model)
+    p_vals = build_distribution(norm, bins, (0.0, 1.0))
+    p_derivs = build_distribution(deriv, bins, (-1.0, 1.0))
+    table = []
+    for n_blocks in block_counts:
+        sigs = [compute_signature(w, model, n_blocks) for w in windows(matrix, spec)]
+        real, imag = expand_signatures(sigs, matrix.n_sensors)
+        table.append(FidelityComponents(
+            js_real=js_divergence(p_vals, build_distribution(real, bins, (0.0, 1.0))),
+            js_imag=js_divergence(p_derivs, build_distribution(imag, bins, (-1.0, 1.0))),
+        ))
+    return table
+
+
+def matrix_of(values):
+    ids = tuple(f"s{i}" for i in range(len(values)))
+    return SensorMatrix(ids, TimeGrid(0, 1000, values.shape[1]), values)
+
+
+class TestFidelityTable:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        wl=st.integers(1, 10),
+        stride=st.sampled_from(["1", "w", "beyond w"]),
+        bins=st.integers(1, 120),
+        chunk=st.sampled_from([None, 3, 40]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_reference_pipeline(self, seed, n, wl, stride, bins, chunk, data):
+        step = {"1": 1, "w": wl, "beyond w": wl + 1 + seed % 5}[stride]
+        t = wl + data.draw(st.integers(1, 80), label="extra")
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, t)) * rng.uniform(0.1, 50.0)
+        flat = data.draw(st.integers(-1, n - 1), label="flat row")
+        if flat >= 0:
+            values[flat] = 2.5
+        # Trained on a prefix, so later values fall outside the bounds.
+        model = train(matrix_of(values[:, : max(2, t // 3)]))
+        mat, spec = matrix_of(values), WindowSpec(wl, step)
+        counts = data.draw(
+            st.lists(st.sampled_from([1, n, *range(1, n + 1)]), min_size=1, max_size=4),
+            label="block counts",
+        )
+        expected = reference_table(mat, model, spec, counts, bins)
+        # chunk forces several time chunks (kernel) and row chunks (original side).
+        with mock.patch.object(cs, "_CHUNK_VALUES", chunk or cs._CHUNK_VALUES), \
+                mock.patch.object(fidelity, "_CHUNK_VALUES", chunk or fidelity._CHUNK_VALUES):
+            assert fidelity_table(mat, model, spec, counts, bins) == expected
+            assert fidelity_components(mat, model, spec, counts[0], bins) == expected[0]
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_checked_before_any_work(self, monkeypatch, bins):
+        mat = anti_correlated_matrix(3, 3, 2, t=40, seed=1)
+        monkeypatch.setattr(fidelity, "compute_signature_batches", None)
+        with pytest.raises(InvalidParameterError):
+            fidelity_table(mat, train(mat), WindowSpec(4, 1), [2], bins)
+
+    def test_block_counts_checked_before_any_histogram(self, monkeypatch):
+        mat = anti_correlated_matrix(3, 3, 2, t=40, seed=1)
+        model = train(mat)
+        monkeypatch.setattr(fidelity, "_bin_counts", None)
+        with pytest.raises(InvalidBlockCountError):
+            fidelity_table(mat, model, WindowSpec(4, 1), [2, mat.n_sensors + 1])
