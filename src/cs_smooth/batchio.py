@@ -16,7 +16,7 @@ from typing import IO
 import numpy as np
 
 from .cs import SignatureBatch
-from .errors import EmptyInputError, FormatError
+from .errors import EmptyInputError, FormatError, utf8_text
 
 
 def write_signature_batch(sink: IO | str | Path, batch: SignatureBatch) -> int:
@@ -47,7 +47,7 @@ def write_signature_batch(sink: IO | str | Path, batch: SignatureBatch) -> int:
 def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
     """Read a batch file back into columnar arrays."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh, utf8_text("batch file"):
             return read_signature_batch(fh)
     reader = csv.reader(source)
     try:
@@ -88,7 +88,7 @@ def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
 def read_labels_csv(source: IO | str | Path) -> dict[int, str]:
     """Read a labels file: header then one "window_start,label" row per window."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh, utf8_text("labels file"):
             return read_labels_csv(fh)
     reader = csv.reader(source)
     try:

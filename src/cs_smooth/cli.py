@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import re
@@ -355,16 +356,6 @@ def _bench_model(window, seed: int) -> cs.CSModel:
     )
 
 
-def _median_time(fn, reps: int) -> float:
-    fn()  # warm-up outside the measurement
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     methods = tuple(tok.strip() for tok in args.methods.split(","))
     for m in methods:
@@ -376,25 +367,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParameterError("--n-list and --wl-list values must be >= 1")
     if args.reps < 1:
         raise InvalidParameterError("--reps must be >= 1")
-    rows = []
+    cases = []  # (method, n, wl, signer)
     for n in n_list:
         for wl in wl_list:
             window = synthetic.random_window(n, wl, seed=args.seed)
             for method in methods:
                 if method == "cs":
                     model = _bench_model(window, args.seed)
-                    blocks = min(args.blocks, n)
-                    fn = lambda: cs.compute_signature(window, model, blocks)
+                    fn = functools.partial(cs.compute_signature, window, model, min(args.blocks, n))
                 elif method == "tuncer":
-                    fn = lambda: baselines.tuncer_signature(window)
+                    fn = functools.partial(baselines.tuncer_signature, window)
                 elif method == "bodik":
-                    fn = lambda: baselines.bodik_signature(window)
+                    fn = functools.partial(baselines.bodik_signature, window)
                 else:
-                    sub = min(args.lan_subsample, wl)
-                    fn = lambda: baselines.lan_signature(window, sub)
-                median = _median_time(fn, args.reps)
-                rows.append((method, n, wl, median))
-                log.info("bench %s n=%d wl=%d median=%.6fs", method, n, wl, median)
+                    fn = functools.partial(
+                        baselines.lan_signature, window, min(args.lan_subsample, wl)
+                    )
+                cases.append((method, n, wl, fn))
+    for *_, fn in cases:
+        fn()  # warm-up outside the measurement
+    # Every rep times every case once, in turn, so a burst of host load lands
+    # on all sizes alike instead of on one side of a size ratio.
+    times = np.empty((args.reps, len(cases)))
+    for rep in range(args.reps):
+        for i, (*_, fn) in enumerate(cases):
+            t0 = time.perf_counter()
+            fn()
+            times[rep, i] = time.perf_counter() - t0
+    rows = []
+    for (method, n, wl, _), median in zip(cases, np.median(times, axis=0).tolist()):
+        rows.append((method, n, wl, median))
+        log.info("bench %s n=%d wl=%d median=%.6fs", method, n, wl, median)
     batchio.write_csv_report(
         args.out, ["method", "n_sensors", "window_len", "median_seconds"], rows
     )

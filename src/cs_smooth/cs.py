@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
     ModelIncompatibilityError,
     UnsupportedVersionError,
+    utf8_text,
 )
 
 MODEL_VERSION = "v1"
@@ -204,38 +205,66 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
 
     Uses population covariance/deviations of the data shifted by its first
     column (see _comoments); a zero-variance row correlates 1 (shifted) with
-    everything, i.e. raw correlation 0. The diagonal is exactly 2. For a
-    single row the global coefficient is 2 by convention. O(n^2 t).
+    everything, i.e. raw correlation 0. The diagonal is exactly 2 and the
+    matrix is exactly symmetric. For a single row the global coefficient is 2
+    by convention. O(n^2 t).
     """
+    return _train_stats(matrix)[0]
+
+
+def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np.ndarray]:
+    """pairwise_correlation plus the row minima and maxima, from one pass."""
     if matrix.n_samples < 2:
         raise DegenerateInputError("need at least 2 samples to correlate rows")
     data = matrix.data
-    _, comoment = _comoments(data, data[:, :1])
-    return _correlation_stats(comoment / data.shape[1])
+    _, comoment, lo, hi = _comoments(data, data[:, :1])
+    comoment /= data.shape[1]
+    return _correlation_stats(comoment), lo, hi
 
 
-def _comoments(raw: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means and co-moment matrix (sums of centred products) of raw - shift.
+_BLOCK_VALUES = 1 << 16  # values per row block of _comoments: 512 KB, cache-sized
+
+
+def _comoments(
+    raw: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row means and co-moment matrix (sums of centred products) of raw - shift,
+    plus the row minima and maxima of raw.
 
     Shifting each row by one of its own samples keeps the centring exact on
     data with a large offset and small spread; a constant row becomes exact
-    zeros, so it is flat. The mean is subtracted in place: one n x t temporary.
+    zeros, so it is flat. One pass over blocks of about _BLOCK_VALUES values
+    (whole rows) fills the centred n x t copy, the means and the bounds, so
+    each block is read from memory once. The co-moment product is one BLAS
+    syrk, which mirrors its triangle: the matrix is exactly symmetric.
     """
-    centered = raw - shift
-    mean = centered.mean(axis=1)
-    centered -= mean[:, None]
-    return mean, centered @ centered.T
+    n, t = raw.shape
+    centered = np.empty((n, t))
+    mean, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    per_block = max(1, _BLOCK_VALUES // t)
+    for first in range(0, n, per_block):
+        rows = slice(first, first + per_block)
+        raw[rows].min(axis=1, out=lo[rows])
+        raw[rows].max(axis=1, out=hi[rows])
+        block = np.subtract(raw[rows], shift[rows], out=centered[rows])
+        block.mean(axis=1, out=mean[rows])
+        block -= mean[rows, None]
+    return mean, centered @ centered.T, lo, hi
 
 
 def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
-    """Shifted correlation and global coefficients from a population covariance."""
+    """Shifted correlation and global coefficients from a population covariance.
+
+    Works in place: ``cov`` becomes the pairwise matrix.
+    """
     sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     flat = sd == 0.0
     denom = np.where(flat, 1.0, sd)
-    corr = cov / np.outer(denom, denom)
-    corr[flat, :] = 0.0
-    corr[:, flat] = 0.0
-    pairwise = np.clip(corr, -1.0, 1.0) + 1.0
+    pairwise = np.divide(cov, np.outer(denom, denom), out=cov)
+    pairwise[flat, :] = 0.0
+    pairwise[:, flat] = 0.0
+    np.clip(pairwise, -1.0, 1.0, out=pairwise)
+    pairwise += 1.0
     np.fill_diagonal(pairwise, 2.0)
     n = len(pairwise)
     if n == 1:
@@ -253,26 +282,30 @@ def train(matrix: SensorMatrix) -> CSModel:
     appended row) x (global coefficient); ties go to the lowest original row
     index. Dominated by the correlation matrix, O(n^2 t).
     """
-    stats = pairwise_correlation(matrix)
+    stats, lo, hi = _train_stats(matrix)
     perm = _greedy_order(stats.pairwise, stats.global_coeffs)
     return CSModel(
-        sensor_ids=matrix.sensor_ids,
-        permutation=perm,
-        lower_bounds=matrix.data.min(axis=1),
-        upper_bounds=matrix.data.max(axis=1),
+        sensor_ids=matrix.sensor_ids, permutation=perm, lower_bounds=lo, upper_bounds=hi
     )
 
 
 def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray:
-    # scores[c, i] = pairwise[i, c] * global_coeffs[i]: candidate i's score
-    # after row c; a picked row's column is set to -inf.
-    scores = (pairwise * global_coeffs[:, None]).T.copy()
+    """The greedy row order of train from its correlation statistics.
+
+    Relies on ``pairwise`` being exactly symmetric, as _correlation_stats makes
+    it from a symmetric covariance: row c of pairwise * global_coeffs then
+    holds every candidate's score after row c, pairwise[i, c] * global_coeffs[i].
+    Picked rows are masked by one -inf vector added to the row read.
+    """
+    scores = pairwise * global_coeffs
+    taken = np.zeros(len(global_coeffs))
+    row = np.empty_like(taken)
     order = np.empty(len(global_coeffs), dtype=np.int64)
-    current = int(np.argmax(global_coeffs))
+    current = global_coeffs.argmax()
     for k in range(len(order)):
         order[k] = current
-        scores[:, current] = -np.inf
-        current = int(scores[current].argmax())
+        taken[current] = -np.inf
+        current = np.add(scores[current], taken, out=row).argmax()
     return order
 
 
@@ -286,7 +319,7 @@ def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
     # scores[k, i]: the score of row order[i] at pick k, as _greedy_order forms it.
     scores = np.empty((n, n))
     scores[0] = g
-    scores[1:] = stats.pairwise[order[None, :], order[:-1, None]] * g
+    np.multiply(stats.pairwise.take(order[:-1], 0).take(order, 1), g, out=scores[1:])
     scores[np.tri(n, k=-1, dtype=bool)] = -np.inf  # rows picked before pick k
     top_two = -np.partition(-scores[:-1], 1, axis=1)[:, :2]
     return float(np.min(top_two[:, 0] - top_two[:, 1]))
@@ -325,9 +358,10 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
             )
         for first in range(count, end, per_segment):
             raw = data[:, first : min(first + per_segment, end)]
-            lo = np.minimum(lo, raw.min(axis=1))
-            hi = np.maximum(hi, raw.max(axis=1))
-            seg_mean, seg_comoment = _comoments(raw, shift)
+            seg_mean, seg_comoment, seg_lo, seg_hi = _comoments(raw, shift)
+            # New arrays, not in place: a yielded model holds the previous ones.
+            lo = np.minimum(lo, seg_lo)
+            hi = np.maximum(hi, seg_hi)
             width = raw.shape[1]
             delta = seg_mean - mean
             total = count + width
@@ -641,9 +675,10 @@ def load_model(source: IO | str | Path) -> CSModel:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_model(fh)
-    text = source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    with utf8_text("model file"):
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
     if not text.strip():
         raise FormatError("model file is empty")
     try:
@@ -657,6 +692,9 @@ def load_model(source: IO | str | Path) -> CSModel:
         raise UnsupportedVersionError(
             f"model version {version!r} is not supported (expected {MODEL_VERSION!r})"
         )
+    # A JSON string would pass as the sequence of its characters.
+    if not isinstance(payload.get("sensor_ids", []), list):
+        raise FormatError("sensor_ids must be a list of strings")
     try:
         return CSModel(
             sensor_ids=payload["sensor_ids"],

@@ -6,6 +6,8 @@ single-line, parsable error reasons.
 
 from __future__ import annotations
 
+import contextlib
+
 
 class CsSmoothError(Exception):
     """Base class for all errors raised by this package."""
@@ -77,6 +79,17 @@ class FormatError(CsSmoothError):
     """File does not conform to its declared format."""
 
     code = "format"
+
+
+@contextlib.contextmanager
+def utf8_text(what: str):
+    """Turn a UnicodeDecodeError raised inside the block into a FormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{what} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
 
 
 class IncompatibilityError(CsSmoothError):

@@ -3,11 +3,15 @@
 Everything here is deliberately written with plain Python loops over lists,
 materializing every intermediate matrix, so tests compare the production
 (vectorized) path against a second, independent derivation of the same math.
+The ``reference_*`` functions are the exception: they keep an earlier numpy
+form of the training maths, which production code must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def naive_correlation(data: list[list[float]]) -> tuple[list[list[float]], list[float]]:
@@ -78,6 +82,92 @@ def naive_train(data: list[list[float]]) -> tuple[list[int], list[float], list[f
     lo = [min(row) for row in data]
     hi = [max(row) for row in data]
     return perm, lo, hi
+
+
+# The training maths of cs before its row-blocked rewrite: one whole-array
+# pass per step and a transposed score matrix for the greedy order.
+
+
+def reference_comoments(raw: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    centered = raw - shift
+    mean = centered.mean(axis=1)
+    centered -= mean[:, None]
+    return mean, centered @ centered.T
+
+
+def reference_correlation_stats(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    flat = sd == 0.0
+    denom = np.where(flat, 1.0, sd)
+    corr = cov / np.outer(denom, denom)
+    corr[flat, :] = 0.0
+    corr[:, flat] = 0.0
+    pairwise = np.clip(corr, -1.0, 1.0) + 1.0
+    np.fill_diagonal(pairwise, 2.0)
+    n = len(pairwise)
+    if n == 1:
+        global_coeffs = np.array([2.0])
+    else:
+        global_coeffs = (pairwise.sum(axis=1) - 2.0) / (n - 1)
+    return pairwise, global_coeffs
+
+
+def reference_greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray:
+    scores = (pairwise * global_coeffs[:, None]).T.copy()
+    order = np.empty(len(global_coeffs), dtype=np.int64)
+    current = int(np.argmax(global_coeffs))
+    for k in range(len(order)):
+        order[k] = current
+        scores[:, current] = -np.inf
+        current = int(scores[current].argmax())
+    return order
+
+
+def reference_train(data: np.ndarray) -> dict[str, np.ndarray]:
+    """Every intermediate of batch training: means, co-moments, correlation,
+    permutation and bounds."""
+    mean, comoment = reference_comoments(data, data[:, :1])
+    pairwise, global_coeffs = reference_correlation_stats(comoment / data.shape[1])
+    return dict(
+        mean=mean,
+        comoment=comoment,
+        pairwise=pairwise,
+        global_coeffs=global_coeffs,
+        permutation=reference_greedy_order(pairwise, global_coeffs),
+        lower_bounds=data.min(axis=1),
+        upper_bounds=data.max(axis=1),
+    )
+
+
+def reference_prefix_models(data, ends, per_segment, order_stands):
+    """(permutation, lower bounds, upper bounds) for each prefix end, merged
+    segment by segment as prefix_models merges them. ``order_stands(pairwise,
+    global_coeffs, order)`` is prefix_models' margin test; where it fails,
+    the prefix is trained in one batch instead."""
+    n = data.shape[0]
+    shift = data[:, :1]
+    count, mean, comoment = 0, np.zeros(n), np.zeros((n, n))
+    lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
+    models = []
+    for end in ends:
+        for first in range(count, end, per_segment):
+            raw = data[:, first : min(first + per_segment, end)]
+            lo = np.minimum(lo, raw.min(axis=1))
+            hi = np.maximum(hi, raw.max(axis=1))
+            seg_mean, seg_comoment = reference_comoments(raw, shift)
+            width = raw.shape[1]
+            delta = seg_mean - mean
+            total = count + width
+            comoment += seg_comoment
+            comoment += np.outer(delta, delta) * (count * width / total)
+            mean += delta * (width / total)
+            count = total
+        pairwise, global_coeffs = reference_correlation_stats(comoment / count)
+        order = reference_greedy_order(pairwise, global_coeffs)
+        if not order_stands(pairwise, global_coeffs, order):
+            order = reference_train(data[:, :count])["permutation"]
+        models.append((order, lo, hi))
+    return models
 
 
 def naive_signature(

@@ -673,6 +673,40 @@ def read_report_batch(path):
         return list(csv.DictReader(fh))
 
 
+def corrupt_utf8(path):
+    """Replace the last byte before the final newline with 0xff."""
+    data = path.read_bytes()
+    path.write_bytes(data[:-2] + b"\xff" + data[-1:])
+
+
+class TestNonUtf8Files:
+    """One byte that is not UTF-8 in any file the CLI reads back ends in one
+    ``error: format:`` line, not a UnicodeDecodeError traceback."""
+
+    def test_labels_file(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        corrupt_utf8(labels)
+        assert run("eval", "--batch", batch, "--labels", labels, "--out", tmp_path / "m.csv") == 1
+        assert_one_line_error(capsys, "format")
+
+    def test_signature_batch(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        corrupt_utf8(batch)
+        assert run("eval", "--batch", batch, "--labels", labels, "--out", tmp_path / "m.csv") == 1
+        assert_one_line_error(capsys, "format")
+
+    def test_model_file(self, write_dataset, tmp_path, capsys):
+        dataset = write_dataset(np.random.default_rng(3).uniform(size=(3, 12)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        corrupt_utf8(model)
+        assert run(
+            "sign", "--dataset", dataset, "--model", model,
+            "--window", 4, "--step", 4, "--out", tmp_path / "b.csv",
+        ) == 1
+        assert_one_line_error(capsys, "format")
+
+
 class TestBenchCommand:
     def test_row_per_combination(self, tmp_path):
         out = tmp_path / "bench.csv"

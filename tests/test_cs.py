@@ -37,7 +37,12 @@ from cs_smooth.errors import (
 )
 from cs_smooth.synthetic import anti_correlated_matrix, clustered_plateau_matrix
 
-from naive_reference import naive_signature, naive_train
+from naive_reference import (
+    naive_signature,
+    naive_train,
+    reference_prefix_models,
+    reference_train,
+)
 
 
 def matrix_from(rows, interval=1000):
@@ -289,6 +294,111 @@ class TestPrefixModels:
     def test_ends_must_increase_within_the_matrix(self, ends):
         with pytest.raises(InvalidParameterError):
             list(cs.prefix_models(matrix_from(np.ones((2, 40))), ends))
+
+
+def training_data(seed, n, t, offset, constant, duplicate):
+    """Rows of mixed scale around ``offset``; optionally one constant row and a
+    duplicate of row 0."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, t)) * rng.uniform(0.1, 10.0, size=(n, 1)) + offset
+    if constant:
+        data[n // 2] = data[n // 2, 0]
+    if duplicate and n > 2:
+        data[-1] = data[0]
+    return data
+
+
+# n = 1 and t = 2 included; the wide shapes put t above numpy's 8,192-value
+# reduction buffer and give row counts that the row blocks do not divide.
+TRAINING_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(2, 300)),
+    st.tuples(st.integers(1, 12), st.integers(8_193, 9_000)),
+)
+
+
+@pytest.fixture
+def greedy_inputs(monkeypatch):
+    """Record every pairwise matrix the greedy ordering is given."""
+    seen = []
+
+    def recording(pairwise, global_coeffs):
+        seen.append(pairwise.copy())
+        return greedy_order(pairwise, global_coeffs)
+
+    greedy_order = cs._greedy_order
+    monkeypatch.setattr(cs, "_greedy_order", recording)
+    return seen
+
+
+class TestTrainingMatchesReference:
+    """train, pairwise_correlation and prefix_models against the training maths
+    of tests/naive_reference.py, byte for byte, at any row-block size."""
+
+    @given(
+        st.integers(0, 2**31), TRAINING_SHAPES, st.sampled_from([0.0, 1e9]),
+        st.booleans(), st.booleans(), st.one_of(st.none(), st.integers(1, 5_000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_intermediate_is_bit_identical(
+        self, seed, shape, offset, constant, duplicate, block_values
+    ):
+        data = training_data(seed, *shape, offset, constant, duplicate)
+        ref = reference_train(data)
+        block_values = block_values or cs._BLOCK_VALUES
+        with mock.patch.object(cs, "_BLOCK_VALUES", block_values):
+            mean, comoment, lo, hi = cs._comoments(data, data[:, :1])
+            stats = pairwise_correlation(matrix_from(data))
+            model = train(matrix_from(data))
+        for name, got in [
+            ("mean", mean), ("comoment", comoment), ("lower_bounds", lo),
+            ("upper_bounds", hi), ("pairwise", stats.pairwise),
+            ("global_coeffs", stats.global_coeffs), ("permutation", model.permutation),
+            ("lower_bounds", model.lower_bounds), ("upper_bounds", model.upper_bounds),
+        ]:
+            assert got.tobytes() == ref[name].tobytes(), name
+
+    @given(
+        st.integers(0, 2**31), st.integers(1, 24), st.integers(20, 300),
+        st.sampled_from([0.0, 1e9]), st.booleans(), st.booleans(),
+        st.integers(1, 400), st.integers(20, 2_000), st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_models_across_blocks_and_segments(
+        self, seed, n, t, offset, constant, duplicate, block_values, chunk_values, draw
+    ):
+        # Small row blocks and segments: ends fall inside and across both.
+        data = training_data(seed, n, t, offset, constant, duplicate)
+        ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=1, max_size=8)))
+
+        def order_stands(pairwise, global_coeffs, order):
+            stats = cs.CorrelationStats(pairwise, global_coeffs)
+            return cs._min_margin(stats, order) >= cs._SCORE_MARGIN
+
+        with mock.patch.object(cs, "_BLOCK_VALUES", block_values), \
+                mock.patch.object(cs, "_CHUNK_VALUES", chunk_values):
+            models = list(cs.prefix_models(matrix_from(data), ends))
+            expected = reference_prefix_models(
+                data, ends, max(1, chunk_values // n), order_stands
+            )
+        assert len(models) == len(ends)
+        for end, model, (order, lo, hi) in zip(ends, models, expected):
+            assert model.permutation.tobytes() == order.tobytes(), f"end {end}"
+            assert model.lower_bounds.tobytes() == lo.tobytes(), f"end {end}"
+            assert model.upper_bounds.tobytes() == hi.tobytes(), f"end {end}"
+
+    @pytest.mark.parametrize("n, t", [(1, 2), (2, 2), (7, 50), (33, 8_200)])
+    def test_pairwise_is_exactly_symmetric(self, greedy_inputs, n, t):
+        # _greedy_order reads row c of pairwise as column c.
+        data = training_data(n * t, n, t, 1e9, True, True)
+        matrix = matrix_from(data)
+        pairwise = pairwise_correlation(matrix).pairwise
+        assert np.array_equal(pairwise, pairwise.T)
+        ends = sorted({2, (t + 2) // 2, t})
+        train(matrix)
+        list(cs.prefix_models(matrix, ends))
+        assert len(greedy_inputs) >= 1 + len(ends)
+        for pairwise in greedy_inputs:
+            assert np.array_equal(pairwise, pairwise.T)
 
 
 class TestSortNormalize:
@@ -749,6 +859,8 @@ class TestModelPersistence:
             ("sensor_ids", ["a", "b", "c", "d", "a"], "sensor ids are not unique"),
             ("sensor_ids", ["a", "b", "c", "d", 5], "sensor ids must be strings"),
             ("lower_bounds", ["x", 0.0, 0.0, 0.0, 0.0], "malformed model field"),
+            ("sensor_ids", "abcde", "sensor_ids must be a list of strings"),
+            ("sensor_ids", {"a": 1}, "sensor_ids must be a list of strings"),
         ],
     )
     def test_invalid_field_rejected(self, tmp_path, field, value, reason):
