@@ -7,7 +7,6 @@ per-sensor methods, a distribution-fidelity metric and a k-fold evaluation
 harness round out the toolkit.
 """
 
-from .baselines import BaselineSignature, bodik_signature, lan_signature, tuncer_signature
 from .baselines import baseline_signature_batch
 from .core import (
     SensorMatrix,
@@ -58,7 +57,6 @@ from .evaluation import (
 from .fidelity import (
     Histogram2D,
     build_distribution,
-    cs_fidelity,
     expand_signatures,
     fidelity_components,
     fidelity_table,

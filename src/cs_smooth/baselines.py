@@ -10,14 +10,13 @@ features, so one window and a batch of windows run the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cs
-from .core import SensorMatrix, Window, WindowSpec
+from .core import SensorMatrix, WindowSpec
 from .errors import DegenerateInputError, InvalidParameterError
 
 TUNCER_PER_ROW = 11
@@ -25,24 +24,6 @@ BODIK_PER_ROW = 9
 
 _TUNCER_PERCENTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 _BODIK_PERCENTILES = (5.0, 25.0, 35.0, 50.0, 65.0, 75.0, 95.0)
-
-
-@dataclass(frozen=True)
-class BaselineSignature:
-    """Flat per-row feature vector plus the producing method's name."""
-
-    values: np.ndarray
-    method: str
-    window_start: int = 0
-    window_end: int = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _by_row(values: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
@@ -98,38 +79,24 @@ def _lan(values: np.ndarray, subsample_len: int) -> np.ndarray:
     return _by_row(values, [c.mean(axis=-1) for c in chunks])
 
 
-def tuncer_signature(window: Window) -> BaselineSignature:
-    """Eleven statistical indicators per row, concatenated in row order.
-
-    Per row: mean, population std, min, max, percentiles 5/25/50/75/95, sum of
-    changes, absolute sum of changes. Length 11n.
-    """
-    return BaselineSignature(_tuncer(window.values), "tuncer", window.start, window.end)
-
-
-def bodik_signature(window: Window) -> BaselineSignature:
-    """Min, max and seven percentiles per row, concatenated. Length 9n."""
-    return BaselineSignature(_bodik(window.values), "bodik", window.start, window.end)
-
-
-def lan_signature(window: Window, subsample_len: int) -> BaselineSignature:
-    """Mean-filter each row down to ``subsample_len`` values, concatenated.
-
-    Rows split into contiguous chunks whose sizes differ by at most one,
-    larger chunks first; each chunk is replaced by its mean. Length n * subsample_len.
-    """
-    return BaselineSignature(_lan(window.values, subsample_len), "lan", window.start, window.end)
-
-
 def baseline_signature_batch(
     matrix: SensorMatrix, spec: WindowSpec, method: str, lan_subsample: int = 10
 ) -> cs.SignatureBatch:
     """Signatures of every window of windows(matrix, spec) by one baseline method.
 
-    ``method`` is "tuncer", "bodik" or "lan" (``lan_subsample`` values per row).
-    The values are the per-window functions' bit for bit: the same maths runs on
-    time chunks of a sliding window view, each of about cs._CHUNK_VALUES window
-    values, so memory stays bounded. The batch has no imaginary part.
+    Per row, in row order, ``method`` gives:
+
+    - "tuncer": mean, population std, min, max, percentiles 5/25/50/75/95, sum
+      of changes and absolute sum of changes (11n values);
+    - "bodik": min, max and percentiles 5/25/35/50/65/75/95 (9n values);
+    - "lan": the means of ``lan_subsample`` contiguous chunks whose sizes
+      differ by at most one, larger chunks first (n * lan_subsample values).
+
+    Percentiles interpolate linearly between closest ranks. The same maths runs
+    on time chunks of a sliding window view, each of about cs._CHUNK_VALUES
+    window values, so memory stays bounded and every window's values are bit
+    for bit those of a one-window batch on its columns. The batch has no
+    imaginary part.
     """
     maths = {"tuncer": _tuncer, "bodik": _bodik, "lan": partial(_lan, subsample_len=lan_subsample)}
     if method not in maths:

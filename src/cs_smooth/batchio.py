@@ -44,10 +44,11 @@ def write_signature_batch(sink: IO | str | Path, batch: SignatureBatch) -> int:
     return batch.n_signatures
 
 
+@utf8_text("batch file")
 def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
     """Read a batch file back into columnar arrays."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh, utf8_text("batch file"):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_signature_batch(fh)
     reader = csv.reader(source)
     try:
@@ -85,10 +86,11 @@ def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
     )
 
 
+@utf8_text("labels file")
 def read_labels_csv(source: IO | str | Path) -> dict[int, str]:
     """Read a labels file: header then one "window_start,label" row per window."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh, utf8_text("labels file"):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_labels_csv(fh)
     reader = csv.reader(source)
     try:

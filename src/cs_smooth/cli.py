@@ -1,9 +1,10 @@
 """Command-line front end: train, sign, render, fidelity, eval, bench.
 
 Every command is deterministic given its inputs; eval and bench also take
---seed, for the fold shuffle and the random bench windows. sign
+--seed, for the fold shuffle and the random matrices bench signs. sign
 --retrain-every k retrains the cs model every k windows; the baseline
-methods (tuncer, bodik, lan) have no model and reject it. Errors exit
+methods (tuncer, bodik, lan) have no model and reject it. bench times the
+batch signers that sign runs and reports the median seconds per signature. Errors exit
 nonzero after printing a single parsable line, "error: <code>: <reason>".
 The CS_SMOOTH_LOG environment variable (debug/info/warning) controls logging.
 """
@@ -186,7 +187,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
         window=parse_span(args.window),
         step=parse_span(args.step),
         method=args.method,
-        blocks=(args.blocks,) if args.blocks else (),
+        blocks=() if args.blocks is None else (args.blocks,),
         interval=args.interval,
         retrain_every=args.retrain_every,
         lan_subsample=args.lan_subsample,
@@ -346,13 +347,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_model(window, seed: int) -> cs.CSModel:
+_BENCH_WINDOWS = 8  # step-1 windows per timed batch call
+
+
+def _bench_model(matrix: SensorMatrix, seed: int) -> cs.CSModel:
     rng = np.random.default_rng(seed)
     return cs.CSModel(
-        sensor_ids=window.sensor_ids,
-        permutation=rng.permutation(len(window.sensor_ids)),
-        lower_bounds=window.values.min(axis=1),
-        upper_bounds=window.values.max(axis=1),
+        sensor_ids=matrix.sensor_ids,
+        permutation=rng.permutation(matrix.n_sensors),
+        lower_bounds=matrix.data.min(axis=1),
+        upper_bounds=matrix.data.max(axis=1),
     )
 
 
@@ -367,21 +371,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParameterError("--n-list and --wl-list values must be >= 1")
     if args.reps < 1:
         raise InvalidParameterError("--reps must be >= 1")
+    # Each case signs one batch of step-1 windows with the signer sign runs. What
+    # a signature costs depends on the batch size, so that size is fixed.
     cases = []  # (method, n, wl, signer)
     for n in n_list:
         for wl in wl_list:
-            window = synthetic.random_window(n, wl, seed=args.seed)
+            matrix = synthetic.random_matrix(n, wl + _BENCH_WINDOWS - 1, seed=args.seed)
+            spec = WindowSpec(length_samples=wl, step_samples=1)
             for method in methods:
                 if method == "cs":
-                    model = _bench_model(window, args.seed)
-                    fn = functools.partial(cs.compute_signature, window, model, min(args.blocks, n))
-                elif method == "tuncer":
-                    fn = functools.partial(baselines.tuncer_signature, window)
-                elif method == "bodik":
-                    fn = functools.partial(baselines.bodik_signature, window)
+                    fn = functools.partial(
+                        cs.compute_signature_batch, matrix, _bench_model(matrix, args.seed),
+                        spec, min(args.blocks, n),
+                    )
                 else:
                     fn = functools.partial(
-                        baselines.lan_signature, window, min(args.lan_subsample, wl)
+                        baselines.baseline_signature_batch, matrix, spec, method,
+                        min(args.lan_subsample, wl),
                     )
                 cases.append((method, n, wl, fn))
     for *_, fn in cases:
@@ -395,7 +401,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             fn()
             times[rep, i] = time.perf_counter() - t0
     rows = []
-    for (method, n, wl, _), median in zip(cases, np.median(times, axis=0).tolist()):
+    per_signature = np.median(times, axis=0) / _BENCH_WINDOWS
+    for (method, n, wl, _), median in zip(cases, per_signature.tolist()):
         rows.append((method, n, wl, median))
         log.info("bench %s n=%d wl=%d median=%.6fs", method, n, wl, median)
     batchio.write_csv_report(
@@ -469,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(handler=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="median signature times over a size grid")
+    p_bench = sub.add_parser(
+        "bench", help="median seconds per signature of sign's batch signers over a size grid"
+    )
     p_bench.add_argument("--methods", default="cs,tuncer,bodik,lan")
     p_bench.add_argument("--n-list", default="100,1000", help="comma-separated sensor counts")
     p_bench.add_argument("--wl-list", default="10,100", help="comma-separated window lengths")

@@ -218,13 +218,3 @@ def fidelity_components(
     """fidelity_table for one block count."""
     return fidelity_table(original, model, spec, (n_blocks,), bins)[0]
 
-
-def cs_fidelity(
-    original: SensorMatrix,
-    model: CSModel,
-    spec: WindowSpec,
-    n_blocks: int,
-    bins: int = DEFAULT_BINS,
-) -> float:
-    """Mean of the value and derivative divergences; see fidelity_components."""
-    return fidelity_components(original, model, spec, n_blocks, bins).js_mean

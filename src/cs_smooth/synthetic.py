@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SensorMatrix, TimeGrid, Window
+from .core import SensorMatrix, TimeGrid
 
 
 def smooth_signal(t: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,13 +125,11 @@ def class_stream(
     )
 
 
-def random_window(n_sensors: int, length: int, seed: int = 0) -> Window:
-    """A uniform-random window, e.g. for timing signature methods."""
+def random_matrix(n_sensors: int, n_samples: int, seed: int = 0) -> SensorMatrix:
+    """A uniform-random sensor matrix, e.g. for timing signature methods."""
     rng = np.random.default_rng(seed)
-    return Window(
+    return SensorMatrix(
         sensor_ids=tuple(f"s{i:05d}" for i in range(n_sensors)),
-        values=rng.uniform(0.0, 1.0, size=(n_sensors, length)),
-        preceding=rng.uniform(0.0, 1.0, size=n_sensors),
-        start=0,
-        end=(length - 1) * 1000,
+        grid=TimeGrid(start=0, interval=1000, count=n_samples),
+        data=rng.uniform(0.0, 1.0, size=(n_sensors, n_samples)),
     )

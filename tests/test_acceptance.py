@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from cs_smooth.baselines import tuncer_signature
+from cs_smooth.baselines import baseline_signature_batch
 from cs_smooth.cli import main as cli_main
 from cs_smooth.core import SensorMatrix, SensorSeries, TimeGrid, WindowSpec, align, finite_difference, windows
 from cs_smooth.cs import block_layout, compute_signature, compute_signature_batch, train
@@ -195,7 +195,7 @@ def test_criterion_4_compression_ratio():
     window = next(windows(matrix, WindowSpec(16, 16)))
     sig = compute_signature(window, model, 20)
     cs_size = len(sig.blocks_real) + len(sig.blocks_imag)
-    tuncer_size = len(tuncer_signature(window))
+    tuncer_size = baseline_signature_batch(matrix, WindowSpec(16, 16), "tuncer").n_blocks
     ok = cs_size == 40 and tuncer_size == 1408 and tuncer_size > 10 * cs_size
     assert report(4, ok, f"cs {cs_size} values vs tuncer {tuncer_size} ({tuncer_size / cs_size:.1f}x)")
 

@@ -7,29 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cs_smooth import cs
-from cs_smooth.baselines import (
-    BODIK_PER_ROW,
-    TUNCER_PER_ROW,
-    baseline_signature_batch,
-    bodik_signature,
-    lan_signature,
-    tuncer_signature,
-)
-from cs_smooth.core import SensorMatrix, TimeGrid, Window, WindowSpec, windows
+from cs_smooth.baselines import BODIK_PER_ROW, TUNCER_PER_ROW, baseline_signature_batch
+from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, windows
 from cs_smooth.errors import DegenerateInputError, InvalidParameterError
 
 from naive_reference import naive_bodik, naive_lan, naive_tuncer
 
 
-def window_from(rows):
-    rows = np.asarray(rows, dtype=float)
-    return Window(
-        sensor_ids=tuple(f"s{i}" for i in range(rows.shape[0])),
-        values=rows,
-        preceding=None,
-        start=100,
-        end=100 + (rows.shape[1] - 1) * 10,
+def matrix_from(values):
+    values = np.asarray(values, dtype=float)
+    return SensorMatrix(
+        sensor_ids=tuple(f"s{i}" for i in range(values.shape[0])),
+        grid=TimeGrid(5_000, 250, values.shape[1]),
+        data=values,
     )
+
+
+def sign_one(rows, method, sub=0):
+    """The signature of one window holding all of ``rows`` (n x w)."""
+    w = np.shape(rows)[1]
+    return baseline_signature_batch(matrix_from(rows), WindowSpec(w, w), method, sub).real[0]
 
 
 def interp_percentile(values, q):
@@ -43,7 +40,7 @@ def interp_percentile(values, q):
 
 class TestTuncer:
     def test_hand_computed_row(self):
-        sig = tuncer_signature(window_from([[1.0, 2.0, 3.0, 4.0]]))
+        row = sign_one([[1.0, 2.0, 3.0, 4.0]], "tuncer")
         expected = [
             2.5,                      # mean
             math.sqrt(1.25),          # population std
@@ -53,83 +50,83 @@ class TestTuncer:
             3.0,                      # sum of changes
             3.0,                      # absolute sum of changes
         ]
-        np.testing.assert_allclose(sig.values, expected, atol=1e-12)
-        assert sig.method == "tuncer"
+        np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_percentiles_match_hand_rule(self):
-        row = [3.0, -1.0, 7.0, 2.0, 5.0, 0.0]
-        sig = tuncer_signature(window_from([row]))
+        values = [3.0, -1.0, 7.0, 2.0, 5.0, 0.0]
+        row = sign_one([values], "tuncer")
         for k, q in enumerate((5, 25, 50, 75, 95)):
-            assert sig.values[4 + k] == pytest.approx(interp_percentile(row, q), abs=1e-12)
+            assert row[4 + k] == pytest.approx(interp_percentile(values, q), abs=1e-12)
 
     def test_constant_row(self):
-        sig = tuncer_signature(window_from([[4.0, 4.0, 4.0]]))
-        assert sig.values.tolist() == [4, 0, 4, 4, 4, 4, 4, 4, 4, 0, 0]
+        row = sign_one([[4.0, 4.0, 4.0]], "tuncer")
+        assert row.tolist() == [4, 0, 4, 4, 4, 4, 4, 4, 4, 0, 0]
 
     def test_published_size_formula(self):
         rows = np.random.default_rng(0).uniform(size=(128, 6))
-        assert len(tuncer_signature(window_from(rows))) == 128 * 11 == 1408
+        assert len(sign_one(rows, "tuncer")) == 128 * 11 == 1408
 
     def test_needs_two_samples(self):
-        with pytest.raises(DegenerateInputError):
-            tuncer_signature(window_from([[1.0]]))
+        # A matrix holds at least two samples, so the one-sample windows are two.
+        with pytest.raises(DegenerateInputError, match="tuncer"):
+            baseline_signature_batch(matrix_from([[1.0, 2.0]]), WindowSpec(1, 1), "tuncer")
 
     def test_nonmonotone_change_sums(self):
-        sig = tuncer_signature(window_from([[0.0, 10.0, 5.0]]))
-        assert sig.values[-2] == 5.0   # (10-0) + (5-10)
-        assert sig.values[-1] == 15.0  # |10| + |-5|
+        row = sign_one([[0.0, 10.0, 5.0]], "tuncer")
+        assert row[-2] == 5.0   # (10-0) + (5-10)
+        assert row[-1] == 15.0  # |10| + |-5|
 
 
 class TestBodik:
     def test_published_size_formula(self):
         rows = np.random.default_rng(0).uniform(size=(128, 6))
-        assert len(bodik_signature(window_from(rows))) == 128 * 9 == 1152
+        assert len(sign_one(rows, "bodik")) == 128 * 9 == 1152
 
     def test_constant_row(self):
-        sig = bodik_signature(window_from([[2.5, 2.5, 2.5]]))
-        assert sig.values.tolist() == [2.5] * 9
+        row = sign_one([[2.5, 2.5, 2.5]], "bodik")
+        assert row.tolist() == [2.5] * 9
 
     def test_median_of_two(self):
-        sig = bodik_signature(window_from([[0.0, 10.0]]))
+        row = sign_one([[0.0, 10.0]], "bodik")
         # order: min, max, p5, p25, p35, p50, p65, p75, p95
-        assert sig.values[5] == 5.0
+        assert row[5] == 5.0
 
     def test_single_sample_window(self):
-        sig = bodik_signature(window_from([[3.0]]))
-        assert sig.values.tolist() == [3.0] * 9
+        batch = baseline_signature_batch(matrix_from([[3.0, -1.0]]), WindowSpec(1, 1), "bodik")
+        assert batch.real.tolist() == [[3.0] * 9, [-1.0] * 9]
 
 
 class TestLan:
     def test_two_chunk_means(self):
-        sig = lan_signature(window_from([[1.0, 2.0, 3.0, 4.0]]), 2)
-        assert sig.values.tolist() == [1.5, 3.5]
+        row = sign_one([[1.0, 2.0, 3.0, 4.0]], "lan", 2)
+        assert row.tolist() == [1.5, 3.5]
 
     def test_identity_subsampling(self):
-        sig = lan_signature(window_from([[1.0, 5.0, 2.0]]), 3)
-        assert sig.values.tolist() == [1.0, 5.0, 2.0]
+        row = sign_one([[1.0, 5.0, 2.0]], "lan", 3)
+        assert row.tolist() == [1.0, 5.0, 2.0]
 
     def test_uneven_chunks_larger_first(self):
-        sig = lan_signature(window_from([[1.0, 2.0, 3.0]]), 2)
-        assert sig.values.tolist() == [1.5, 3.0]
+        row = sign_one([[1.0, 2.0, 3.0]], "lan", 2)
+        assert row.tolist() == [1.5, 3.0]
 
     def test_size_formula(self):
         rows = np.random.default_rng(1).uniform(size=(7, 12))
-        assert len(lan_signature(window_from(rows), 5)) == 7 * 5
+        assert len(sign_one(rows, "lan", 5)) == 7 * 5
 
     def test_subsample_longer_than_window(self):
         with pytest.raises(InvalidParameterError):
-            lan_signature(window_from([[1.0, 2.0]]), 3)
+            sign_one([[1.0, 2.0]], "lan", 3)
 
 
 @given(st.integers(1, 12), st.integers(2, 20), st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
 def test_output_lengths_match_formulas(n, wl, seed):
     rng = np.random.default_rng(seed)
-    w = window_from(rng.uniform(size=(n, wl)))
-    assert len(tuncer_signature(w)) == n * TUNCER_PER_ROW
-    assert len(bodik_signature(w)) == n * BODIK_PER_ROW
+    rows = rng.uniform(size=(n, wl))
+    assert len(sign_one(rows, "tuncer")) == n * TUNCER_PER_ROW
+    assert len(sign_one(rows, "bodik")) == n * BODIK_PER_ROW
     sub = int(rng.integers(1, wl + 1))
-    assert len(lan_signature(w, sub)) == n * sub
+    assert len(sign_one(rows, "lan", sub)) == n * sub
 
 
 @given(st.integers(2, 8), st.integers(2, 12), st.integers(0, 2**32 - 1))
@@ -140,42 +137,27 @@ def test_row_locality_under_permutation(n, wl, seed):
     rng = np.random.default_rng(seed)
     values = rng.uniform(size=(n, wl))
     perm = rng.permutation(n)
-    for method, args in (
-        (tuncer_signature, ()),
-        (bodik_signature, ()),
-        (lan_signature, (min(3, wl),)),
-    ):
-        base = method(window_from(values), *args).values
-        permuted = method(window_from(values[perm]), *args).values
+    for method, sub in (("tuncer", 0), ("bodik", 0), ("lan", min(3, wl))):
+        base = sign_one(values, method, sub)
+        permuted = sign_one(values[perm], method, sub)
         per_row = len(base) // n
         base_rows = base.reshape(n, per_row)
         np.testing.assert_array_equal(permuted.reshape(n, per_row), base_rows[perm])
 
 
-def matrix_from(values):
-    values = np.asarray(values, dtype=float)
-    return SensorMatrix(
-        sensor_ids=tuple(f"s{i}" for i in range(values.shape[0])),
-        grid=TimeGrid(5_000, 250, values.shape[1]),
-        data=values,
-    )
-
-
 class TestBaselineSignatureBatch:
     @staticmethod
-    def per_window(matrix, spec, method, sub):
-        makers = {
-            "tuncer": tuncer_signature,
-            "bodik": bodik_signature,
-            "lan": lambda w: lan_signature(w, sub),
-        }
-        return [makers[method](w) for w in windows(matrix, spec)]
-
-    def assert_same(self, batch, sigs):
+    def assert_same(batch, matrix, spec, method, sub):
+        # Each window against a one-window batch on its own columns.
+        width = spec.length_samples
+        one_window = [
+            sign_one(matrix.data[:, s : s + width], method, sub)
+            for s in spec.starts(matrix.n_samples)
+        ]
         assert batch.imag is None
-        assert np.array_equal(batch.real, np.stack([s.values for s in sigs]))
-        assert batch.window_starts.tolist() == [s.window_start for s in sigs]
-        assert batch.window_ends.tolist() == [s.window_end for s in sigs]
+        assert np.array_equal(batch.real, np.stack(one_window))
+        assert batch.window_starts.tolist() == [w.start for w in windows(matrix, spec)]
+        assert batch.window_ends.tolist() == [w.end for w in windows(matrix, spec)]
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -201,7 +183,7 @@ class TestBaselineSignatureBatch:
         with mock.patch.object(cs, "_CHUNK_VALUES", chunk):
             for method, sub in [("tuncer", 0), ("bodik", 0), *(("lan", k) for k in subs)]:
                 batch = baseline_signature_batch(mat, spec, method, sub)
-                self.assert_same(batch, self.per_window(mat, spec, method, sub))
+                self.assert_same(batch, mat, spec, method, sub)
                 for row, w in zip(batch.real, windows(mat, spec)):
                     rows = w.values.tolist()
                     expected = naive_lan(rows, sub) if method == "lan" else naive[method](rows)
@@ -215,10 +197,7 @@ class TestBaselineSignatureBatch:
         spec = WindowSpec(16, step)
         monkeypatch.setattr(cs, "_CHUNK_VALUES", 7 * 16 * 3)
         for method in ("tuncer", "bodik", "lan"):
-            self.assert_same(
-                baseline_signature_batch(mat, spec, method, 5),
-                self.per_window(mat, spec, method, 5),
-            )
+            self.assert_same(baseline_signature_batch(mat, spec, method, 5), mat, spec, method, 5)
 
     def test_window_longer_than_data_is_degenerate(self):
         mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))

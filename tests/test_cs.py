@@ -771,11 +771,11 @@ class TestRuntimeScaling:
         all of them rather than on one side of a ratio."""
         import time
 
-        from cs_smooth.synthetic import random_window
+        from cs_smooth.synthetic import random_matrix
 
         calls = []
         for n, wl in shapes:
-            window = random_window(n, wl, seed=1)
+            window = next(windows(random_matrix(n, wl, seed=1), WindowSpec(wl, wl)))
             rng = np.random.default_rng(2)
             model = CSModel(
                 sensor_ids=window.sensor_ids,

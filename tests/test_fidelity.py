@@ -20,7 +20,6 @@ from cs_smooth.fidelity import (
     FidelityComponents,
     Histogram2D,
     build_distribution,
-    cs_fidelity,
     expand_signatures,
     fidelity_components,
     fidelity_table,
@@ -186,8 +185,8 @@ class TestCsFidelity:
         mat = anti_correlated_matrix(16, 16, 8, t=400, seed=3)
         model = train(mat)
         spec = WindowSpec(20, 20)
-        coarse = cs_fidelity(mat, model, spec, 5)
-        fine = cs_fidelity(mat, model, spec, 40)
+        coarse = fidelity_components(mat, model, spec, 5).js_mean
+        fine = fidelity_components(mat, model, spec, 40).js_mean
         assert fine <= coarse + 0.01
 
     def test_self_comparison_is_zero(self):
