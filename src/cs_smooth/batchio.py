@@ -18,6 +18,8 @@ import numpy as np
 from .cs import SignatureBatch
 from .errors import EmptyInputError, FormatError, utf8_text
 
+_INT64 = np.iinfo(np.int64)
+
 
 def write_signature_batch(sink: IO | str | Path, batch: SignatureBatch) -> int:
     """Write a batch as CSV, one signature per row; returns the row count."""
@@ -63,7 +65,7 @@ def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
         raise FormatError("batch header does not declare real_*/imag_* columns")
     if n_imag not in (0, n_real):
         raise FormatError("imaginary column count must match real column count")
-    starts, ends, rows = [], [], []
+    starts, ends, rows, linenos = [], [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -75,9 +77,15 @@ def read_signature_batch(source: IO | str | Path) -> SignatureBatch:
             rows.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
+        if not (_INT64.min <= starts[-1] <= _INT64.max and _INT64.min <= ends[-1] <= _INT64.max):
+            raise FormatError(f"line {lineno}: window instants must fit in int64")
+        linenos.append(lineno)
     if not rows:
         raise EmptyInputError("signature batch holds no rows")
     table = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"line {linenos[finite.argmin()]}: non-finite block value")
     return SignatureBatch(
         window_starts=np.array(starts, dtype=np.int64),
         window_ends=np.array(ends, dtype=np.int64),

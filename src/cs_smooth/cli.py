@@ -4,9 +4,13 @@ Every command is deterministic given its inputs; eval and bench also take
 --seed, for the fold shuffle and the random matrices bench signs. sign
 --retrain-every k retrains the cs model every k windows; the baseline
 methods (tuncer, bodik, lan) have no model and reject it. bench times the
-batch signers that sign runs and reports the median seconds per signature. Errors exit
-nonzero after printing a single parsable line, "error: <code>: <reason>".
-The CS_SMOOTH_LOG environment variable (debug/info/warning) controls logging.
+batch signers that sign runs and reports the median seconds per signature.
+
+Each flag is checked once, by its argparse type, and every default lives in
+the parser; sign's two cross-flag checks run next. So a bad flag is reported
+before any file is read. Errors exit nonzero after printing a single
+parsable line, "error: <code>: <reason>". The CS_SMOOTH_LOG environment
+variable (debug/info/warning) controls logging.
 """
 
 from __future__ import annotations
@@ -68,16 +72,6 @@ class Span:
         return self.value // interval_ms
 
 
-def parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """Parse a comma-separated list of integers, e.g. ``--blocks 5,10``."""
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise InvalidParameterError(
-            f"{flag} must be comma-separated integers, got {text!r}"
-        ) from None
-
-
 def parse_span(text: str) -> Span:
     m = _SPAN_RE.match(text.strip())
     if not m:
@@ -92,37 +86,34 @@ def parse_span(text: str) -> Span:
     return Span(value * _SPAN_MS[unit], "ms")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters shared by the dataset-driven commands."""
+# Argparse types. Argparse catches only ValueError, TypeError and
+# ArgumentTypeError from a type, so an InvalidParameterError reaches main as is.
+def _counts(what: str, many: bool = False):
+    """An integer >= 1, or with ``many`` a comma-separated list of them."""
 
-    dataset_dir: Path
-    window: Span
-    step: Span
-    method: str = "cs"
-    blocks: tuple[int, ...] = ()
-    interval: int | None = None
-    retrain_every: int | None = None
-    lan_subsample: int = 10
+    def convert(text: str):
+        try:
+            values = tuple(int(tok) for tok in text.split(",")) if many else (int(text),)
+        except ValueError:
+            raise InvalidParameterError(f"{what} must be integers, got {text!r}") from None
+        if min(values) < 1:
+            raise InvalidParameterError(f"{what} must be >= 1")
+        return values if many else values[0]
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidParameterError(f"unknown method {self.method!r}")
-        if any(b < 1 for b in self.blocks):
-            raise InvalidParameterError("block counts must be >= 1")
-        if self.retrain_every is not None and self.retrain_every < 1:
-            raise InvalidParameterError("--retrain-every must be >= 1")
-        if self.retrain_every is not None and self.method != "cs":
-            raise InvalidParameterError("--retrain-every needs method cs: baselines have no model")
-        if self.interval is not None and self.interval < 1:
-            raise InvalidParameterError("--interval must be >= 1 ms")
-        if self.lan_subsample < 1:
-            raise InvalidParameterError("--lan-subsample must be >= 1")
+    return convert
 
 
-def _load_matrix(config: RunConfig) -> SensorMatrix:
-    series = load_dataset_dir(config.dataset_dir)
-    grid = infer_grid(series, interval=config.interval)
+def _method_list(text: str) -> tuple[str, ...]:
+    methods = tuple(tok.strip() for tok in text.split(","))
+    for m in methods:
+        if m not in METHODS:
+            raise InvalidParameterError(f"unknown method {m!r}")
+    return methods
+
+
+def _load_matrix(args: argparse.Namespace) -> SensorMatrix:
+    series = load_dataset_dir(args.dataset)
+    grid = infer_grid(series, interval=args.interval)
     matrix = align(series, grid)
     log.info(
         "loaded %d sensors x %d samples (interval %dms)",
@@ -133,23 +124,17 @@ def _load_matrix(config: RunConfig) -> SensorMatrix:
     return matrix
 
 
-def _window_spec(config: RunConfig, matrix: SensorMatrix) -> WindowSpec:
+def _window_spec(args: argparse.Namespace, matrix: SensorMatrix) -> WindowSpec:
     interval = matrix.grid.interval
     return WindowSpec(
-        length_samples=config.window.to_samples(interval),
-        step_samples=config.step.to_samples(interval),
+        length_samples=args.window.to_samples(interval),
+        step_samples=args.step.to_samples(interval),
     )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        dataset_dir=Path(args.dataset),
-        window=Span(1, "samples"),
-        step=Span(1, "samples"),
-        interval=args.interval,
-    )
     started = time.perf_counter()
-    matrix = _load_matrix(config)
+    matrix = _load_matrix(args)
     model = cs.train(matrix)
     elapsed = time.perf_counter() - started
     cs.save_model(model, args.out)
@@ -160,13 +145,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sign_cs(args: argparse.Namespace, config: RunConfig, matrix: SensorMatrix):
+def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix):
     """Sign every window, one batch per run of windows that share a model."""
-    spec = _window_spec(config, matrix)
+    spec = _window_spec(args, matrix)
     model = cs.load_model(args.model)
-    n_blocks = config.blocks[0] if config.blocks else 20
     starts = spec.starts(matrix.n_samples)
-    every = config.retrain_every
+    every = args.retrain_every
     cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
     # Each retrain learns from every sample before its first window.
     retrained = cs.prefix_models(matrix, (starts[i] for i in cuts))
@@ -176,32 +160,22 @@ def _sign_cs(args: argparse.Namespace, config: RunConfig, matrix: SensorMatrix):
             model = next(retrained)
             if log.isEnabledFor(logging.INFO):
                 log.info("window %d: retrained model %s", first, model.model_id)
-        parts.append(cs.compute_signature_batch(matrix, model, spec, n_blocks, first, stop))
+        parts.append(cs.compute_signature_batch(matrix, model, spec, args.blocks, first, stop))
     fields = ("window_starts", "window_ends", "real", "imag")
     return cs.SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
 
 
 def cmd_sign(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        dataset_dir=Path(args.dataset),
-        window=parse_span(args.window),
-        step=parse_span(args.step),
-        method=args.method,
-        blocks=() if args.blocks is None else (args.blocks,),
-        interval=args.interval,
-        retrain_every=args.retrain_every,
-        lan_subsample=args.lan_subsample,
-    )
-    matrix = _load_matrix(config)
-    if config.method == "cs":
-        if not args.model:
-            raise InvalidParameterError("--model is required for method cs")
-        batch = _sign_cs(args, config, matrix)
+    if args.method == "cs" and not args.model:
+        raise InvalidParameterError("--model is required for method cs")
+    if args.method != "cs" and args.retrain_every is not None:
+        raise InvalidParameterError("--retrain-every needs method cs: baselines have no model")
+    matrix = _load_matrix(args)
+    if args.method == "cs":
+        batch = _sign_cs(args, matrix)
     else:
-        spec = _window_spec(config, matrix)
-        batch = baselines.baseline_signature_batch(
-            matrix, spec, config.method, config.lan_subsample
-        )
+        spec = _window_spec(args, matrix)
+        batch = baselines.baseline_signature_batch(matrix, spec, args.method, args.lan_subsample)
     count = batchio.write_signature_batch(args.out, batch)
     print(f"wrote {count} signatures to {args.out}")
     return 0
@@ -229,20 +203,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    block_list = parse_int_list(args.blocks, "--blocks")
-    config = RunConfig(
-        dataset_dir=Path(args.dataset),
-        window=parse_span(args.window),
-        step=parse_span(args.step),
-        blocks=block_list,
-        interval=args.interval,
-    )
-    matrix = _load_matrix(config)
-    spec = _window_spec(config, matrix)
+    matrix = _load_matrix(args)
+    spec = _window_spec(args, matrix)
     model = cs.load_model(args.model)
-    table = fidelity.fidelity_table(matrix, model, spec, block_list, bins=args.bins)
+    table = fidelity.fidelity_table(matrix, model, spec, args.blocks, bins=args.bins)
     rows = []
-    for n_blocks, comp in zip(block_list, table):
+    for n_blocks, comp in zip(args.blocks, table):
         rows.append((n_blocks, comp.js_real, comp.js_imag, comp.js_mean))
         log.info("l=%d js_real=%.4f js_imag=%.4f", n_blocks, comp.js_real, comp.js_imag)
     batchio.write_csv_report(args.out, ["l", "js_real", "js_imag", "js_mean"], rows)
@@ -361,24 +327,14 @@ def _bench_model(matrix: SensorMatrix, seed: int) -> cs.CSModel:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    methods = tuple(tok.strip() for tok in args.methods.split(","))
-    for m in methods:
-        if m not in METHODS:
-            raise InvalidParameterError(f"unknown method {m!r}")
-    n_list = parse_int_list(args.n_list, "--n-list")
-    wl_list = parse_int_list(args.wl_list, "--wl-list")
-    if min(n_list) < 1 or min(wl_list) < 1:
-        raise InvalidParameterError("--n-list and --wl-list values must be >= 1")
-    if args.reps < 1:
-        raise InvalidParameterError("--reps must be >= 1")
     # Each case signs one batch of step-1 windows with the signer sign runs. What
     # a signature costs depends on the batch size, so that size is fixed.
     cases = []  # (method, n, wl, signer)
-    for n in n_list:
-        for wl in wl_list:
+    for n in args.n_list:
+        for wl in args.wl_list:
             matrix = synthetic.random_matrix(n, wl + _BENCH_WINDOWS - 1, seed=args.seed)
             spec = WindowSpec(length_samples=wl, step_samples=1)
-            for method in methods:
+            for method in args.methods:
                 if method == "cs":
                     fn = functools.partial(
                         cs.compute_signature_batch, matrix, _bench_model(matrix, args.seed),
@@ -428,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="learn a sorting/normalization model")
     p_train.add_argument("--dataset", required=True, help="directory of per-sensor CSVs")
-    p_train.add_argument("--interval", type=int, help="grid interval in ms (default: inferred)")
+    p_train.add_argument("--interval", type=_counts("--interval"),
+                         help="grid interval in ms (default: inferred)")
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(handler=cmd_train)
 
@@ -436,12 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--dataset", required=True)
     p_sign.add_argument("--model", help="model file (required for method cs)")
     p_sign.add_argument("--method", choices=METHODS, default="cs")
-    p_sign.add_argument("--window", required=True, help="window length: samples or <int>(ms|s|m|h)")
-    p_sign.add_argument("--step", required=True, help="window step: samples or duration")
-    p_sign.add_argument("--blocks", type=int, help="signature blocks for method cs (default 20)")
-    p_sign.add_argument("--lan-subsample", type=int, default=10)
-    p_sign.add_argument("--retrain-every", type=int, help="retrain on history every k windows")
-    p_sign.add_argument("--interval", type=int)
+    p_sign.add_argument("--window", type=parse_span, required=True,
+                        help="window length: samples or <int>(ms|s|m|h)")
+    p_sign.add_argument("--step", type=parse_span, required=True,
+                        help="window step: samples or duration")
+    p_sign.add_argument("--blocks", type=_counts("block counts"), default=20,
+                        help="signature blocks for method cs (default 20)")
+    p_sign.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
+    p_sign.add_argument("--retrain-every", type=_counts("--retrain-every"),
+                        help="retrain on history every k windows")
+    p_sign.add_argument("--interval", type=_counts("--interval"))
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(handler=cmd_sign)
 
@@ -454,11 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid = sub.add_parser("fidelity", help="compression fidelity across block counts")
     p_fid.add_argument("--dataset", required=True)
     p_fid.add_argument("--model", required=True)
-    p_fid.add_argument("--window", required=True)
-    p_fid.add_argument("--step", required=True)
-    p_fid.add_argument("--blocks", required=True, help="comma-separated block counts")
-    p_fid.add_argument("--bins", type=int, default=fidelity.DEFAULT_BINS)
-    p_fid.add_argument("--interval", type=int)
+    p_fid.add_argument("--window", type=parse_span, required=True)
+    p_fid.add_argument("--step", type=parse_span, required=True)
+    p_fid.add_argument("--blocks", type=_counts("block counts", many=True), required=True,
+                       help="comma-separated block counts")
+    p_fid.add_argument("--bins", type=_counts("--bins"), default=fidelity.DEFAULT_BINS)
+    p_fid.add_argument("--interval", type=_counts("--interval"))
     p_fid.add_argument("--out", required=True)
     p_fid.set_defaults(handler=cmd_fidelity)
 
@@ -479,12 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="median seconds per signature of sign's batch signers over a size grid"
     )
-    p_bench.add_argument("--methods", default="cs,tuncer,bodik,lan")
-    p_bench.add_argument("--n-list", default="100,1000", help="comma-separated sensor counts")
-    p_bench.add_argument("--wl-list", default="10,100", help="comma-separated window lengths")
-    p_bench.add_argument("--blocks", type=int, default=20)
-    p_bench.add_argument("--lan-subsample", type=int, default=10)
-    p_bench.add_argument("--reps", type=int, default=20)
+    p_bench.add_argument("--methods", type=_method_list, default=METHODS)
+    p_bench.add_argument("--n-list", type=_counts("--n-list", many=True), default=(100, 1000),
+                         help="comma-separated sensor counts")
+    p_bench.add_argument("--wl-list", type=_counts("--wl-list", many=True), default=(10, 100),
+                         help="comma-separated window lengths")
+    p_bench.add_argument("--blocks", type=_counts("block counts"), default=20)
+    p_bench.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
+    p_bench.add_argument("--reps", type=_counts("--reps"), default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(handler=cmd_bench)

@@ -21,6 +21,7 @@ from .errors import (
     CsSmoothError,
     DegenerateInputError,
     EmptyInputError,
+    InvalidParameterError,
     ParseError,
     RejectedValueError,
 )
@@ -76,6 +77,8 @@ class TimeGrid:
             raise CsSmoothError("grid interval must be positive")
         if self.count < 1:
             raise CsSmoothError("grid count must be positive")
+        if self.interval > _INT64.max or not _INT64.min <= self.start <= self.end <= _INT64.max:
+            raise InvalidParameterError("grid interval and instants must fit in int64 ms")
 
     @property
     def end(self) -> int:

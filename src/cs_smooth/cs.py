@@ -546,10 +546,11 @@ def compute_signature_batches(
         # the window). The windows are a strided view of norm from column 1 on
         # (as sliding_window_view builds it, at a fraction of the call cost);
         # each window's sum runs along its contiguous row segment, as
-        # compute_signature's does.
+        # compute_signature's does. A one-window chunk never uses the window
+        # stride, and step may exceed what a stride can hold: cols bounds it.
         sums = sums_buf[: 2 * n * k].reshape(2, n, k)
         windows = np.ndarray(
-            (n, k, width), buffer=norm_buf, offset=8, strides=(8 * cols, 8 * step, 8)
+            (n, k, width), buffer=norm_buf, offset=8, strides=(8 * cols, 8 * min(step, cols), 8)
         )
         windows.sum(axis=2, out=sums[0])
         np.subtract(norm[:, width::step], norm[:, : (k - 1) * step + 1 : step], out=sums[1])

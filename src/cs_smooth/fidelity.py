@@ -174,11 +174,14 @@ def fidelity_table(
     """
     if bins < 1:
         raise InvalidParameterError(f"bin count must be >= 1, got {bins}")
+    n, t = original.data.shape
+    try:
+        values, derivs = np.empty((2, n, bins), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+        raise InvalidParameterError(f"{bins} bins per sensor do not fit in memory") from None
     batches = compute_signature_batches(original, model, spec, block_counts)
     # Original side: rows in chunks of about _CHUNK_VALUES values, sharing two
     # buffers that are binned in place; count rows then go to permutation order.
-    n, t = original.data.shape
-    values, derivs = np.empty((2, n, bins), dtype=np.int64)
     per_chunk = min(n, max(1, _CHUNK_VALUES // t))
     norm_buf, diff_buf = np.empty((2, per_chunk, t))
     for start in range(0, n, per_chunk):

@@ -79,6 +79,14 @@ class TestTrainCommand:
         dataset = write_dataset(data)
         assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
 
+    @pytest.mark.parametrize("interval", [2**63, 99999999999999999999])
+    def test_interval_beyond_int64(self, write_dataset, tmp_path, capsys, interval):
+        dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--interval", interval, "--out", out) == 1
+        assert_one_line_error(capsys, "invalid-parameter")
+        assert not out.exists()
+
 
 class TestIngestErrors:
     @pytest.mark.parametrize(
@@ -277,6 +285,22 @@ class TestSignCommand:
         assert err == "error: invalid-parameter: block counts must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--blocks", 2], ["--model", "model.json", "--blocks", 0]]
+    )
+    def test_flags_checked_before_any_file_is_read(self, write_dataset, tmp_path, capsys, flags):
+        # The dataset holds a malformed CSV and no model file exists, so only a
+        # check made before reading either reports invalid-parameter.
+        dataset = write_dataset(np.random.default_rng(4).uniform(size=(24, 10)))
+        (dataset / "s001.csv").write_bytes(b"0,1.0\n1000,x\n")
+        flags = [tmp_path / f if f == "model.json" else f for f in flags]
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--window", 4, "--step", 4, *flags, "--out", out,
+        ) == 1
+        assert_one_line_error(capsys, "invalid-parameter")
+        assert not out.exists()
+
     def test_model_mismatch_reported(self, write_dataset, tmp_path, capsys):
         rng = np.random.default_rng(6)
         dataset = write_dataset(rng.uniform(size=(3, 10)))
@@ -311,6 +335,34 @@ class TestWindowLongerThanData:
         )
         assert code == 1
         assert_one_line_error(capsys, "degenerate-input")
+
+
+class TestStepBeyondStream:
+    """A step longer than any stride numpy can hold still signs the one window,
+    byte for byte as a step of the whole stream does."""
+
+    @pytest.mark.parametrize("step", [2**60, 2**63, 10**30])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sign", "--blocks", 2],
+            ["sign", "--blocks", 2, "--retrain-every", 1],
+            ["fidelity", "--blocks", "1,2"],
+        ],
+    )
+    def test_matches_step_of_whole_stream(self, write_dataset, tmp_path, argv, step):
+        dataset = write_dataset(np.random.default_rng(14).uniform(size=(4, 30)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        outputs = []
+        for name, value in (("whole.csv", 30), ("huge.csv", step)):
+            out = tmp_path / name
+            assert run(
+                *argv, "--dataset", dataset, "--model", model,
+                "--window", 5, "--step", value, "--out", out,
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestRenderCommand:
@@ -465,6 +517,22 @@ class TestFidelityCommand:
             "--window", 5, "--step", 1, *flags, "--out", out,
         ) == 1
         assert_one_line_error(capsys, code)
+        assert not out.exists()
+
+    # (2, 4 sensors, bins) int64 counts: 2**61 bytes, beyond any address space,
+    # so the allocation fails at once; 10**20 bins exceed what numpy can index.
+    @pytest.mark.parametrize("bins", [2**55, 10**20])
+    def test_bins_beyond_memory(self, write_dataset, tmp_path, capsys, bins):
+        dataset = write_dataset(np.random.default_rng(9).uniform(size=(4, 20)))
+        model = tmp_path / "model.json"
+        assert run("train", "--dataset", dataset, "--out", model) == 0
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run(
+            "fidelity", "--dataset", dataset, "--model", model, "--window", 5,
+            "--step", 5, "--blocks", 2, "--bins", bins, "--out", out,
+        ) == 1
+        assert_one_line_error(capsys, "invalid-parameter")
         assert not out.exists()
 
     def test_malformed_block_list(self, write_dataset, tmp_path, capsys):
@@ -734,6 +802,38 @@ class TestNonUtf8Files:
         assert_one_line_error(capsys, "format")
 
 
+class TestBadBatchRow:
+    """A window instant outside int64 or a non-finite block value in a batch
+    file ends in one ``error: format:`` line, in every command that reads it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["render", "eval"])
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            (0, b"99999999999999999999999", "window instants must fit in int64"),
+            (1, b"-9223372036854775809", "window instants must fit in int64"),
+            (2, b"nan", "non-finite block value"),
+            (9, b"-inf", "non-finite block value"),
+            (13, b"1e999", "non-finite block value"),
+        ],
+    )
+    def test_one_format_line(self, tmp_path, capsys, command, field, value, reason):
+        batch, labels = make_labeled_batch(tmp_path)
+        lines = batch.read_bytes().split(b"\r\n")
+        row = lines[3].split(b",")
+        row[field] = value
+        lines[3] = b",".join(row)
+        batch.write_bytes(b"\r\n".join(lines))
+        argv = {
+            "render": ["render", "--batch", batch, "--out", tmp_path / "img.pgm"],
+            "eval": ["eval", "--batch", batch, "--labels", labels, "--out", tmp_path / "m.csv"],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: format: line 4: {reason}\n"
+
+
 class TestBenchCommand:
     def test_row_per_combination(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -836,9 +936,10 @@ _BAD_FIELD = {
 }
 _BAD_SPAN = _JUNK | st.sampled_from(["0", "0s", "1500ms", "2.5", "-3"])
 _NOT_POSITIVE = st.integers(-5, 0).map(str)
+_BEYOND_INT64 = st.integers(2**63, 10**30).map(str)
 _COMMON_FAULTS = st.one_of(
     st.tuples(st.sampled_from(["--dataset", "--out"]), st.none()),
-    st.tuples(st.just("--interval"), _NOT_POSITIVE | _JUNK),
+    st.tuples(st.just("--interval"), _NOT_POSITIVE | _JUNK | _BEYOND_INT64),
     st.tuples(st.sampled_from(["--bogus", "-q"]), st.just("1")),
 )
 # Flags with a bad value: None drops the flag, "<missing>" names no file and
@@ -862,7 +963,7 @@ _BAD_ARGUMENT = {
         st.tuples(st.just("--window"), _BAD_SPAN | st.integers(13, 10**6).map(str)),
         st.tuples(st.just("--step"), _BAD_SPAN),
         st.tuples(st.just("--blocks"), _JUNK | st.sampled_from(["5,,1", "", "1,x", "0", "2,-1", "4"])),
-        st.tuples(st.just("--bins"), _NOT_POSITIVE | _JUNK),
+        st.tuples(st.just("--bins"), _NOT_POSITIVE | _JUNK | _BEYOND_INT64),
         st.sampled_from([("--dataset", "<missing>"), ("--model", "<missing>"), ("--out", "<dir>")]),
     ),
 }

@@ -26,6 +26,7 @@ from cs_smooth.errors import (
     CsSmoothError,
     DegenerateInputError,
     EmptyInputError,
+    InvalidParameterError,
     ParseError,
     RejectedValueError,
 )
@@ -321,6 +322,20 @@ class TestInferGrid:
         b = series([5000, 6000], [0, 1], "b")
         with pytest.raises(AlignmentError):
             infer_grid([a, b])
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize(
+        "start, interval, count",
+        [(0, 2**63, 1), (0, 10**20, 3), (2**63 - 5, 3, 3), (-(2**63) - 1, 1, 2)],
+    )
+    def test_instants_beyond_int64_rejected(self, start, interval, count):
+        with pytest.raises(InvalidParameterError, match="int64"):
+            TimeGrid(start, interval, count)
+
+    def test_last_instant_at_int64_max(self):
+        top = 2**63 - 1
+        assert TimeGrid(top - 6, 3, 3).instants().tolist() == [top - 6, top - 3, top]
 
 
 class TestWindows:
