@@ -45,6 +45,7 @@ from .errors import (
     InvalidParameterError,
     LabelMismatchError,
     TaskError,
+    opened,
 )
 
 log = logging.getLogger("cs_smooth")
@@ -88,16 +89,16 @@ def parse_span(text: str) -> Span:
 
 # Argparse types. Argparse catches only ValueError, TypeError and
 # ArgumentTypeError from a type, so an InvalidParameterError reaches main as is.
-def _counts(what: str, many: bool = False):
-    """An integer >= 1, or with ``many`` a comma-separated list of them."""
+def _counts(what: str, many: bool = False, least: int = 1):
+    """An integer >= ``least``, or with ``many`` a comma-separated list of them."""
 
     def convert(text: str):
         try:
             values = tuple(int(tok) for tok in text.split(",")) if many else (int(text),)
         except ValueError:
             raise InvalidParameterError(f"{what} must be integers, got {text!r}") from None
-        if min(values) < 1:
-            raise InvalidParameterError(f"{what} must be >= 1")
+        if min(values) < least:
+            raise InvalidParameterError(f"{what} must be >= {least}")
         return values if many else values[0]
 
     return convert
@@ -255,7 +256,7 @@ class _ExternalPredictor:
             raise CsSmoothError(
                 f"external predictor exited {proc.returncode}: {proc.stderr.strip()}"
             )
-        with open(pred_path, "r", encoding="utf-8", newline="") as fh:
+        with opened(pred_path, "predictions file", "r", newline="") as fh:
             rows = [[f.strip() for f in row] for row in csv.reader(fh) if "".join(row).strip()]
         if not rows or rows[0] != ["prediction"]:
             raise FormatError("predictions file must start with a 'prediction' header")
@@ -281,29 +282,22 @@ def _dataset_from_files(args: argparse.Namespace) -> evaluation.LabeledDataset:
     features = evaluation.signature_features(
         batch.real, batch.imag, real_only=args.real_only
     )
-    if args.task == evaluation.REGRESSION:
-        try:
-            labels = np.array([float(v) for v in label_strings])
-        except ValueError as exc:
-            raise TaskError(f"regression needs numeric labels: {exc}") from None
-    else:
-        labels = np.array(label_strings)
-        if len(set(label_strings)) == len(label_strings) and len(label_strings) > 1:
-            raise TaskError(
-                "every window has a distinct label; these look like regression "
-                "targets, not classes"
-            )
-    return evaluation.LabeledDataset(features=features, labels=labels, task=args.task)
+    distinct = len(set(label_strings)) == len(label_strings) > 1
+    if args.task == evaluation.CLASSIFICATION and distinct:
+        raise TaskError(
+            "every window has a distinct label; these look like regression targets, not classes"
+        )
+    return evaluation.LabeledDataset(features, np.array(label_strings), args.task)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = _dataset_from_files(args)
-    if args.predictor_cmd:
-        with tempfile.TemporaryDirectory(prefix="cs_smooth_eval_") as tmp:
+    # The directory holds the fold files an external predictor exchanges.
+    with tempfile.TemporaryDirectory(prefix="cs_smooth_eval_") as tmp:
+        if args.predictor_cmd:
             predictor = _ExternalPredictor(args.predictor_cmd, Path(tmp))
-            metrics = evaluation.cross_validate(dataset, predictor, args.folds, args.seed)
-    else:
-        predictor = evaluation.reference_predictor(args.task)
+        else:
+            predictor = evaluation.reference_predictor(args.task)
         metrics = evaluation.cross_validate(dataset, predictor, args.folds, args.seed)
     metric_name = "f1_macro" if args.task == evaluation.CLASSIFICATION else "nrmse_c"
     rows = [(str(i), metric_name, repr(s)) for i, s in enumerate(metrics.per_fold)]
@@ -332,7 +326,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cases = []  # (method, n, wl, signer)
     for n in args.n_list:
         for wl in args.wl_list:
-            matrix = synthetic.random_matrix(n, wl + _BENCH_WINDOWS - 1, seed=args.seed)
+            try:
+                matrix = synthetic.random_matrix(n, wl + _BENCH_WINDOWS - 1, seed=args.seed)
+            except (MemoryError, ValueError):  # ValueError: more values than an array holds
+                raise InvalidParameterError(
+                    f"a {n} x {wl + _BENCH_WINDOWS - 1} matrix does not fit in memory"
+                ) from None
             spec = WindowSpec(length_samples=wl, step_samples=1)
             for method in args.methods:
                 if method == "cs":
@@ -346,11 +345,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         min(args.lan_subsample, wl),
                     )
                 cases.append((method, n, wl, fn))
+    try:
+        times = np.empty((args.reps, len(cases)))
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(f"{args.reps} reps do not fit in memory") from None
     for *_, fn in cases:
         fn()  # warm-up outside the measurement
     # Every rep times every case once, in turn, so a burst of host load lands
     # on all sizes alike instead of on one side of a size ratio.
-    times = np.empty((args.reps, len(cases)))
     for rep in range(args.reps):
         for i, (*_, fn) in enumerate(cases):
             t0 = time.perf_counter()
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--task", choices=(evaluation.CLASSIFICATION, evaluation.REGRESSION),
                         default=evaluation.CLASSIFICATION)
     p_eval.add_argument("--folds", type=int, default=5)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_counts("--seed", least=0), default=0)
     p_eval.add_argument("--real-only", action="store_true",
                         help="drop imaginary components from the features")
     p_eval.add_argument("--predictor-cmd",
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--blocks", type=_counts("block counts"), default=20)
     p_bench.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
     p_bench.add_argument("--reps", type=_counts("--reps"), default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_counts("--seed", least=0), default=0)
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(handler=cmd_bench)
 

@@ -12,7 +12,6 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -23,7 +22,9 @@ from .errors import (
     EmptyInputError,
     InvalidParameterError,
     ParseError,
+    PathOrStream,
     RejectedValueError,
+    opened,
 )
 
 
@@ -155,21 +156,18 @@ class Window:
     end: int
 
 
-def load_sensor_csv(source: IO | str | Path, sensor_id: str) -> SensorSeries:
+def load_sensor_csv(source: PathOrStream, sensor_id: str) -> SensorSeries:
     """Parse a "timestamp,value" CSV stream into a SensorSeries.
 
     A line whose first non-blank character is '#' is a comment; any other '#'
     is an error. Records are re-sorted by timestamp; duplicate timestamps keep
     the last value seen in the file. Timestamps must fit in int64.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-        if b"\r" in data:
-            # The universal newlines a text-mode read applies.
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    else:
-        data = source.read()
+    with opened(source, f"sensor {sensor_id!r} CSV", "rb") as stream:
+        data = stream.read()
+    if stream is not source and b"\r" in data:
+        # A named file, read as bytes: the universal newlines a text-mode read applies.
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return _parse_sensor_csv(data, sensor_id)
 
 

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -28,8 +26,9 @@ from .errors import (
     InvalidBlockCountError,
     InvalidParameterError,
     ModelIncompatibilityError,
+    PathOrStream,
     UnsupportedVersionError,
-    utf8_text,
+    opened,
 )
 
 MODEL_VERSION = "v1"
@@ -661,23 +660,16 @@ def _model_json(model: CSModel) -> str:
     )
 
 
-def save_model(model: CSModel, sink: IO | str | Path) -> None:
+def save_model(model: CSModel, sink: PathOrStream) -> None:
     """Write a model as versioned JSON; round-trips losslessly via load_model."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            save_model(model, fh)
-        return
-    sink.write(_model_json(model))
-    sink.write("\n")
+    with opened(sink, "model file", "w") as stream:
+        stream.write(_model_json(model) + "\n")
 
 
-def load_model(source: IO | str | Path) -> CSModel:
+def load_model(source: PathOrStream) -> CSModel:
     """Read a model file written by save_model, validating version and shape."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_model(fh)
-    with utf8_text("model file"):
-        text = source.read()
+    with opened(source, "model file", "r") as stream:
+        text = stream.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
     if not text.strip():

@@ -1,12 +1,15 @@
 """Exception taxonomy shared by all cs_smooth modules.
 
 Every exception carries a short machine-readable ``code`` so the CLI can emit
-single-line, parsable error reasons.
+single-line, parsable error reasons. ``opened`` opens what each reader and
+writer is given: a ``PathOrStream``.
 """
 
 from __future__ import annotations
 
 import contextlib
+from pathlib import Path
+from typing import IO
 
 
 class CsSmoothError(Exception):
@@ -81,11 +84,21 @@ class FormatError(CsSmoothError):
     code = "format"
 
 
+PathOrStream = IO | str | Path
+
+
 @contextlib.contextmanager
-def utf8_text(what: str):
-    """Turn a UnicodeDecodeError raised inside the block into a FormatError."""
+def opened(target: PathOrStream, what: str, mode: str, **options):
+    """Yield ``target`` if it is an open stream, else the file it names, opened
+    with ``mode`` (UTF-8 in text modes) and ``options``. Either way a
+    UnicodeDecodeError inside the block becomes a FormatError naming ``what``."""
     try:
-        yield
+        if isinstance(target, (str, Path)):
+            encoding = None if "b" in mode else "utf-8"
+            with open(target, mode, encoding=encoding, **options) as stream:
+                yield stream
+        else:
+            yield target
     except UnicodeDecodeError as exc:
         raise FormatError(
             f"{what} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"

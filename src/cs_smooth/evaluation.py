@@ -50,7 +50,10 @@ class LabeledDataset:
             raise TaskError(f"unknown task {self.task!r}")
         labels = np.asarray(self.labels)
         if self.task == REGRESSION:
-            labels = labels.astype(np.float64)
+            try:
+                labels = np.array([float(v) for v in labels.tolist()])
+            except ValueError as exc:
+                raise TaskError(f"regression needs numeric labels: {exc}") from None
         if len(labels) != feats.shape[0]:
             raise DimensionError(
                 f"{feats.shape[0]} feature rows but {len(labels)} labels"

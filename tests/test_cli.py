@@ -618,6 +618,23 @@ class TestEvalCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: task:")
 
+    def test_negative_seed_rejected_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = run("eval", "--batch", missing, "--labels", missing, "--seed", -1,
+                   "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
+
+    def test_non_numeric_regression_labels(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        code = run("eval", "--batch", batch, "--labels", labels, "--task", "regression",
+                   "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: task: regression needs numeric labels: "
+            "could not convert string to float: 'app0'\n"
+        )
+
     def test_label_count_mismatch(self, tmp_path, capsys):
         batch, labels = make_labeled_batch(tmp_path)
         lines = labels.read_text().strip().splitlines()
@@ -714,6 +731,26 @@ with open(sys.argv[3], "w") as fh:
         )
         assert code == 1
         assert_one_line_error(capsys, "predictor")
+
+    def test_external_predictor_output_that_is_not_utf8(self, tmp_path, capsys):
+        batch, labels = make_labeled_batch(tmp_path)
+        plugin = tmp_path / "plugin.py"
+        plugin.write_text(
+            """
+import sys
+with open(sys.argv[3], "wb") as fh:
+    fh.write(b"prediction\\n\\xff\\n")
+"""
+        )
+        code = run(
+            "eval", "--batch", batch, "--labels", labels,
+            "--predictor-cmd", f"{sys.executable} {plugin}", "--out", tmp_path / "m.csv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: predictor: fold 0: predictor failed: "
+            "predictions file is not UTF-8 text: byte 0xff (invalid start byte)\n"
+        )
 
     def test_external_predictor_labels_hold_commas_and_quotes(self, tmp_path):
         batch, labels = make_labeled_batch(tmp_path)
@@ -864,6 +901,25 @@ class TestBenchCommand:
                    flag, value, "--out", tmp_path / "b.csv")
         assert code == 1
         assert_one_line_error(capsys, "invalid-parameter")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            # More values than an array can address: ValueError at once.
+            ("--n-list", 10**20),
+            ("--reps", 10**20),
+            # 2^61 bytes, beyond any address space: MemoryError at once.
+            ("--n-list", 2**55),
+            ("--reps", 2**58),
+            ("--seed", -1),
+        ],
+    )
+    def test_out_of_range_integer_is_one_line(self, tmp_path, capsys, flag, value):
+        code = run("bench", "--methods", "cs", "--n-list", 2, "--wl-list", 1,
+                   flag, value, "--out", tmp_path / "b.csv")
+        assert code == 1
+        assert_one_line_error(capsys, "invalid-parameter")
+        assert not (tmp_path / "b.csv").exists()
 
     def test_cs_linear_vs_tuncer_superlinear_in_window(self, tmp_path):
         # sorted percentiles cost w*log(w) per row, so a 50x window costs

@@ -9,6 +9,7 @@ from cs_smooth.errors import (
     IncompatibilityError,
     PredictorError,
     StratificationError,
+    TaskError,
 )
 from cs_smooth.evaluation import (
     CLASSIFICATION,
@@ -34,6 +35,20 @@ def classification_dataset(labels, width=3, seed=0):
         labels=labels,
         task=CLASSIFICATION,
     )
+
+
+class TestLabeledDataset:
+    def test_regression_needs_numeric_labels(self):
+        with pytest.raises(
+            TaskError,
+            match=r"^regression needs numeric labels: could not convert string to float: 'a'$",
+        ):
+            LabeledDataset(np.zeros((2, 3)), ["a", "b"], REGRESSION)
+
+    def test_regression_labels_parse_as_floats(self):
+        ds = LabeledDataset(np.zeros((3, 1)), np.array(["1.5", "-2", "1e3"]), REGRESSION)
+        assert ds.labels.dtype == np.float64
+        assert ds.labels.tolist() == [1.5, -2.0, 1000.0]
 
 
 class TestStratifiedKfold:
