@@ -104,6 +104,17 @@ def _counts(what: str, many: bool = False, least: int = 1):
     return convert
 
 
+def _command(text: str) -> list[str]:
+    """A command line split into shell words, once; it must hold at least one."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise InvalidParameterError(f"--predictor-cmd is not valid shell words: {exc}") from None
+    if not argv:
+        raise InvalidParameterError("--predictor-cmd is empty")
+    return argv
+
+
 def _method_list(text: str) -> tuple[str, ...]:
     methods = tuple(tok.strip() for tok in text.split(","))
     for m in methods:
@@ -220,8 +231,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 class _ExternalPredictor:
     """File-exchange predictor: train/test CSVs out, predictions CSV back."""
 
-    def __init__(self, command: str, workdir: Path):
-        self.argv = shlex.split(command)
+    def __init__(self, argv: list[str], workdir: Path):
+        self.argv = argv
         self.workdir = workdir
         self.fold = 0
         self._train: tuple[np.ndarray, np.ndarray] | None = None
@@ -299,11 +310,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             predictor = evaluation.reference_predictor(args.task)
         metrics = evaluation.cross_validate(dataset, predictor, args.folds, args.seed)
-    metric_name = "f1_macro" if args.task == evaluation.CLASSIFICATION else "nrmse_c"
-    rows = [(str(i), metric_name, repr(s)) for i, s in enumerate(metrics.per_fold)]
-    rows.append(("mean", metric_name, repr(metrics.score)))
+    rows = [(str(i), metrics.metric, repr(s)) for i, s in enumerate(metrics.per_fold)]
+    rows.append(("mean", metrics.metric, repr(metrics.score)))
     batchio.write_csv_report(args.out, ["fold", "metric", "score"], rows)
-    print(f"{metric_name}={metrics.score:.4f} over {args.folds} folds -> {args.out}")
+    print(f"{metrics.metric}={metrics.score:.4f} over {args.folds} folds -> {args.out}")
     return 0
 
 
@@ -431,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--labels", required=True, help="window_start,label CSV")
     p_eval.add_argument("--task", choices=(evaluation.CLASSIFICATION, evaluation.REGRESSION),
                         default=evaluation.CLASSIFICATION)
-    p_eval.add_argument("--folds", type=int, default=5)
+    p_eval.add_argument("--folds", type=_counts("--folds", least=2), default=5)
     p_eval.add_argument("--seed", type=_counts("--seed", least=0), default=0)
     p_eval.add_argument("--real-only", action="store_true",
                         help="drop imaginary components from the features")
-    p_eval.add_argument("--predictor-cmd",
+    p_eval.add_argument("--predictor-cmd", type=_command,
                         help="external predictor: invoked as CMD train.csv test.csv predictions.csv")
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(handler=cmd_eval)

@@ -86,7 +86,17 @@ class TimeGrid:
         return self.start + (self.count - 1) * self.interval
 
     def instants(self) -> np.ndarray:
-        return self.start + self.interval * np.arange(self.count, dtype=np.int64)
+        # np.empty fails on every count it cannot hold, where np.arange returns
+        # an empty array for counts within 512 of 2**63.
+        try:
+            instants = np.empty(self.count, dtype=np.int64)
+            np.multiply(np.arange(self.count, dtype=np.int64), self.interval, out=instants)
+        except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+            raise InvalidParameterError(
+                f"a grid of {self.count} instants does not fit in memory"
+            ) from None
+        instants += self.start
+        return instants
 
 
 @dataclass(frozen=True)
@@ -291,7 +301,8 @@ def infer_grid(series: Sequence[SensorSeries], interval: int | None = None) -> T
     if not series:
         raise EmptyInputError("no series to infer a grid from")
     if interval is None:
-        gaps = [np.median(np.diff(s.timestamps)) for s in series if len(s) > 1]
+        # Gaps are positive, so uint64 holds each one where int64 could wrap.
+        gaps = [np.median(np.diff(s.timestamps.view(np.uint64))) for s in series if len(s) > 1]
         if not gaps:
             raise DegenerateInputError("cannot infer a grid interval from single-point series")
         interval = int(max(1, round(float(np.median(gaps)))))

@@ -8,7 +8,8 @@ pinned tie-breaking.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -46,7 +47,7 @@ class LabeledDataset:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise DimensionError("features must be a 2-D matrix")
-        if self.task not in (CLASSIFICATION, REGRESSION):
+        if self.task not in _TASKS:
             raise TaskError(f"unknown task {self.task!r}")
         labels = np.asarray(self.labels)
         if self.task == REGRESSION:
@@ -70,15 +71,14 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class EvalMetrics:
-    """Cross-validation outcome: one aggregate score plus per-fold scores."""
+    """Cross-validation outcome: the metric's name and its score on each fold."""
 
+    metric: str
     per_fold: tuple[float, ...]
-    f1_macro: float | None = None
-    nrmse_c: float | None = None
 
     @property
     def score(self) -> float:
-        return self.f1_macro if self.f1_macro is not None else self.nrmse_c
+        return float(np.mean(self.per_fold))
 
 
 def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndarray]:
@@ -93,28 +93,17 @@ def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> list[np.ndar
     m = dataset.n_rows
     if m < k:
         raise StratificationError(f"{m} rows cannot fill {k} folds")
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(m)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    if dataset.task == REGRESSION:
-        for pos, idx in enumerate(shuffled):
-            folds[pos % k].append(int(idx))
-    else:
-        labels = dataset.labels
-        by_class: dict = {}
-        for idx in shuffled:
-            by_class.setdefault(labels[idx], []).append(int(idx))
-        for label, members in by_class.items():
-            if len(members) < k:
-                raise StratificationError(
-                    f"class {label!r} has {len(members)} members, needs >= {k}"
-                )
-        cursor = 0
-        for label in sorted(by_class, key=repr):
-            for idx in by_class[label]:
-                folds[cursor % k].append(idx)
-                cursor += 1
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+    order = np.random.default_rng(seed).permutation(m)
+    if dataset.task == CLASSIFICATION:
+        labels = dataset.labels[order]
+        sizes = Counter(labels)  # classes in order of first shuffled appearance
+        for label, size in sizes.items():
+            if size < k:
+                raise StratificationError(f"class {label!r} has {size} members, needs >= {k}")
+        # Classes in repr order, each one's rows in shuffled order, dealt round-robin.
+        names = {label: repr(label) for label in sizes}
+        order = order[sorted(range(m), key=lambda p: names[labels[p]])]
+    return [np.sort(order[j::k]) for j in range(k)]
 
 
 def f1_macro(true_labels: Sequence, predicted_labels: Sequence) -> float:
@@ -155,97 +144,84 @@ def nrmse_c(true_values: Sequence[float], predicted_values: Sequence[float]) -> 
     return 1.0 - rmse / span
 
 
-def cross_validate(
-    dataset: LabeledDataset, predictor: Predictor, k: int, seed: int
-) -> EvalMetrics:
-    """Rotate through every train-on-(k-1)/test-on-1 fold combination."""
-    folds = stratified_kfold(dataset, k, seed)
-    per_fold = []
-    for i, test_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        try:
-            predictor.fit(dataset.features[train_idx], dataset.labels[train_idx])
-            predicted = predictor.predict(dataset.features[test_idx])
-            if dataset.task == REGRESSION:
-                predicted = np.asarray(predicted, dtype=np.float64)
-        except Exception as exc:
-            raise PredictorError(f"fold {i}: predictor failed: {exc}") from exc
-        truth = dataset.labels[test_idx]
-        if dataset.task == CLASSIFICATION:
-            per_fold.append(f1_macro(truth, predicted))
-        else:
-            per_fold.append(nrmse_c(truth, predicted))
-    mean = float(np.mean(per_fold))
-    if dataset.task == CLASSIFICATION:
-        return EvalMetrics(per_fold=tuple(per_fold), f1_macro=mean)
-    return EvalMetrics(per_fold=tuple(per_fold), nrmse_c=mean)
+class _Neighbors:
+    """Exact nearest-neighbor search under Euclidean distance."""
+
+    _X: np.ndarray | None = None  # training rows and labels, set by fit
+    _y: np.ndarray | None = None
+    _label_dtype: type | None = None
+
+    def fit(self, features: np.ndarray, labels: np.ndarray) -> None:
+        if len(features) == 0:
+            raise DegenerateInputError("cannot fit on an empty training set")
+        self._X = np.asarray(features, dtype=np.float64)
+        self._y = np.asarray(labels, dtype=self._label_dtype)
+
+    def _distances(self, features: np.ndarray) -> Iterator[np.ndarray]:
+        """Squared distances from each query row to every training row."""
+        if self._X is None:
+            raise PredictorError("predict called before fit")
+        for q in np.asarray(features, dtype=np.float64):
+            yield ((self._X - q) ** 2).sum(axis=1)
 
 
-class NearestNeighborClassifier:
+class NearestNeighborClassifier(_Neighbors):
     """Exact 1-nearest-neighbor under Euclidean distance.
 
     Distance ties resolve to the lowest training index, so predictions are
     reproducible bit-for-bit.
     """
 
-    def __init__(self):
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> None:
-        if len(features) == 0:
-            raise DegenerateInputError("cannot fit on an empty training set")
-        self._X = np.asarray(features, dtype=np.float64)
-        self._y = np.asarray(labels)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._X is None:
-            raise PredictorError("predict called before fit")
-        queries = np.asarray(features, dtype=np.float64)
-        out = []
-        for q in queries:
-            d2 = ((self._X - q) ** 2).sum(axis=1)
-            out.append(self._y[int(np.argmin(d2))])
-        return np.array(out)
+        return np.array([self._y[int(np.argmin(d2))] for d2 in self._distances(features)])
 
 
-class KNearestMeanRegressor:
+class KNearestMeanRegressor(_Neighbors):
     """Mean of the k nearest targets under Euclidean distance (default k=5).
 
     Neighbor ranking ties resolve to lower training indices via stable sort.
     """
 
+    _label_dtype = np.float64
+
     def __init__(self, k: int = 5):
         self.k = k
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> None:
-        if len(features) == 0:
-            raise DegenerateInputError("cannot fit on an empty training set")
-        self._X = np.asarray(features, dtype=np.float64)
-        self._y = np.asarray(labels, dtype=np.float64)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self._X is None:
-            raise PredictorError("predict called before fit")
-        queries = np.asarray(features, dtype=np.float64)
-        k = min(self.k, len(self._y))
-        out = []
-        for q in queries:
-            d2 = ((self._X - q) ** 2).sum(axis=1)
-            nearest = np.argsort(d2, kind="stable")[:k]
-            out.append(float(self._y[nearest].mean()))
-        return np.array(out)
+        nearest = (np.argsort(d2, kind="stable")[: self.k] for d2 in self._distances(features))
+        return np.array([float(self._y[n].mean()) for n in nearest])
+
+
+# Per task: the metric, the built-in predictor, and the dtype predictions are read as.
+_TASKS = {
+    CLASSIFICATION: (f1_macro, NearestNeighborClassifier, None),
+    REGRESSION: (nrmse_c, KNearestMeanRegressor, np.float64),
+}
+
+
+def cross_validate(
+    dataset: LabeledDataset, predictor: Predictor, k: int, seed: int
+) -> EvalMetrics:
+    """Rotate through every train-on-(k-1)/test-on-1 fold combination."""
+    metric, _, dtype = _TASKS[dataset.task]
+    folds = stratified_kfold(dataset, k, seed)
+    per_fold = []
+    for i, test_idx in enumerate(folds):
+        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        try:
+            predictor.fit(dataset.features[train_idx], dataset.labels[train_idx])
+            predicted = np.asarray(predictor.predict(dataset.features[test_idx]), dtype=dtype)
+        except Exception as exc:
+            raise PredictorError(f"fold {i}: predictor failed: {exc}") from exc
+        per_fold.append(metric(dataset.labels[test_idx], predicted))
+    return EvalMetrics(metric.__name__, tuple(per_fold))
 
 
 def reference_predictor(task: str) -> Predictor:
     """The built-in predictor for a task: 1-NN classes, 5-NN mean targets."""
-    if task == CLASSIFICATION:
-        return NearestNeighborClassifier()
-    if task == REGRESSION:
-        return KNearestMeanRegressor()
-    raise TaskError(f"unknown task {task!r}")
+    if task not in _TASKS:
+        raise TaskError(f"unknown task {task!r}")
+    return _TASKS[task][1]()
 
 
 def merge_datasets(datasets: Sequence[LabeledDataset]) -> LabeledDataset:

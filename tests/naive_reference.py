@@ -253,3 +253,34 @@ def naive_lan(values: list[list[float]], subsample_len: int) -> list[float]:
             out.append(sum(chunk) / len(chunk))
             pos += len(chunk)
     return out
+
+
+def naive_kfold(labels, classification: bool, k: int, seed: int) -> list[list[int]]:
+    """Fold row indices, dealt one class after another in ``repr`` order.
+
+    The rows are shuffled from ``seed``; each class's rows keep that shuffled
+    order and the running position deals them round-robin into k folds, so
+    per-class counts differ by at most one between folds. Regression rows are
+    dealt in shuffled order. Too few rows, or a class with fewer than k rows
+    (the first such in shuffled order), raise ValueError with the library's text.
+    """
+    if len(labels) < k:
+        raise ValueError(f"{len(labels)} rows cannot fill {k} folds")
+    shuffled = np.random.default_rng(seed).permutation(len(labels)).tolist()
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if not classification:
+        for pos, idx in enumerate(shuffled):
+            folds[pos % k].append(idx)
+        return [sorted(f) for f in folds]
+    by_class: dict = {}
+    for idx in shuffled:
+        by_class.setdefault(labels[idx], []).append(idx)
+    for label, members in by_class.items():
+        if len(members) < k:
+            raise ValueError(f"class {label!r} has {len(members)} members, needs >= {k}")
+    cursor = 0
+    for label in sorted(by_class, key=repr):
+        for idx in by_class[label]:
+            folds[cursor % k].append(idx)
+            cursor += 1
+    return [sorted(f) for f in folds]

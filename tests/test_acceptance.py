@@ -249,9 +249,9 @@ def test_criterion_6_downstream_classification():
     """Separable temporal patterns reach high macro F1 through the harness."""
     started = time.perf_counter()
     full = _three_class_dataset(32, 16, 200, 10, seed=600)
-    f1_full = cross_validate(full, reference_predictor(CLASSIFICATION), 5, seed=0).f1_macro
+    f1_full = cross_validate(full, reference_predictor(CLASSIFICATION), 5, seed=0).score
     real_only = _three_class_dataset(32, 16, 200, 10, seed=600, real_only=True)
-    f1_real = cross_validate(real_only, reference_predictor(CLASSIFICATION), 5, seed=0).f1_macro
+    f1_real = cross_validate(real_only, reference_predictor(CLASSIFICATION), 5, seed=0).score
     elapsed = time.perf_counter() - started
     ok = f1_full >= 0.95 and f1_real >= f1_full - 0.05 and elapsed < 60.0
     assert report(6, ok, f"f1 {f1_full:.4f}, real-only {f1_real:.4f}, {elapsed:.1f}s")
@@ -293,9 +293,9 @@ def test_criterion_8_cross_source_merge():
         )
     merged = merge_datasets(parts)
     metrics = cross_validate(merged, reference_predictor(CLASSIFICATION), 5, seed=0)
-    ok = merged.features.shape[1] == 40 and metrics.f1_macro >= 0.9
+    ok = merged.features.shape[1] == 40 and metrics.score >= 0.9
     assert report(
-        8, ok, f"merged {merged.features.shape[0]}x{merged.features.shape[1]}, f1 {metrics.f1_macro:.4f}"
+        8, ok, f"merged {merged.features.shape[0]}x{merged.features.shape[1]}, f1 {metrics.score:.4f}"
     )
 
 

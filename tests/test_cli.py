@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -85,6 +86,28 @@ class TestTrainCommand:
         out = tmp_path / "m.json"
         assert run("train", "--dataset", dataset, "--interval", interval, "--out", out) == 1
         assert_one_line_error(capsys, "invalid-parameter")
+        assert not out.exists()
+
+    def test_grid_beyond_memory(self, write_dataset, tmp_path, capsys):
+        # 10**17 + 1 int64 instants are 711 PiB: the allocation fails at once.
+        dataset = write_dataset(np.array([[1.0, 2.0], [3.0, 5.0]]), interval=10**17)
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--interval", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-parameter: a grid of 100000000000000001 instants "
+            "does not fit in memory\n"
+        )
+        assert not out.exists()
+
+    def test_inferred_gap_beyond_int64(self, write_dataset, tmp_path, capsys):
+        # The one gap, 1.8e19 ms, wraps around in int64 arithmetic.
+        data = np.array([[1.0, 2.0], [3.0, 5.0]])
+        dataset = write_dataset(data, interval=18 * 10**18, start=-9 * 10**18)
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-parameter: grid interval and instants must fit in int64 ms\n"
+        )
         assert not out.exists()
 
 
@@ -625,6 +648,49 @@ class TestEvalCommand:
         assert code == 1
         assert_one_line_error(capsys, "invalid-parameter")
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--folds", "1", "--folds must be >= 2"),
+            ("--folds", "x", "--folds must be integers, got 'x'"),
+            ("--predictor-cmd", '"unterminated',
+             "--predictor-cmd is not valid shell words: No closing quotation"),
+            ("--predictor-cmd", "", "--predictor-cmd is empty"),
+            ("--predictor-cmd", "  ", "--predictor-cmd is empty"),
+        ],
+    )
+    def test_bad_flag_rejected_before_any_file_is_read(self, tmp_path, capsys, flag, value, reason):
+        missing = tmp_path / "missing.csv"
+        code = run("eval", "--batch", missing, "--labels", missing, flag, value,
+                   "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: invalid-parameter: {reason}\n"
+
+    def test_predictor_cmd_split_into_shell_words_once(self, tmp_path):
+        batch, labels = make_labeled_batch(tmp_path)
+        plugin = tmp_path / "a plugin dir" / "plugin.py"
+        plugin.parent.mkdir()
+        # Predicts the first training label for every test row. It runs only if
+        # its quoted path and its '$x' each reach it as one word, unexpanded.
+        plugin.write_text(
+            """
+import csv, sys
+tag, train_path, test_path, out_path = sys.argv[1:5]
+assert tag == "$x", tag
+with open(train_path, newline="") as fh:
+    label = next(csv.DictReader(fh))["label"]
+with open(test_path) as fh:
+    count = len(fh.read().splitlines()) - 1
+with open(out_path, "w") as fh:
+    fh.write("prediction\\n" + (label + "\\n") * count)
+"""
+        )
+        out = tmp_path / "metrics.csv"
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(plugin))} '$x'"
+        assert run("eval", "--batch", batch, "--labels", labels,
+                   "--predictor-cmd", command, "--out", out) == 0
+        assert [row["metric"] for row in read_report(out)] == ["f1_macro"] * 6
+
     def test_non_numeric_regression_labels(self, tmp_path, capsys):
         batch, labels = make_labeled_batch(tmp_path)
         code = run("eval", "--batch", batch, "--labels", labels, "--task", "regression",
@@ -1022,6 +1088,15 @@ _BAD_ARGUMENT = {
         st.tuples(st.just("--bins"), _NOT_POSITIVE | _JUNK | _BEYOND_INT64),
         st.sampled_from([("--dataset", "<missing>"), ("--model", "<missing>"), ("--out", "<dir>")]),
     ),
+    "eval": st.one_of(
+        st.tuples(st.sampled_from(["--batch", "--labels"]), st.none()),
+        st.tuples(st.just("--folds"), _JUNK | (st.integers(-5, 1) | st.integers(7, 10**30)).map(str)),
+        st.tuples(st.just("--seed"), _JUNK | st.integers(-5, -1).map(str)),
+        st.tuples(st.just("--task"), _JUNK),
+        st.tuples(st.just("--predictor-cmd"), st.sampled_from(['"unterminated', "cmd 'arg", "", " "])),
+        st.tuples(st.sampled_from(["--bogus", "-q"]), st.just("1")),
+        st.sampled_from([("--batch", "<missing>"), ("--labels", "<missing>"), ("--out", "<dir>")]),
+    ),
 }
 
 
@@ -1034,6 +1109,7 @@ class TestErrorContractFuzz:
         "train": {},
         "sign": {"--window": "4", "--step": "2", "--blocks": "2", "--retrain-every": "2"},
         "fidelity": {"--window": "4", "--step": "2", "--blocks": "2,3", "--bins": "10"},
+        "eval": {"--folds": "3", "--seed": "4", "--task": "classification"},
     }
 
     def run_case(self, root, command, lines=None, model=None, args=None):
@@ -1051,9 +1127,21 @@ class TestErrorContractFuzz:
             "lower_bounds": self.DATA.min(axis=1).tolist(),
             "upper_bounds": self.DATA.max(axis=1).tolist(),
         }))
+        # Twelve signatures of two blocks, six windows per class.
+        starts = 1000 * np.arange(12)
+        batchio.write_signature_batch(root / "batch.csv", cs.SignatureBatch(
+            starts, starts + 3000, self.DATA[:2].T.copy(), self.DATA[1:].T.copy()
+        ))
+        (root / "labels.csv").write_text(
+            "window_start,label\n" + "".join(f"{s},c{s // 6000}\n" for s in starts.tolist())
+        )
         (root / "a_dir").mkdir()
-        flags = {"--dataset": str(dataset), "--out": str(root / "out.csv")}
-        if command != "train":
+        flags = {"--out": str(root / "out.csv")}
+        if command == "eval":
+            flags.update({"--batch": str(root / "batch.csv"), "--labels": str(root / "labels.csv")})
+        else:
+            flags["--dataset"] = str(dataset)
+        if command not in ("train", "eval"):
             flags["--model"] = str(root / "model.json")
         flags.update(self.ARGS.get(command, {}))
         flags.update(args or {})
@@ -1067,15 +1155,17 @@ class TestErrorContractFuzz:
             code = main(argv)
         return code, err.getvalue()
 
-    @pytest.mark.parametrize("command", ["train", "sign", "fidelity"])
+    @pytest.mark.parametrize("command", ["train", "sign", "fidelity", "eval"])
     def test_unbroken_inputs_succeed(self, tmp_path, command):
         assert self.run_case(tmp_path, command) == (0, "")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_malformed_input_is_one_error_line(self, data):
-        command = data.draw(st.sampled_from(["train", "sign", "fidelity"]), label="command")
-        kinds = ["dataset", "argument"] if command == "train" else ["dataset", "model", "argument"]
+        command = data.draw(st.sampled_from(list(_BAD_ARGUMENT)), label="command")
+        kinds = {"train": ["dataset", "argument"], "eval": ["argument"]}.get(
+            command, ["dataset", "model", "argument"]
+        )
         kinds.append("command")
         kind = data.draw(st.sampled_from(kinds), label="fault")
         case = {}

@@ -323,6 +323,16 @@ class TestInferGrid:
         with pytest.raises(AlignmentError):
             infer_grid([a, b])
 
+    def test_gaps_taken_without_wrapping(self):
+        # A gap of 1.8e19 ms wraps around in int64; in uint64 it is exact.
+        far = series([-9 * 10**18, 9 * 10**18], [0, 1], "far")
+        with pytest.raises(InvalidParameterError, match="int64"):
+            infer_grid([far, far])
+        three = series([-9 * 10**18, 0, 9 * 10**18], [0, 1, 2], "three")
+        grid = infer_grid([three])
+        assert grid == TimeGrid(-9 * 10**18, 9 * 10**18, 3)
+        assert grid.instants().tolist() == three.timestamps.tolist()
+
 
 class TestTimeGrid:
     @pytest.mark.parametrize(
@@ -336,6 +346,13 @@ class TestTimeGrid:
     def test_last_instant_at_int64_max(self):
         top = 2**63 - 1
         assert TimeGrid(top - 6, 3, 3).instants().tolist() == [top - 6, top - 3, top]
+
+    # 10**17 instants are 711 PiB and the rest are more than numpy can index,
+    # so each allocation fails at once; np.arange returns nothing for the last two.
+    @pytest.mark.parametrize("count", [10**17, 2**62, 2**63 - 512, 2**63 - 1])
+    def test_grid_beyond_memory(self, count):
+        with pytest.raises(InvalidParameterError, match=f"^a grid of {count} instants does not"):
+            TimeGrid(-(2**62), 1, count).instants()
 
 
 class TestWindows:

@@ -26,6 +26,8 @@ from cs_smooth.evaluation import (
     stratified_kfold,
 )
 
+from naive_reference import naive_kfold
+
 
 def classification_dataset(labels, width=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -104,6 +106,35 @@ class TestStratifiedKfold:
             per_fold = [int(np.sum(ds.labels[f] == cls)) for f in folds]
             assert max(per_fold) - min(per_fold) <= 1
         assert sorted(np.concatenate(folds).tolist()) == list(range(len(labels)))
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 7), st.booleans(),
+        st.lists(st.integers(0, 20), min_size=1, max_size=5), st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_folds_match_naive_dealing(self, seed, k, classification, sizes, int_labels):
+        # Class sizes are unequal and may fall below k; integer labels sort
+        # differently by value and by repr ("np.int64(10)" < "np.int64(9)").
+        names = [10, 9, 100, -1, 2] if int_labels else ["b", "a10", "a9", "B", "c"]
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(names[: len(sizes)], sizes))
+        features = np.zeros((len(labels), 2))
+        if classification:
+            ds = LabeledDataset(features, labels, CLASSIFICATION)
+        else:
+            ds = LabeledDataset(features, rng.uniform(size=len(labels)), REGRESSION)
+        try:
+            expected = naive_kfold(ds.labels, classification, k, seed)
+        except ValueError as exc:
+            with pytest.raises(StratificationError) as raised:
+                stratified_kfold(ds, k, seed)
+            assert str(raised.value) == str(exc)
+            return
+        folds = stratified_kfold(ds, k, seed)
+        assert len(folds) == k
+        for fold, naive in zip(folds, expected):
+            assert fold.dtype == np.int64
+            assert np.array_equal(fold, naive)
 
 
 class TestF1Macro:
@@ -196,7 +227,7 @@ class TestCrossValidate:
         ])
         ds = LabeledDataset(features, np.array(["a"] * 20 + ["b"] * 20), CLASSIFICATION)
         metrics = cross_validate(ds, reference_predictor(CLASSIFICATION), 5, seed=0)
-        assert metrics.f1_macro == 1.0
+        assert metrics.score == 1.0
         assert len(metrics.per_fold) == 5
 
     def test_constant_mean_regressor_sanity(self):
@@ -210,8 +241,8 @@ class TestCrossValidate:
         rng = np.random.default_rng(4)
         ds = LabeledDataset(rng.uniform(size=(30, 2)), np.linspace(-1, 1, 30), REGRESSION)
         metrics = cross_validate(ds, ConstantMean(), 5, seed=0)
-        assert metrics.nrmse_c is not None
-        assert metrics.nrmse_c < 1.0
+        assert metrics.metric == "nrmse_c"
+        assert metrics.score < 1.0
 
     def test_deterministic(self):
         ds = classification_dataset(["a"] * 10 + ["b"] * 10, seed=7)
