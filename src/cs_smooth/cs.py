@@ -98,6 +98,17 @@ class CSModel:
         flat = span == 0.0
         return np.where(flat, np.inf, self.lower_bounds), np.where(flat, 1.0, span)
 
+    def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
+        """_scaling repeated along ``columns`` columns: C-contiguous (n, columns)
+        operands for compute_signature's short-row buffer. Cached per width in
+        the instance __dict__, like _scaling, so never a field: equality,
+        model_id and the saved file do not see it. Threads that fill the same
+        width at once compute equal arrays, so a race costs only time."""
+        cache = self.__dict__.setdefault("_wide_scalings", {})
+        if columns not in cache:
+            cache[columns] = tuple(np.repeat(a[:, None], columns, axis=1) for a in self._scaling)
+        return cache[columns]
+
     @functools.cached_property
     def model_id(self) -> str:
         digest = hashlib.sha256(_model_json(self).encode("utf-8")).hexdigest()
@@ -259,13 +270,19 @@ def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
     sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     flat = sd == 0.0
     denom = np.where(flat, 1.0, sd)
-    pairwise = np.divide(cov, np.outer(denom, denom), out=cov)
+    # Divided in row blocks through one small buffer, not an n x n outer product.
+    n = len(cov)
+    scale = np.empty((min(n, max(1, _BLOCK_VALUES // n)), n))
+    for first in range(0, n, len(scale)):
+        rows = slice(first, first + len(scale))
+        block = np.multiply(denom[rows, None], denom, out=scale[: n - first])
+        np.divide(cov[rows], block, out=cov[rows])
+    pairwise = cov
     pairwise[flat, :] = 0.0
     pairwise[:, flat] = 0.0
     np.clip(pairwise, -1.0, 1.0, out=pairwise)
     pairwise += 1.0
     np.fill_diagonal(pairwise, 2.0)
-    n = len(pairwise)
     if n == 1:
         global_coeffs = np.array([2.0])
     else:
@@ -393,12 +410,10 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
     )
 
 
-def _normalize(values: np.ndarray, model: CSModel, rows=slice(None), out=None) -> np.ndarray:
-    """Min-max normalize sensor rows ``rows`` (a column or rows x samples) into ``out``
-    or a new array, clamped to [0,1]; rows whose training bounds collapse map to 0."""
-    lo, denom = (a[rows] for a in model._scaling)
-    if values.ndim == 2:
-        lo, denom = lo[:, None], denom[:, None]
+def _normalize(values: np.ndarray, lo: np.ndarray, denom: np.ndarray, out=None) -> np.ndarray:
+    """Min-max normalize ``values`` into ``out`` or a new array, clamped to [0,1],
+    against lower bounds ``lo`` and divisors ``denom`` (CSModel._scaling, shaped to
+    broadcast over ``values``); rows whose training bounds collapse map to 0."""
     norm = np.subtract(values, lo, out=out)
     np.divide(norm, denom, out=norm)
     return np.clip(norm, 0.0, 1.0, out=norm)
@@ -414,9 +429,10 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     when available and is 0 otherwise.
     """
     _check_sensors(window.sensor_ids, model)
-    normalized = _normalize(window.values, model)
+    lo, denom = model._scaling
+    normalized = _normalize(window.values, lo[:, None], denom[:, None])
     if window.preceding is not None:
-        first = normalized[:, :1] - _normalize(window.preceding[:, None], model)
+        first = normalized[:, :1] - _normalize(window.preceding, lo, denom)[:, None]
     else:
         first = np.zeros((normalized.shape[0], 1))
     derivative = np.concatenate([first, np.diff(normalized, axis=1)], axis=1)
@@ -462,21 +478,43 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     window sums, and the backward differences telescope to (last normalized
     column - column preceding the window). Each value is normalized once, in
     row chunks of about _CHUNK_VALUES values. O(w * n).
+
+    Short rows (w + 1 <= _BUFFERED_COLUMNS) are copied into one contiguous
+    (rows, w + 1) buffer, the column before the window first, and normalized
+    there in place against the model's bounds repeated along the row
+    (CSModel._wide_scaling), so each ufunc runs once over the chunk instead of
+    once per row. Longer rows are normalized straight from the window, where
+    the copy would be a pure extra pass.
     """
     _check_sensors(window.sensor_ids, model)
     layout = block_layout(model.n_sensors, n_blocks)
-    n, width = window.values.shape
+    values = window.values
+    n, width = values.shape
     sums = np.empty((2, n))  # per-row value sums, then derivative sums
     # Without a preceding column the first one stands in: its difference is 0.
-    before = window.values[:, 0] if window.preceding is None else window.preceding
-    _normalize(before, model, out=sums[1])
+    before = values[:, 0] if window.preceding is None else window.preceding
     # One buffer for all chunks: a new 8 MB array per chunk faults its pages in anew.
-    chunk = np.empty((min(n, max(1, _CHUNK_VALUES // width)), width))
-    for start in range(0, n, len(chunk)):
-        rows = slice(start, start + len(chunk))
-        norm = _normalize(window.values[rows], model, rows, out=chunk[: n - start])
-        norm.sum(axis=1, out=sums[0, rows])
-        np.subtract(norm[:, -1], sums[1, rows], out=sums[1, rows])
+    if width + 1 <= _BUFFERED_COLUMNS:
+        lo, denom = model._wide_scaling(width + 1)
+        buf = np.empty((min(n, max(1, _CHUNK_VALUES // (width + 1))), width + 1))
+        for start in range(0, n, len(buf)):
+            rows = slice(start, start + len(buf))
+            norm = buf[: n - start]
+            norm[:, 0] = before[rows]
+            norm[:, 1:] = values[rows]
+            _normalize(norm, lo[rows], denom[rows], out=norm)
+            norm[:, 1:].sum(axis=1, out=sums[0, rows])
+            np.subtract(norm[:, width], norm[:, 0], out=sums[1, rows])
+    else:
+        lo, denom = model._scaling
+        _normalize(before, lo, denom, out=sums[1])
+        buf = np.empty((min(n, max(1, _CHUNK_VALUES // width)), width))
+        for start in range(0, n, len(buf)):
+            rows = slice(start, start + len(buf))
+            norm = _normalize(values[rows], lo[rows, None], denom[rows, None],
+                              out=buf[: n - start])
+            norm.sum(axis=1, out=sums[0, rows])
+            np.subtract(norm[:, -1], sums[1, rows], out=sums[1, rows])
     real, imag = _block_means(sums.take(model.permutation, axis=1), layout, width)
     return Signature(
         blocks_real=real,
@@ -489,6 +527,10 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
+# Widest w + 1 that compute_signature copies into its contiguous buffer. Wider
+# rows already run long inner loops; there the copy and the repeated bounds only
+# add memory traffic (1.3-1.5x slower at 100 sensors x 4,000-8,000 samples).
+_BUFFERED_COLUMNS = 128
 _TILE_ROWS = 64  # rows per tile of compute_signature_batches' transposing copy
 
 
@@ -525,6 +567,7 @@ def compute_signature_batches(
     starts, *instants = _windows(matrix, spec, first, stop)
     blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
     p = model.permutation
+    lo, denom = (a[:, None] for a in model._scaling)
     per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
     # Buffers sized by the first chunk, the largest: fresh ones in every chunk
     # fault their pages in anew. A chunk's normalized columns start with the one
@@ -537,9 +580,9 @@ def compute_signature_batches(
         cols = end - begin + 1
         norm = norm_buf[: n * cols].reshape(n, cols)
         if begin:
-            _normalize(matrix.data[:, begin - 1 : end], model, out=norm)
+            _normalize(matrix.data[:, begin - 1 : end], lo, denom, out=norm)
         else:  # the first column stands in for the one before it: difference 0
-            _normalize(matrix.data[:, :end], model, out=norm[:, 1:])
+            _normalize(matrix.data[:, :end], lo, denom, out=norm[:, 1:])
             norm[:, 0] = norm[:, 1]
         # Window sums, then derivative sums (last column minus the one before
         # the window). The windows are a strided view of norm from column 1 on

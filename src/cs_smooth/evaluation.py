@@ -53,7 +53,7 @@ class LabeledDataset:
         if self.task == REGRESSION:
             try:
                 labels = np.array([float(v) for v in labels.tolist()])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise TaskError(f"regression needs numeric labels: {exc}") from None
         if len(labels) != feats.shape[0]:
             raise DimensionError(
@@ -135,7 +135,7 @@ def nrmse_c(true_values: Sequence[float], predicted_values: Sequence[float]) -> 
         raise DimensionError(f"{len(true)} true values but {len(pred)} predictions")
     if len(true) < 2:
         raise DegenerateInputError("need >= 2 values to normalize the error")
-    span = true.max() - true.min()
+    span = float(true.max() - true.min())
     if span == 0:
         raise DegenerateInputError(
             "constant true values leave the normalized error undefined"

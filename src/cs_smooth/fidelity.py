@@ -184,10 +184,11 @@ def fidelity_table(
     # buffers that are binned in place; count rows then go to permutation order.
     per_chunk = min(n, max(1, _CHUNK_VALUES // t))
     norm_buf, diff_buf = np.empty((2, per_chunk, t))
+    lo, denom = model._scaling
     for start in range(0, n, per_chunk):
         rows = slice(start, start + per_chunk)
         norm, diff = norm_buf[: n - start], diff_buf[: n - start]
-        _normalize(original.data[rows], model, rows, out=norm)
+        _normalize(original.data[rows], lo[rows, None], denom[rows, None], out=norm)
         # Backward differences; the first column has none before it: 0.
         diff[:, 0] = 0.0
         np.subtract(norm[:, 1:], norm[:, :-1], out=diff[:, 1:])

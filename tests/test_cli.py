@@ -618,6 +618,21 @@ class TestEvalCommand:
         assert rows[-1]["fold"] == "mean"
         assert float(rows[-1]["score"]) >= 0.95
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_every_report_row_parses_as_a_number(self, tmp_path, task):
+        batch, labels = make_labeled_batch(tmp_path)
+        if task == "regression":
+            rows = read_report_batch(batch)
+            labels.write_text("window_start,label\n" + "".join(
+                f"{row['window_start']},{i % 7 * 0.25}\n" for i, row in enumerate(rows)))
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--batch", batch, "--labels", labels, "--task", task,
+                   "--folds", 4, "--out", out) == 0
+        rows = read_report(out)
+        assert [row["fold"] for row in rows] == ["0", "1", "2", "3", "mean"]
+        scores = [float(row["score"]) for row in rows]
+        assert scores[-1] == float(np.mean(scores[:-1]))
+
     def test_same_seed_same_report(self, tmp_path):
         batch, labels = make_labeled_batch(tmp_path)
         reports = []

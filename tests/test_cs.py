@@ -565,6 +565,62 @@ class TestComputeSignature:
         assert whole.blocks_real.tobytes() == chunked.blocks_real.tobytes()
         assert whole.blocks_imag.tobytes() == chunked.blocks_imag.tobytes()
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 24),
+        # w + 1 on both sides of the buffered path's width gate, and w = 1.
+        st.one_of(st.integers(1, 9),
+                  st.integers(cs._BUFFERED_COLUMNS - 3, cs._BUFFERED_COLUMNS + 1)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_batch_bytes_on_both_sides_of_the_width_gate(
+        self, seed, n, wl, with_preceding, data
+    ):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, wl + 1)) * rng.uniform(0.1, 100.0)
+        training = rng.normal(size=(n, 6)) * rng.uniform(0.1, 100.0)
+        # Flat rows (lo == hi == 3) with values below, at and above the bound.
+        flat = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="flat rows")
+        training[flat] = 3.0
+        values[flat] = rng.choice([2.0, 3.0, 4.0], size=(len(flat), wl + 1))
+        model = train(matrix_from(training))
+        mat, spec = matrix_from(values), WindowSpec(wl, 1)
+        first = int(with_preceding)  # the window at column 0 has no preceding column
+        window = list(windows(mat, spec))[first]
+        assert (window.preceding is not None) == with_preceding
+        n_blocks = data.draw(st.integers(1, n), label="blocks")
+        batch = compute_signature_batch(mat, model, spec, n_blocks, first, first + 1)
+        # Rows per chunk of the buffered path; the other path's chunks split too.
+        chunk_rows = data.draw(st.integers(1, n), label="chunk rows")
+        with mock.patch.object(cs, "_CHUNK_VALUES", chunk_rows * (wl + 1)):
+            sig = compute_signature(window, model, n_blocks)
+        assert sig.blocks_real.tobytes() == batch.real[0].tobytes()
+        assert sig.blocks_imag.tobytes() == batch.imag[0].tobytes()
+        buffered = wl + 1 <= cs._BUFFERED_COLUMNS
+        assert (wl + 1 in model.__dict__.get("_wide_scalings", {})) == buffered
+
+    def test_one_model_at_two_widths_matches_fresh_models(self):
+        data = np.random.default_rng(4).normal(size=(30, 120))
+        model = train(matrix_from(data[:, :50]))
+        saved = io.StringIO()
+        save_model(model, saved)
+        for start in range(1, 60, 3):
+            wl = (7, 40)[start % 2]
+            window = window_from(data[:, start : start + wl], preceding=data[:, start - 1])
+            sig = compute_signature(window, model, 4)
+            fresh = compute_signature(window, train(matrix_from(data[:, :50])), 4)
+            assert sig.blocks_real.tobytes() == fresh.blocks_real.tobytes()
+            assert sig.blocks_imag.tobytes() == fresh.blocks_imag.tobytes()
+        # The bounds are cached once per width, outside the model's fields.
+        assert sorted(model.__dict__["_wide_scalings"]) == [8, 41]
+        untouched = train(matrix_from(data[:, :50]))
+        assert model == untouched and model.model_id == untouched.model_id
+        after = io.StringIO()
+        save_model(model, after)
+        assert after.getvalue() == saved.getvalue()
+
     def test_flat_row_blocks_are_positive_zero(self):
         # Row s1 is flat (lo == hi == 2): its window values lie above, below
         # and at the bound, and the sample before the window is off it.

@@ -47,6 +47,10 @@ class TestLabeledDataset:
         ):
             LabeledDataset(np.zeros((2, 3)), ["a", "b"], REGRESSION)
 
+    def test_regression_label_of_no_number_is_task_error(self):
+        with pytest.raises(TaskError, match=r"^regression needs numeric labels: float\(\) argument"):
+            LabeledDataset(np.zeros((2, 3)), [None, 1.0], REGRESSION)
+
     def test_regression_labels_parse_as_floats(self):
         ds = LabeledDataset(np.zeros((3, 1)), np.array(["1.5", "-2", "1e3"]), REGRESSION)
         assert ds.labels.dtype == np.float64
@@ -174,6 +178,10 @@ class TestNrmseC:
     def test_constant_truth(self):
         with pytest.raises(DegenerateInputError):
             nrmse_c([3.0, 3.0], [1.0, 2.0])
+
+    def test_returns_a_python_float(self):
+        # repr of a numpy scalar is "np.float64(...)", which reports could not parse.
+        assert type(nrmse_c([0.0, 2.0, 5.0], [1.0, 2.0, 4.0])) is float
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
