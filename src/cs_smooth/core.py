@@ -319,8 +319,10 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
 
     Linear interpolation between samples; instants outside a series' span take
     the nearest endpoint value. Row order follows the input collection order.
+    Interpolates on offsets from the grid start, exact in float64 up to 2**53
+    ms, so instants far from zero stay apart.
     """
-    instants = grid.instants()
+    instants = _offsets(grid.instants(), grid.start)
     rows = []
     ids = []
     for s in series:
@@ -331,11 +333,23 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
                 f"sensor {s.sensor_id!r} does not overlap the grid span "
                 f"[{grid.start}, {grid.end}]"
             )
-        rows.append(np.interp(instants, s.timestamps, s.values))
+        rows.append(np.interp(instants, _offsets(s.timestamps, grid.start), s.values))
         ids.append(s.sensor_id)
     if not rows:
         raise EmptyInputError("no series to align")
     return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
+
+
+def _offsets(timestamps: np.ndarray, start: int) -> np.ndarray:
+    """timestamps - start in float64. The int64 difference wraps only where it
+    passes the int64 range, which only the first or the last of increasing
+    timestamps can reach; those entries move back by 2**64, keeping their sign."""
+    offsets = (timestamps - start).astype(np.float64)
+    if start > 0:
+        offsets[: np.searchsorted(timestamps, start - 2**63)] -= 2.0**64
+    elif start < 0:
+        offsets[np.searchsorted(timestamps, start + 2**63) :] += 2.0**64
+    return offsets
 
 
 def windows(matrix: SensorMatrix, spec: WindowSpec) -> Iterator[Window]:

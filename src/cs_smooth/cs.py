@@ -99,11 +99,13 @@ class CSModel:
         return np.where(flat, np.inf, self.lower_bounds), np.where(flat, 1.0, span)
 
     def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
-        """_scaling repeated along ``columns`` columns: C-contiguous (n, columns)
-        operands for compute_signature's short-row buffer. Cached per width in
-        the instance __dict__, like _scaling, so never a field: equality,
-        model_id and the saved file do not see it. Threads that fill the same
-        width at once compute equal arrays, so a race costs only time."""
+        """_scaling for a (n, columns) block: up to _BUFFERED_COLUMNS columns,
+        C-contiguous copies repeated along each row, cached per width in the
+        instance __dict__ like _scaling (never a field: equality, model_id and the
+        saved file do not see them; a race of threads costs only time); beyond,
+        (n, 1) views."""
+        if columns > _BUFFERED_COLUMNS:
+            return tuple(a[:, None] for a in self._scaling)
         cache = self.__dict__.setdefault("_wide_scalings", {})
         if columns not in cache:
             cache[columns] = tuple(np.repeat(a[:, None], columns, axis=1) for a in self._scaling)
@@ -419,6 +421,17 @@ def _normalize(values: np.ndarray, lo: np.ndarray, denom: np.ndarray, out=None) 
     return np.clip(norm, 0.0, 1.0, out=norm)
 
 
+def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
+    """Normalize sensor ``rows`` of a block of samples into ``out``, a C-contiguous
+    (rows, 1 + samples) buffer: column 0 takes ``before``, the column preceding
+    the block, the rest ``values``. Copied first, then normalized in place
+    against CSModel._wide_scaling, so each ufunc runs once over the buffer."""
+    out[:, 0] = before
+    out[:, 1:] = values
+    lo, denom = model._wide_scaling(out.shape[1])
+    return _normalize(out, lo[rows], denom[rows], out=out)
+
+
 def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalize, differentiate, and reorder a window's rows.
 
@@ -477,44 +490,24 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     materializing the sorted matrices: block means only need per-row
     window sums, and the backward differences telescope to (last normalized
     column - column preceding the window). Each value is normalized once, in
-    row chunks of about _CHUNK_VALUES values. O(w * n).
-
-    Short rows (w + 1 <= _BUFFERED_COLUMNS) are copied into one contiguous
-    (rows, w + 1) buffer, the column before the window first, and normalized
-    there in place against the model's bounds repeated along the row
-    (CSModel._wide_scaling), so each ufunc runs once over the chunk instead of
-    once per row. Longer rows are normalized straight from the window, where
-    the copy would be a pure extra pass.
+    row chunks of about _CHUNK_VALUES values, by _normalize_block: the column
+    before the window (the window's first column when there is none, so its
+    difference is 0) and the window go into one contiguous (rows, w + 1)
+    buffer, normalized there in place. O(w * n).
     """
     _check_sensors(window.sensor_ids, model)
     layout = block_layout(model.n_sensors, n_blocks)
     values = window.values
     n, width = values.shape
     sums = np.empty((2, n))  # per-row value sums, then derivative sums
-    # Without a preceding column the first one stands in: its difference is 0.
     before = values[:, 0] if window.preceding is None else window.preceding
     # One buffer for all chunks: a new 8 MB array per chunk faults its pages in anew.
-    if width + 1 <= _BUFFERED_COLUMNS:
-        lo, denom = model._wide_scaling(width + 1)
-        buf = np.empty((min(n, max(1, _CHUNK_VALUES // (width + 1))), width + 1))
-        for start in range(0, n, len(buf)):
-            rows = slice(start, start + len(buf))
-            norm = buf[: n - start]
-            norm[:, 0] = before[rows]
-            norm[:, 1:] = values[rows]
-            _normalize(norm, lo[rows], denom[rows], out=norm)
-            norm[:, 1:].sum(axis=1, out=sums[0, rows])
-            np.subtract(norm[:, width], norm[:, 0], out=sums[1, rows])
-    else:
-        lo, denom = model._scaling
-        _normalize(before, lo, denom, out=sums[1])
-        buf = np.empty((min(n, max(1, _CHUNK_VALUES // width)), width))
-        for start in range(0, n, len(buf)):
-            rows = slice(start, start + len(buf))
-            norm = _normalize(values[rows], lo[rows, None], denom[rows, None],
-                              out=buf[: n - start])
-            norm.sum(axis=1, out=sums[0, rows])
-            np.subtract(norm[:, -1], sums[1, rows], out=sums[1, rows])
+    buf = np.empty((min(n, max(1, _CHUNK_VALUES // (width + 1))), width + 1))
+    for start in range(0, n, len(buf)):
+        rows = slice(start, start + len(buf))
+        norm = _normalize_block(model, rows, before[rows], values[rows], buf[: n - start])
+        norm[:, 1:].sum(axis=1, out=sums[0, rows])
+        np.subtract(norm[:, width], norm[:, 0], out=sums[1, rows])
     real, imag = _block_means(sums.take(model.permutation, axis=1), layout, width)
     return Signature(
         blocks_real=real,
@@ -527,9 +520,9 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
-# Widest w + 1 that compute_signature copies into its contiguous buffer. Wider
-# rows already run long inner loops; there the copy and the repeated bounds only
-# add memory traffic (1.3-1.5x slower at 100 sensors x 4,000-8,000 samples).
+# Widest block row that _normalize_block normalizes against bounds repeated
+# along the row. Wider rows already run long inner loops, so they broadcast
+# (n, 1) bounds; repeated ones would only add memory traffic.
 _BUFFERED_COLUMNS = 128
 _TILE_ROWS = 64  # rows per tile of compute_signature_batches' transposing copy
 
@@ -552,10 +545,11 @@ def compute_signature_batches(
 ) -> list[SignatureBatch]:
     """compute_signature_batch for each of ``block_counts``, from one pass over the data.
 
-    Each sample is normalized once instead of once per window: row sums come
-    from a sliding view over the normalized rows and derivative sums telescope
-    as in compute_signature. Both are put in permutation order once per time
-    chunk, then reduced into every layout's blocks. Windows go in time chunks
+    Each sample is normalized once instead of once per window, by
+    _normalize_block over all rows of a time chunk: row sums come from a
+    sliding view over the normalized rows and derivative sums telescope as in
+    compute_signature. Both are put in permutation order once per time chunk,
+    then reduced into every layout's blocks. Windows go in time chunks
     of about _CHUNK_VALUES normalized values that share one set of buffers, so
     memory stays bounded at any stream length. Every block count is checked
     before any window is signed.
@@ -566,8 +560,7 @@ def compute_signature_batches(
     width, step = spec.length_samples, spec.step_samples
     starts, *instants = _windows(matrix, spec, first, stop)
     blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
-    p = model.permutation
-    lo, denom = (a[:, None] for a in model._scaling)
+    data, p = matrix.data, model.permutation
     per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
     # Buffers sized by the first chunk, the largest: fresh ones in every chunk
     # fault their pages in anew. A chunk's normalized columns start with the one
@@ -579,11 +572,8 @@ def compute_signature_batches(
         k, begin, end = len(chunk), int(chunk[0]), int(chunk[-1]) + width
         cols = end - begin + 1
         norm = norm_buf[: n * cols].reshape(n, cols)
-        if begin:
-            _normalize(matrix.data[:, begin - 1 : end], lo, denom, out=norm)
-        else:  # the first column stands in for the one before it: difference 0
-            _normalize(matrix.data[:, :end], lo, denom, out=norm[:, 1:])
-            norm[:, 0] = norm[:, 1]
+        # At column 0 the first column stands in for the one before it: difference 0.
+        _normalize_block(model, slice(None), data[:, max(begin - 1, 0)], data[:, begin:end], norm)
         # Window sums, then derivative sums (last column minus the one before
         # the window). The windows are a strided view of norm from column 1 on
         # (as sliding_window_view builds it, at a fraction of the call cost);

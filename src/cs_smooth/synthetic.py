@@ -49,15 +49,7 @@ def clustered_plateau_matrix(
     s = plateau_signal(t, rng, plateau_len)
     sigma = noise_scale * s.std()
     noise = lambda: sigma * plateau_signal(t, rng, plateau_len)
-    rows = [s + noise() for _ in range(n_pos)]
-    rows += [-s + noise() for _ in range(n_neg)]
-    rows += [noise() for _ in range(n_noise)]
-    n = len(rows)
-    return SensorMatrix(
-        sensor_ids=tuple(f"s{i:03d}" for i in range(n)),
-        grid=TimeGrid(start=0, interval=interval, count=t),
-        data=np.stack(rows),
-    )
+    return _opposing_clusters(s, noise, n_pos, n_neg, n_noise, interval)
 
 
 def anti_correlated_matrix(
@@ -78,15 +70,17 @@ def anti_correlated_matrix(
     rng = np.random.default_rng(seed)
     s = smooth_signal(t, rng)
     sigma = noise_scale * s.std()
-    rows = [s + sigma * rng.standard_normal(t) for _ in range(n_pos)]
-    rows += [-s + sigma * rng.standard_normal(t) for _ in range(n_neg)]
-    rows += [sigma * rng.standard_normal(t) for _ in range(n_noise)]
-    n = len(rows)
-    return SensorMatrix(
-        sensor_ids=tuple(f"s{i:03d}" for i in range(n)),
-        grid=TimeGrid(start=0, interval=interval, count=t),
-        data=np.stack(rows),
-    )
+    noise = lambda: sigma * rng.standard_normal(t)
+    return _opposing_clusters(s, noise, n_pos, n_neg, n_noise, interval)
+
+
+def _opposing_clusters(signal, noise, n_pos, n_neg, n_noise, interval) -> SensorMatrix:
+    """Rows signal + noise(), -signal + noise() and noise(), drawn in that order."""
+    rows = [signal + noise() for _ in range(n_pos)]
+    rows += [-signal + noise() for _ in range(n_neg)]
+    rows += [noise() for _ in range(n_noise)]
+    ids = tuple(f"s{i:03d}" for i in range(len(rows)))
+    return SensorMatrix(ids, TimeGrid(0, interval, len(signal)), np.stack(rows))
 
 
 def class_stream(

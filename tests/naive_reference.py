@@ -10,6 +10,7 @@ form of the training maths, which production code must match bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,6 +169,32 @@ def reference_prefix_models(data, ends, per_segment, order_stands):
             order = reference_train(data[:, :count])["permutation"]
         models.append((order, lo, hi))
     return models
+
+
+def naive_align(
+    series: list[tuple[list[int], list[float]]], start: int, interval: int, count: int
+) -> list[list[Fraction]]:
+    """Each (timestamps, values) series at the grid instants start + k interval,
+    exactly: the bracketing samples are found by integer comparison and the
+    linear interpolation between them is taken in Fractions. Instants before or
+    after a series' span take its first or last value."""
+    rows = []
+    for timestamps, values in series:
+        row = []
+        for k in range(count):
+            t = start + k * interval
+            if t <= timestamps[0]:
+                row.append(Fraction(values[0]))
+                continue
+            if t >= timestamps[-1]:
+                row.append(Fraction(values[-1]))
+                continue
+            j = max(i for i, ts in enumerate(timestamps) if ts <= t)
+            t0, t1 = timestamps[j], timestamps[j + 1]
+            v0, v1 = Fraction(values[j]), Fraction(values[j + 1])
+            row.append(v0 + (v1 - v0) * Fraction(t - t0, t1 - t0))
+        rows.append(row)
+    return rows
 
 
 def naive_signature(

@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,8 @@ from cs_smooth.errors import (
     ParseError,
     RejectedValueError,
 )
+
+from naive_reference import naive_align
 
 
 def series(ts, vs, sensor_id="s"):
@@ -297,6 +301,23 @@ class TestAlign:
         m = align([b, a], TimeGrid(0, 1000, 3))
         assert m.sensor_ids == ("b", "a")
 
+    def test_instants_beyond_2_53_stay_apart(self):
+        # As float64, 2**62 + 0..3 are one number: the offsets from the grid start are not.
+        stamps = [2**62 + k for k in range(4)]
+        up = series(stamps, [0.0, 1.0, 2.0, 3.0], "up")
+        down = series(stamps, [3.0, 2.0, 1.0, 0.0], "down")
+        grid = infer_grid([up, down])
+        assert grid == TimeGrid(2**62, 1, 4)
+        assert align([up, down], grid).data.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+
+    def test_offsets_past_int64_keep_their_sign(self):
+        # From these grid starts, the first or the last sample lies over 2**63 ms away.
+        far = 9 * 10**18
+        late = series([-far, far - 1, far], [4.0, 1.0, 3.0])
+        assert align([late], TimeGrid(far - 1, 1, 2)).data.tolist() == [[1.0, 3.0]]
+        early = series([-far, 1 - far, far], [1.0, 3.0, 4.0])
+        assert align([early], TimeGrid(-far, 1, 2)).data.tolist() == [[1.0, 3.0]]
+
     @given(st.integers(0, 10_000), st.integers(1, 500), st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_idempotent_on_grid_conforming_data(self, start, interval, count, seed):
@@ -306,6 +327,62 @@ class TestAlign:
         s = series(grid.instants(), values)
         m = align([s], grid)
         assert np.array_equal(m.data[0], values)
+
+
+# Sensors are sampled within this many ms of their anchor: a first sample up to
+# 100 ms after it, then up to 11 gaps of up to 50 ms.
+_MAX_SPAN = 100 + 11 * 50
+_ANCHOR = st.one_of(
+    st.integers(-(2**63), -(2**63) + 1000),  # the int64 minimum
+    st.integers(2**63 - 1 - 2 * _MAX_SPAN, 2**63 - 1 - _MAX_SPAN),  # the int64 maximum
+    st.integers(-(10**6), 10**6),  # around zero, negative timestamps included
+    st.integers(-(2**62), 2**62),  # mostly beyond 2**53
+)
+
+
+@st.composite
+def _sampled_sensors(draw):
+    """1-4 sensors around one anchor, each with its own first sample and 2-12
+    samples at irregular gaps of 1-50 ms, so their spans differ."""
+    anchor = draw(_ANCHOR)
+    sensors = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = anchor + draw(st.integers(0, 100))
+        gaps = draw(st.lists(st.integers(1, 50), min_size=1, max_size=11))
+        values = draw(st.lists(st.floats(-1e9, 1e9), min_size=len(gaps) + 1,
+                               max_size=len(gaps) + 1))
+        sensors.append((list(itertools.accumulate(gaps, initial=first)), values))
+    return sensors
+
+
+class TestAlignAgainstExactReference:
+    @given(_sampled_sensors(), st.one_of(st.none(), st.integers(1, 60)))
+    @settings(max_examples=200, deadline=None)
+    def test_infer_grid_and_align_match_naive_align(self, sensors, interval):
+        inputs = [series(ts, vs, f"s{i}") for i, (ts, vs) in enumerate(sensors)]
+        start = max(ts[0] for ts, _ in sensors)
+        end = min(ts[-1] for ts, _ in sensors)
+        if end < start:
+            with pytest.raises(AlignmentError):
+                infer_grid(inputs, interval)
+            return
+        grid = infer_grid(inputs, interval)
+        assert grid.start == start and grid.end <= end < grid.end + grid.interval
+        assert interval is None or grid.interval == interval
+        if grid.count < 2:
+            with pytest.raises(DegenerateInputError):
+                align(inputs, grid)
+            return
+        got = align(inputs, grid).data.tolist()
+        exact = naive_align(sensors, grid.start, grid.interval, grid.count)
+        # np.interp rounds four times (value difference, slope, slope x offset,
+        # sum), each by at most eps/2 of at most twice the series' largest |value|;
+        # the offsets themselves are exact below 2**53. 8 eps x max |value| is
+        # twice that bound.
+        eps = np.finfo(np.float64).eps
+        for row, want, (_, values) in zip(got, exact, sensors):
+            tol = 8 * eps * max(abs(v) for v in values)
+            assert all(abs(Fraction(g) - e) <= tol for g, e in zip(row, want))
 
 
 class TestInferGrid:

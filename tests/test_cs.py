@@ -568,9 +568,11 @@ class TestComputeSignature:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 24),
-        # w + 1 on both sides of the buffered path's width gate, and w = 1.
+        # w + 1 on both sides of the repeated-bounds width gate, well past it,
+        # and w = 1.
         st.one_of(st.integers(1, 9),
-                  st.integers(cs._BUFFERED_COLUMNS - 3, cs._BUFFERED_COLUMNS + 1)),
+                  st.integers(cs._BUFFERED_COLUMNS - 3, cs._BUFFERED_COLUMNS + 1),
+                  st.integers(cs._BUFFERED_COLUMNS + 1, 600)),
         st.booleans(),
         st.data(),
     )
@@ -592,7 +594,7 @@ class TestComputeSignature:
         assert (window.preceding is not None) == with_preceding
         n_blocks = data.draw(st.integers(1, n), label="blocks")
         batch = compute_signature_batch(mat, model, spec, n_blocks, first, first + 1)
-        # Rows per chunk of the buffered path; the other path's chunks split too.
+        # Rows per chunk: below and past the gate, the window splits into row chunks.
         chunk_rows = data.draw(st.integers(1, n), label="chunk rows")
         with mock.patch.object(cs, "_CHUNK_VALUES", chunk_rows * (wl + 1)):
             sig = compute_signature(window, model, n_blocks)
