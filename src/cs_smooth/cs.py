@@ -100,16 +100,17 @@ class CSModel:
 
     def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
         """_scaling for a (n, columns) block: up to _BUFFERED_COLUMNS columns,
-        C-contiguous copies repeated along each row, cached per width in the
-        instance __dict__ like _scaling (never a field: equality, model_id and the
-        saved file do not see them; a race of threads costs only time); beyond,
-        (n, 1) views."""
+        C-contiguous copies repeated along each row, cached for the last width
+        only, in the instance __dict__ like _scaling (never a field: equality,
+        model_id and the saved file do not see it); beyond, (n, 1) views. Read
+        once, the cached pair is never of the wrong width under threads."""
         if columns > _BUFFERED_COLUMNS:
             return tuple(a[:, None] for a in self._scaling)
-        cache = self.__dict__.setdefault("_wide_scalings", {})
-        if columns not in cache:
-            cache[columns] = tuple(np.repeat(a[:, None], columns, axis=1) for a in self._scaling)
-        return cache[columns]
+        wide = self.__dict__.get("_repeated_scaling")
+        if wide is None or wide[0].shape[1] != columns:
+            wide = tuple(np.repeat(a[:, None], columns, axis=1) for a in self._scaling)
+            self.__dict__["_repeated_scaling"] = wide
+        return wide
 
     @functools.cached_property
     def model_id(self) -> str:
@@ -412,24 +413,18 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
     )
 
 
-def _normalize(values: np.ndarray, lo: np.ndarray, denom: np.ndarray, out=None) -> np.ndarray:
-    """Min-max normalize ``values`` into ``out`` or a new array, clamped to [0,1],
-    against lower bounds ``lo`` and divisors ``denom`` (CSModel._scaling, shaped to
-    broadcast over ``values``); rows whose training bounds collapse map to 0."""
-    norm = np.subtract(values, lo, out=out)
-    np.divide(norm, denom, out=norm)
-    return np.clip(norm, 0.0, 1.0, out=norm)
-
-
 def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
-    """Normalize sensor ``rows`` of a block of samples into ``out``, a C-contiguous
-    (rows, 1 + samples) buffer: column 0 takes ``before``, the column preceding
-    the block, the rest ``values``. Copied first, then normalized in place
-    against CSModel._wide_scaling, so each ufunc runs once over the buffer."""
+    """Min-max normalize sensor ``rows`` of a block of samples into ``out``, a
+    C-contiguous (rows, 1 + samples) buffer, clamped to [0,1] (flat rows to 0):
+    column 0 takes ``before``, the column preceding the block, the rest
+    ``values``. Copied first, then normalized in place against
+    CSModel._wide_scaling, so each ufunc runs once over the buffer."""
     out[:, 0] = before
     out[:, 1:] = values
     lo, denom = model._wide_scaling(out.shape[1])
-    return _normalize(out, lo[rows], denom[rows], out=out)
+    np.subtract(out, lo[rows], out=out)
+    np.divide(out, denom[rows], out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarray]:
@@ -439,18 +434,16 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     permutation order. Values are clamped to [0,1]; rows whose training bounds
     collapse map to 0. Derivatives are backward differences of the normalized
     rows; the first column differences against the sample preceding the window
-    when available and is 0 otherwise.
+    when available and is 0 otherwise. Both matrices are fresh C-contiguous
+    (n, w) arrays.
     """
     _check_sensors(window.sensor_ids, model)
-    lo, denom = model._scaling
-    normalized = _normalize(window.values, lo[:, None], denom[:, None])
-    if window.preceding is not None:
-        first = normalized[:, :1] - _normalize(window.preceding, lo, denom)[:, None]
-    else:
-        first = np.zeros((normalized.shape[0], 1))
-    derivative = np.concatenate([first, np.diff(normalized, axis=1)], axis=1)
-    p = model.permutation
-    return normalized[p], derivative[p]
+    values = window.values
+    n, width = values.shape
+    before = values[:, 0] if window.preceding is None else window.preceding
+    norm = _normalize_block(model, slice(None), before, values, np.empty((n, width + 1)))
+    norm = norm[model.permutation]
+    return np.ascontiguousarray(norm[:, 1:]), np.diff(norm, axis=1)
 
 
 @functools.lru_cache(maxsize=64)

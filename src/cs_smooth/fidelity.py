@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SensorMatrix, WindowSpec
 from .cs import (
-    _CHUNK_VALUES, BlockLayout, CSModel, Signature, _normalize, block_layout,
+    _CHUNK_VALUES, BlockLayout, CSModel, Signature, _normalize_block, block_layout,
     compute_signature_batches,
 )
 # perfbench/spans.py times these under this module's names.
@@ -182,17 +182,15 @@ def fidelity_table(
     batches = compute_signature_batches(original, model, spec, block_counts)
     # Original side: rows in chunks of about _CHUNK_VALUES values, sharing two
     # buffers that are binned in place; count rows then go to permutation order.
-    per_chunk = min(n, max(1, _CHUNK_VALUES // t))
-    norm_buf, diff_buf = np.empty((2, per_chunk, t))
-    lo, denom = model._scaling
+    # The first column stands in for the one before it, so its difference is 0.
+    data = original.data
+    per_chunk = min(n, max(1, _CHUNK_VALUES // (t + 1)))
+    norm_buf, diff_buf = np.empty((per_chunk, t + 1)), np.empty((per_chunk, t))
     for start in range(0, n, per_chunk):
         rows = slice(start, start + per_chunk)
-        norm, diff = norm_buf[: n - start], diff_buf[: n - start]
-        _normalize(original.data[rows], lo[rows, None], denom[rows, None], out=norm)
-        # Backward differences; the first column has none before it: 0.
-        diff[:, 0] = 0.0
-        np.subtract(norm[:, 1:], norm[:, :-1], out=diff[:, 1:])
-        values[rows] = _bin_counts(norm, bins, 0.0, 1.0, out=norm)
+        norm = _normalize_block(model, rows, data[rows, 0], data[rows], norm_buf[: n - start])
+        diff = np.subtract(norm[:, 1:], norm[:, :-1], out=diff_buf[: n - start])
+        values[rows] = _bin_counts(norm[:, 1:], bins, 0.0, 1.0, out=norm[:, 1:])
         derivs[rows] = _bin_counts(diff, bins, -1.0, 1.0, out=diff)
     p = model.permutation
     p_vals = Histogram2D(bins, (0.0, 1.0), values[p] / (t * n))

@@ -20,6 +20,8 @@ from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, align, infer_grid
 from cs_smooth.errors import FormatError, InvalidParameterError
 from cs_smooth.synthetic import anti_correlated_matrix, class_stream
 
+from naive_reference import naive_align, naive_signature, naive_train
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -269,6 +271,44 @@ class TestSignCommand:
         expected = tmp_path / "expected.csv"
         batchio.write_signature_batch(expected, concat_batches(parts))
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("step", [1, 4])
+    def test_raw_irregular_csv_matches_naive_pipeline(self, tmp_path, step):
+        # Sensors sampled at their own irregular instants over different spans,
+        # written as raw files: lines shuffled, a comment, and a duplicate
+        # timestamp whose later line wins.
+        rng = np.random.default_rng(21)
+        dataset = tmp_path / "raw"
+        dataset.mkdir()
+        truth = []
+        for i, sign in enumerate([1.0, -1.0, 1.0, -0.5]):
+            ts = (int(rng.integers(0, 3000)) + np.cumsum(rng.integers(300, 1700, 70))).tolist()
+            vs = (sign * np.sin(np.asarray(ts) / 4000.0) + rng.normal(0.0, 0.3, 70)).tolist()
+            truth.append((ts, vs))
+            lines = [f"{t},{v!r}" for t, v in zip(ts, vs)]
+            rng.shuffle(lines)
+            lines = ["# raw export", f"{ts[5]},{vs[5] + 100.0!r}", *lines]
+            (dataset / f"s{i}.csv").write_text("\n".join(lines) + "\n")
+        model, out = tmp_path / "model.json", tmp_path / "batch.csv"
+        assert run("train", "--dataset", dataset, "--interval", 1000, "--out", model) == 0
+        assert run(
+            "sign", "--dataset", dataset, "--model", model, "--interval", 1000,
+            "--window", 6, "--step", step, "--blocks", 3, "--out", out,
+        ) == 0
+        start = max(ts[0] for ts, _ in truth)
+        count = (min(ts[-1] for ts, _ in truth) - start) // 1000 + 1
+        aligned = [[float(v) for v in row] for row in naive_align(truth, start, 1000, count)]
+        perm, lo, hi = naive_train(aligned)
+        assert cs.load_model(model).permutation.tolist() == perm
+        batch = batchio.read_signature_batch(out)
+        starts = range(0, count - 6 + 1, step)
+        assert batch.window_starts.tolist() == [start + 1000 * s for s in starts]
+        for real, imag, s in zip(batch.real, batch.imag, starts, strict=True):
+            window = [row[s : s + 6] for row in aligned]
+            preceding = [row[s - 1] for row in aligned] if s else None
+            want_real, want_imag = naive_signature(window, preceding, perm, lo, hi, 3)
+            np.testing.assert_allclose(real, want_real, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(imag, want_imag, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("method", ["tuncer", "bodik", "lan"])
     def test_retrain_every_rejected_for_baselines(self, write_dataset, tmp_path, capsys, method):

@@ -1,6 +1,9 @@
+import dataclasses
 import io
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -52,6 +55,15 @@ def matrix_from(rows, interval=1000):
         grid=TimeGrid(0, interval, rows.shape[1]),
         data=rows,
     )
+
+
+def array_bytes(obj):
+    """Bytes of the numpy arrays in ``obj``, looking into dicts, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return sum(map(array_bytes, obj)) if isinstance(obj, (tuple, list)) else 0
 
 
 def window_from(rows, preceding=None, ids=None):
@@ -439,6 +451,13 @@ class TestSortNormalize:
         norm, _ = sort_normalize(window_from([[0.0, 0.0], [1.0, 1.0]], ids=("a", "b")), model)
         assert norm.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
+    def test_returns_fresh_contiguous_matrices(self):
+        model = CSModel(("a", "b"), [1, 0], [0.0, 0.0], [1.0, 1.0])
+        for matrix in sort_normalize(window_from([[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]],
+                                                 ids=("a", "b")), model):
+            assert matrix.shape == (2, 3)
+            assert matrix.flags.c_contiguous and matrix.base is None
+
 
 class TestBlockLayout:
     def test_five_rows_two_blocks(self):
@@ -600,8 +619,10 @@ class TestComputeSignature:
             sig = compute_signature(window, model, n_blocks)
         assert sig.blocks_real.tobytes() == batch.real[0].tobytes()
         assert sig.blocks_imag.tobytes() == batch.imag[0].tobytes()
+        # Up to the gate one repeated pair is cached, for this width; beyond, none.
+        held = model.__dict__.get("_repeated_scaling")
         buffered = wl + 1 <= cs._BUFFERED_COLUMNS
-        assert (wl + 1 in model.__dict__.get("_wide_scalings", {})) == buffered
+        assert (held is not None and held[0].shape == (n, wl + 1)) == buffered
 
     def test_one_model_at_two_widths_matches_fresh_models(self):
         data = np.random.default_rng(4).normal(size=(30, 120))
@@ -612,16 +633,68 @@ class TestComputeSignature:
             wl = (7, 40)[start % 2]
             window = window_from(data[:, start : start + wl], preceding=data[:, start - 1])
             sig = compute_signature(window, model, 4)
+            # One repeated pair is cached, for the last width, outside the model's fields.
+            assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(30, wl + 1)] * 2
             fresh = compute_signature(window, train(matrix_from(data[:, :50])), 4)
             assert sig.blocks_real.tobytes() == fresh.blocks_real.tobytes()
             assert sig.blocks_imag.tobytes() == fresh.blocks_imag.tobytes()
-        # The bounds are cached once per width, outside the model's fields.
-        assert sorted(model.__dict__["_wide_scalings"]) == [8, 41]
         untouched = train(matrix_from(data[:, :50]))
         assert model == untouched and model.model_id == untouched.model_id
         after = io.StringIO()
         save_model(model, after)
         assert after.getvalue() == saved.getvalue()
+
+    def test_short_streams_of_every_length_leave_one_cached_pair(self):
+        # Step-1 streams of 17-127 samples normalize time chunks 18-128 columns
+        # wide, all up to the width gate: only the last width's pair may stay.
+        n, rng = 16, np.random.default_rng(7)
+        model = train(matrix_from(rng.normal(size=(n, 40))))
+        for length in range(17, 128):
+            compute_signature_batch(matrix_from(rng.normal(size=(n, length))), model,
+                                    WindowSpec(16, 1), 4)
+        fields = {f.name for f in dataclasses.fields(CSModel)}
+        cached = sum(array_bytes(v) for k, v in model.__dict__.items() if k not in fields)
+        # One repeated pair at the gate, plus the (n,) pair of _scaling.
+        assert cached <= 2 * n * (cs._BUFFERED_COLUMNS + 1) * 8
+        assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(n, 128)] * 2
+
+    def test_threads_sharing_a_model_sign_as_serial(self):
+        # Two threads sign with one model at w + 1 = 8 and 41, so each keeps
+        # replacing the pair the other cached; neither may use a pair of the
+        # wrong width.
+        data = np.random.default_rng(5).normal(size=(24, 400))
+
+        def sign(model, wl):
+            return [compute_signature(window_from(data[:, s : s + wl], preceding=data[:, s - 1]),
+                                      model, 5) for s in range(1, 301)]
+
+        serial = {wl: sign(train(matrix_from(data[:, :100])), wl) for wl in (7, 40)}
+        shared = train(matrix_from(data[:, :100]))
+        barrier, results, errors = threading.Barrier(2), {}, []
+
+        def worker(wl):
+            try:
+                barrier.wait(timeout=60)
+                results[wl] = sign(shared, wl)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            threads = [threading.Thread(target=worker, args=(wl,)) for wl in (7, 40)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for wl in (7, 40):
+            for got, want in zip(results[wl], serial[wl], strict=True):
+                assert got.blocks_real.tobytes() == want.blocks_real.tobytes()
+                assert got.blocks_imag.tobytes() == want.blocks_imag.tobytes()
 
     def test_flat_row_blocks_are_positive_zero(self):
         # Row s1 is flat (lo == hi == 2): its window values lie above, below
@@ -742,7 +815,7 @@ class TestComputeSignatureBatch:
     def test_every_block_count_checked_before_signing(self, monkeypatch):
         mat = matrix_from(np.random.default_rng(0).uniform(size=(4, 20)))
         model = train(mat)
-        monkeypatch.setattr(cs, "_normalize", None)  # signing would call it
+        monkeypatch.setattr(cs, "_normalize_block", None)  # signing would call it
         with pytest.raises(InvalidBlockCountError):
             compute_signature_batches(mat, model, WindowSpec(4, 1), [2, 5])
 

@@ -234,7 +234,11 @@ class TestFidelityTable:
     @settings(max_examples=120, deadline=None)
     def test_equals_reference_pipeline(self, seed, n, wl, stride, bins, chunk, data):
         step = {"1": 1, "w": wl, "beyond w": wl + 1 + seed % 5}[stride]
-        t = wl + data.draw(st.integers(1, 80), label="extra")
+        # The original side normalizes t + 1 columns: on both sides of the
+        # repeated-bounds width gate.
+        gate = cs._BUFFERED_COLUMNS
+        t = data.draw(st.one_of(st.integers(wl + 1, wl + 80), st.integers(gate - 3, gate + 40)),
+                      label="samples")
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(n, t)) * rng.uniform(0.1, 50.0)
         flat = data.draw(st.integers(-1, n - 1), label="flat row")
