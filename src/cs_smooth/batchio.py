@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,14 +42,20 @@ def write_signature_batch(sink: PathOrStream, batch: SignatureBatch) -> int:
     return batch.n_signatures
 
 
+def _table(lines: Iterable[str], what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A CSV table's header and its non-empty rows, each with its line number;
+    a file without even a header is an EmptyInputError naming ``what``."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInputError(f"{what} is empty")
+    return header, ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+
+
 def read_signature_batch(source: PathOrStream) -> SignatureBatch:
     """Read a batch file back into columnar arrays."""
     with opened(source, "batch file", "r", newline="") as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError("signature batch file is empty") from None
+        header, records = _table(stream, "signature batch file")
         if header[:2] != ["window_start", "window_end"]:
             raise FormatError("batch header must start with window_start,window_end")
         n_real = sum(1 for name in header if name.startswith("real_"))
@@ -59,9 +65,7 @@ def read_signature_batch(source: PathOrStream) -> SignatureBatch:
         if n_imag not in (0, n_real):
             raise FormatError("imaginary column count must match real column count")
         starts, ends, rows, linenos = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != len(header):
                 raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             try:
@@ -90,17 +94,11 @@ def read_signature_batch(source: PathOrStream) -> SignatureBatch:
 def read_labels_csv(source: PathOrStream) -> dict[int, str]:
     """Read a labels file: header then one "window_start,label" row per window."""
     with opened(source, "labels file", "r", newline="") as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError("labels file is empty") from None
+        header, records = _table(stream, "labels file")
         if [h.strip() for h in header[:2]] != ["window_start", "label"]:
             raise FormatError("labels header must be window_start,label")
         labels: dict[int, str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != 2:
                 raise FormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
             try:

@@ -45,6 +45,7 @@ from .errors import (
     InvalidParameterError,
     LabelMismatchError,
     TaskError,
+    fits_in_memory,
     opened,
 )
 
@@ -336,12 +337,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cases = []  # (method, n, wl, signer)
     for n in args.n_list:
         for wl in args.wl_list:
-            try:
-                matrix = synthetic.random_matrix(n, wl + _BENCH_WINDOWS - 1, seed=args.seed)
-            except (MemoryError, ValueError):  # ValueError: more values than an array holds
-                raise InvalidParameterError(
-                    f"a {n} x {wl + _BENCH_WINDOWS - 1} matrix does not fit in memory"
-                ) from None
+            samples = wl + _BENCH_WINDOWS - 1
+            with fits_in_memory(f"a {n} x {samples} matrix does not fit in memory"):
+                matrix = synthetic.random_matrix(n, samples, seed=args.seed)
             spec = WindowSpec(length_samples=wl, step_samples=1)
             for method in args.methods:
                 if method == "cs":
@@ -355,12 +353,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         min(args.lan_subsample, wl),
                     )
                 cases.append((method, n, wl, fn))
-    try:
+    with fits_in_memory(f"{args.reps} reps do not fit in memory"):
         times = np.empty((args.reps, len(cases)))
-    except (MemoryError, ValueError):
-        raise InvalidParameterError(f"{args.reps} reps do not fit in memory") from None
-    for *_, fn in cases:
-        fn()  # warm-up outside the measurement
+    for method, n, wl, fn in cases:
+        # Warm-up outside the measurement; the timed calls allocate what it does.
+        with fits_in_memory(f"{method} windows of {n} x {wl} do not fit in memory"):
+            fn()
     # Every rep times every case once, in turn, so a burst of host load lands
     # on all sizes alike instead of on one side of a size ratio.
     for rep in range(args.reps):

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     PathOrStream,
     RejectedValueError,
+    fits_in_memory,
     opened,
 )
 
@@ -88,13 +89,9 @@ class TimeGrid:
     def instants(self) -> np.ndarray:
         # np.empty fails on every count it cannot hold, where np.arange returns
         # an empty array for counts within 512 of 2**63.
-        try:
+        with fits_in_memory(f"a grid of {self.count} instants does not fit in memory"):
             instants = np.empty(self.count, dtype=np.int64)
             np.multiply(np.arange(self.count, dtype=np.int64), self.interval, out=instants)
-        except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
-            raise InvalidParameterError(
-                f"a grid of {self.count} instants does not fit in memory"
-            ) from None
         instants += self.start
         return instants
 
@@ -171,11 +168,14 @@ def load_sensor_csv(source: PathOrStream, sensor_id: str) -> SensorSeries:
 
     A line whose first non-blank character is '#' is a comment; any other '#'
     is an error. Records are re-sorted by timestamp; duplicate timestamps keep
-    the last value seen in the file. Timestamps must fit in int64.
+    the last value seen in the file. Timestamps must fit in int64. A text
+    stream is parsed as its UTF-8 bytes, so a lone surrogate is a ParseError.
     """
     with opened(source, f"sensor {sensor_id!r} CSV", "rb") as stream:
         data = stream.read()
-    if stream is not source and b"\r" in data:
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif stream is not source and b"\r" in data:
         # A named file, read as bytes: the universal newlines a text-mode read applies.
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return _parse_sensor_csv(data, sensor_id)
@@ -189,7 +189,7 @@ _RECORD_DTYPE = np.dtype([("t", np.int64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
 
 
-def _parse_sensor_csv(data: bytes | str, sensor_id: str) -> SensorSeries:
+def _parse_sensor_csv(data: bytes, sensor_id: str) -> SensorSeries:
     records = _fast_records(data)
     if records is None:
         return _parse_lines(data, sensor_id)
@@ -203,17 +203,13 @@ def _parse_sensor_csv(data: bytes | str, sensor_id: str) -> SensorSeries:
     return SensorSeries(sensor_id=sensor_id, timestamps=ts, values=vs)
 
 
-def _fast_records(data: bytes | str) -> np.ndarray | None:
+def _fast_records(data: bytes) -> np.ndarray | None:
     """Records parsed by numpy's C reader, or None where the line loop must run.
 
     Returns None whenever the result could differ from the loop's: bytes
     outside the shared alphabet, no records, a row numpy rejects (it reports
     no line numbers) or a non-finite value.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
     if data.translate(None, _FAST_ALPHABET) or not data or data.isspace():
         return None
     try:
@@ -227,20 +223,17 @@ def _fast_records(data: bytes | str) -> np.ndarray | None:
     return records
 
 
-def _parse_lines(data: bytes | str, sensor_id: str) -> SensorSeries:
+def _parse_lines(data: bytes, sensor_id: str) -> SensorSeries:
     """The reference line-by-line parser; it raises every ingest error."""
     points: dict[int, float] = {}
-    newline = b"\n" if isinstance(data, bytes) else "\n"
-    for lineno, raw in enumerate(data.split(newline), start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
-                    line=lineno,
-                ) from None
-        line = raw.strip()
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
+                line=lineno,
+            ) from None
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
@@ -322,22 +315,22 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
     Interpolates on offsets from the grid start, exact in float64 up to 2**53
     ms, so instants far from zero stay apart.
     """
-    instants = _offsets(grid.instants(), grid.start)
-    rows = []
-    ids = []
-    for s in series:
-        if len(s) == 0:
-            raise AlignmentError(f"sensor {s.sensor_id!r} has no samples")
-        if s.timestamps[-1] < grid.start or s.timestamps[0] > grid.end:
-            raise AlignmentError(
-                f"sensor {s.sensor_id!r} does not overlap the grid span "
-                f"[{grid.start}, {grid.end}]"
-            )
-        rows.append(np.interp(instants, _offsets(s.timestamps, grid.start), s.values))
-        ids.append(s.sensor_id)
-    if not rows:
-        raise EmptyInputError("no series to align")
-    return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
+    rows, ids = [], []
+    with fits_in_memory(f"an aligned matrix of {grid.count} samples does not fit in memory"):
+        instants = _offsets(grid.instants(), grid.start)
+        for s in series:
+            if len(s) == 0:
+                raise AlignmentError(f"sensor {s.sensor_id!r} has no samples")
+            if s.timestamps[-1] < grid.start or s.timestamps[0] > grid.end:
+                raise AlignmentError(
+                    f"sensor {s.sensor_id!r} does not overlap the grid span "
+                    f"[{grid.start}, {grid.end}]"
+                )
+            rows.append(np.interp(instants, _offsets(s.timestamps, grid.start), s.values))
+            ids.append(s.sensor_id)
+        if not rows:
+            raise EmptyInputError("no series to align")
+        return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
 
 
 def _offsets(timestamps: np.ndarray, start: int) -> np.ndarray:

@@ -227,8 +227,6 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
 
 def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np.ndarray]:
     """pairwise_correlation plus the row minima and maxima, from one pass."""
-    if matrix.n_samples < 2:
-        raise DegenerateInputError("need at least 2 samples to correlate rows")
     data = matrix.data
     _, comoment, lo, hi = _comoments(data, data[:, :1])
     comoment /= data.shape[1]
@@ -413,6 +411,22 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
     )
 
 
+def _check_window(window: Window, model: CSModel) -> None:
+    """_check_sensors, then the shapes: (n, w) values with w >= 1 and an (n,)
+    preceding column, if any. Values are not checked for finiteness: that
+    would be a full pass per window."""
+    _check_sensors(window.sensor_ids, model)
+    n = model.n_sensors
+    shape = window.values.shape
+    if len(shape) != 2 or shape[0] != n:
+        raise DimensionError(f"window values must be {n} sensors x samples, got {shape}")
+    before = window.preceding
+    if before is not None and np.shape(before) != (n,):
+        raise DimensionError(f"preceding column must hold {n} values, got {np.shape(before)}")
+    if shape[1] == 0:
+        raise DegenerateInputError("window holds no samples")
+
+
 def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
     """Min-max normalize sensor ``rows`` of a block of samples into ``out``, a
     C-contiguous (rows, 1 + samples) buffer, clamped to [0,1] (flat rows to 0):
@@ -437,7 +451,7 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     when available and is 0 otherwise. Both matrices are fresh C-contiguous
     (n, w) arrays.
     """
-    _check_sensors(window.sensor_ids, model)
+    _check_window(window, model)
     values = window.values
     n, width = values.shape
     before = values[:, 0] if window.preceding is None else window.preceding
@@ -488,7 +502,7 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     difference is 0) and the window go into one contiguous (rows, w + 1)
     buffer, normalized there in place. O(w * n).
     """
-    _check_sensors(window.sensor_ids, model)
+    _check_window(window, model)
     layout = block_layout(model.n_sensors, n_blocks)
     values = window.values
     n, width = values.shape

@@ -2,7 +2,8 @@
 
 Every exception carries a short machine-readable ``code`` so the CLI can emit
 single-line, parsable error reasons. ``opened`` opens what each reader and
-writer is given: a ``PathOrStream``.
+writer is given: a ``PathOrStream``. ``fits_in_memory`` guards every
+allocation whose size a caller chooses.
 """
 
 from __future__ import annotations
@@ -103,6 +104,16 @@ def opened(target: PathOrStream, what: str, mode: str, **options):
         raise FormatError(
             f"{what} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
         ) from None
+
+
+@contextlib.contextmanager
+def fits_in_memory(message: str):
+    """Turn an allocation that fails inside the block into InvalidParameterError(message):
+    a MemoryError, or the ValueError numpy raises for more bytes than an array can address."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(message) from None
 
 
 class IncompatibilityError(CsSmoothError):

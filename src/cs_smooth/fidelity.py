@@ -21,7 +21,9 @@ from .cs import (
 )
 # perfbench/spans.py times these under this module's names.
 from .cs import compute_signature, sort_normalize  # noqa: F401
-from .errors import DegenerateInputError, IncompatibilityError, InvalidParameterError
+from .errors import (
+    DegenerateInputError, IncompatibilityError, InvalidParameterError, fits_in_memory,
+)
 
 DEFAULT_BINS = 100
 
@@ -175,10 +177,8 @@ def fidelity_table(
     if bins < 1:
         raise InvalidParameterError(f"bin count must be >= 1, got {bins}")
     n, t = original.data.shape
-    try:
+    with fits_in_memory(f"{bins} bins per sensor do not fit in memory"):
         values, derivs = np.empty((2, n, bins), dtype=np.int64)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
-        raise InvalidParameterError(f"{bins} bins per sensor do not fit in memory") from None
     batches = compute_signature_batches(original, model, spec, block_counts)
     # Original side: rows in chunks of about _CHUNK_VALUES values, sharing two
     # buffers that are binned in place; count rows then go to permutation order.

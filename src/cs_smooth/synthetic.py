@@ -14,73 +14,57 @@ def smooth_signal(t: int, rng: np.random.Generator) -> np.ndarray:
     return (s - s.mean()) / (sd if sd > 0 else 1.0)
 
 
-def plateau_signal(
-    t: int, rng: np.random.Generator, plateau_len: int = 100, drift: float = 0.3
-) -> np.ndarray:
-    """Monitoring-style signal: piecewise-constant load levels plus slow drift.
+def plateau_signal(t: int, rng: np.random.Generator) -> np.ndarray:
+    """Monitoring-style signal: 100-sample load-level plateaus plus slow drift.
 
     Values sit on plateaus with occasional jumps, so first differences are
     tiny except at level changes; standardized to zero mean, unit variance.
     """
-    levels = rng.uniform(-1.0, 1.0, size=t // plateau_len + 2)
-    steps = np.repeat(levels, plateau_len)[:t]
-    s = steps + drift * smooth_signal(t, rng)
+    levels = rng.uniform(-1.0, 1.0, size=t // 100 + 2)
+    steps = np.repeat(levels, 100)[:t]
+    s = steps + 0.3 * smooth_signal(t, rng)
     sd = s.std()
     return (s - s.mean()) / (sd if sd > 0 else 1.0)
 
 
 def clustered_plateau_matrix(
-    n_pos: int,
-    n_neg: int,
-    n_noise: int,
-    t: int = 600,
-    noise_scale: float = 0.05,
-    seed: int = 0,
-    plateau_len: int = 100,
-    interval: int = 1000,
+    n_pos: int, n_neg: int, n_noise: int, t: int = 600, seed: int = 0
 ) -> SensorMatrix:
     """Two opposing clusters around a plateau signal, plus independent noise.
 
     Like :func:`anti_correlated_matrix` but with plateau-style dynamics: every
-    noise term is an independent plateau signal scaled to ``noise_scale``
-    times the shared signal's deviation.
+    noise term is an independent plateau signal scaled to 0.05 times the
+    shared signal's deviation.
     """
     rng = np.random.default_rng(seed)
-    s = plateau_signal(t, rng, plateau_len)
-    sigma = noise_scale * s.std()
-    noise = lambda: sigma * plateau_signal(t, rng, plateau_len)
-    return _opposing_clusters(s, noise, n_pos, n_neg, n_noise, interval)
+    s = plateau_signal(t, rng)
+    sigma = 0.05 * s.std()
+    return _opposing_clusters(s, lambda: sigma * plateau_signal(t, rng), n_pos, n_neg, n_noise)
 
 
 def anti_correlated_matrix(
-    n_pos: int,
-    n_neg: int,
-    n_noise: int,
-    t: int,
-    noise_scale: float = 0.05,
-    seed: int = 0,
-    interval: int = 1000,
+    n_pos: int, n_neg: int, n_noise: int, t: int, seed: int = 0
 ) -> SensorMatrix:
     """Two opposing clusters tracking one signal, plus independent noise rows.
 
     Rows 0..n_pos-1 follow the shared signal, the next n_neg rows follow its
     negation, the last n_noise rows are pure noise; all noise terms have
-    standard deviation ``noise_scale`` times the signal's.
+    standard deviation 0.05 times the signal's.
     """
     rng = np.random.default_rng(seed)
     s = smooth_signal(t, rng)
-    sigma = noise_scale * s.std()
-    noise = lambda: sigma * rng.standard_normal(t)
-    return _opposing_clusters(s, noise, n_pos, n_neg, n_noise, interval)
+    sigma = 0.05 * s.std()
+    return _opposing_clusters(s, lambda: sigma * rng.standard_normal(t), n_pos, n_neg, n_noise)
 
 
-def _opposing_clusters(signal, noise, n_pos, n_neg, n_noise, interval) -> SensorMatrix:
-    """Rows signal + noise(), -signal + noise() and noise(), drawn in that order."""
+def _opposing_clusters(signal, noise, n_pos, n_neg, n_noise) -> SensorMatrix:
+    """Rows signal + noise(), -signal + noise() and noise(), drawn in that order,
+    on a 1 s grid."""
     rows = [signal + noise() for _ in range(n_pos)]
     rows += [-signal + noise() for _ in range(n_neg)]
     rows += [noise() for _ in range(n_noise)]
     ids = tuple(f"s{i:03d}" for i in range(len(rows)))
-    return SensorMatrix(ids, TimeGrid(0, interval, len(signal)), np.stack(rows))
+    return SensorMatrix(ids, TimeGrid(0, 1000, len(signal)), np.stack(rows))
 
 
 def class_stream(

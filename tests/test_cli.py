@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cs_smooth import batchio, cs
 from cs_smooth.cli import main, parse_span
 from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, align, infer_grid, load_dataset_dir
-from cs_smooth.errors import FormatError, InvalidParameterError
+from cs_smooth.errors import EmptyInputError, FormatError, InvalidParameterError
 from cs_smooth.synthetic import anti_correlated_matrix, class_stream
 
 from naive_reference import naive_align, naive_signature, naive_train
@@ -98,6 +98,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: invalid-parameter: a grid of 100000000000000001 instants "
             "does not fit in memory\n"
+        )
+        assert not out.exists()
+
+    def test_aligned_matrix_beyond_memory(self, write_dataset, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
+        monkeypatch.setattr(np, "interp", no_memory)  # what align fills each row with
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-parameter: an aligned matrix of 10 samples does not fit in memory\n"
         )
         assert not out.exists()
 
@@ -992,6 +1005,34 @@ class TestBadBatchRow:
         assert err == f"error: format: line 4: {reason}\n"
 
 
+class TestTableRows:
+    """The batch and labels readers share one row loop: an empty file names
+    what it is, and empty rows are skipped but keep their line numbers."""
+
+    @pytest.mark.parametrize(
+        "read, what",
+        [(batchio.read_signature_batch, "signature batch file"),
+         (batchio.read_labels_csv, "labels file")],
+    )
+    def test_empty_file(self, read, what):
+        with pytest.raises(EmptyInputError, match=f"^{what} is empty$"):
+            read(io.StringIO(""))
+
+    @pytest.mark.parametrize(
+        "read, text, reason",
+        [
+            (batchio.read_signature_batch,
+             "window_start,window_end,real_1\r\n\r\n0,4,0.5\r\n\r\n5,9\r\n",
+             "expected 3 fields, got 2"),
+            (batchio.read_labels_csv, "window_start,label\n\n0,idle\n\n5\n",
+             "expected 2 fields, got 1"),
+        ],
+    )
+    def test_empty_rows_skipped_and_counted(self, read, text, reason):
+        with pytest.raises(FormatError, match=f"^line 5: {reason}$"):
+            read(io.StringIO(text, newline=""))
+
+
 class TestBenchCommand:
     def test_row_per_combination(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -1040,6 +1081,19 @@ class TestBenchCommand:
                    flag, value, "--out", tmp_path / "b.csv")
         assert code == 1
         assert_one_line_error(capsys, "invalid-parameter")
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_warm_up_beyond_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cs, "compute_signature_batch", no_memory)
+        code = run("bench", "--methods", "cs", "--n-list", 2, "--wl-list", 1,
+                   "--out", tmp_path / "b.csv")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-parameter: cs windows of 2 x 1 do not fit in memory\n"
+        )
         assert not (tmp_path / "b.csv").exists()
 
     def test_cs_linear_vs_tuncer_superlinear_in_window(self, tmp_path):

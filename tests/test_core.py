@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cs_smooth import core
@@ -103,6 +103,17 @@ class TestLoadSensorCsv:
         path.write_bytes(b"1000,2.0\r0,1.0\r\n2000,3.0")
         s = load_sensor_csv(path, "a")
         assert s.timestamps.tolist() == [0, 1000, 2000]
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [("0,1.0\n1000,2\ud800\n", 2, 7), ("# note \ud800\n0,1.0\n", 1, 8)],
+    )
+    def test_lone_surrogate_in_text_stream(self, text, line, column):
+        # A text stream is parsed as its UTF-8 bytes, comment lines included.
+        with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8 byte 0xed at "
+                                             f"column {column}$") as caught:
+            load_sensor_csv(io.StringIO(text), "a")
+        assert caught.value.line == line
 
     def test_plain_file_takes_the_c_parser(self, tmp_path, monkeypatch):
         def no_loop(data, sensor_id):
@@ -357,6 +368,11 @@ def _sampled_sensors(draw):
 
 class TestAlignAgainstExactReference:
     @given(_sampled_sensors(), st.one_of(st.none(), st.integers(1, 60)))
+    @example(  # subnormal values: np.interp's roundings are absolute there
+        sensors=[([-(2**63) + 1000, -(2**63) + 1001, -(2**63) + 1012],
+                  [0.0, 0.0, 2.225073858507203e-309])],
+        interval=None,
+    )
     @settings(max_examples=200, deadline=None)
     def test_infer_grid_and_align_match_naive_align(self, sensors, interval):
         inputs = [series(ts, vs, f"s{i}") for i, (ts, vs) in enumerate(sensors)]
@@ -375,13 +391,18 @@ class TestAlignAgainstExactReference:
             return
         got = align(inputs, grid).data.tolist()
         exact = naive_align(sensors, grid.start, grid.interval, grid.count)
-        # np.interp rounds four times (value difference, slope, slope x offset,
-        # sum), each by at most eps/2 of at most twice the series' largest |value|;
-        # the offsets themselves are exact below 2**53. 8 eps x max |value| is
-        # twice that bound.
-        eps = np.finfo(np.float64).eps
+        # np.interp computes (y1 - y0) / (x1 - x0) * (x - x0) + y0 and so rounds
+        # four times (value difference, slope, slope x offset, sum); the offsets
+        # are exact below 2**53. A rounding errs by at most eps/2 of its result,
+        # at most twice the series' largest |value|, or, on a subnormal result,
+        # by at most 2**-1075. 8 eps x max |value| is twice the relative bound.
+        # Of the absolute errors, the difference's reaches the result divided
+        # by x1 - x0 and times x - x0 < x1 - x0, so at most 2**-1075; the
+        # slope's is times x - x0 < 50 ms, so below 50 x 2**-1075; the product's
+        # and the sum's are 2**-1075 each: 53 x 2**-1075 in all.
+        eps = Fraction(np.finfo(np.float64).eps)
         for row, want, (_, values) in zip(got, exact, sensors):
-            tol = 8 * eps * max(abs(v) for v in values)
+            tol = 8 * eps * max(abs(Fraction(v)) for v in values) + Fraction(53, 2**1075)
             assert all(abs(Fraction(g) - e) <= tol for g, e in zip(row, want))
 
 

@@ -32,6 +32,7 @@ from cs_smooth.cs import (
 )
 from cs_smooth.errors import (
     DegenerateInputError,
+    DimensionError,
     FormatError,
     InvalidBlockCountError,
     InvalidParameterError,
@@ -130,6 +131,11 @@ class TestPairwiseCorrelation:
 
 
 class TestTrain:
+    def test_one_sample_is_degenerate(self):
+        # SensorMatrix refuses a single column, so train never sees one.
+        with pytest.raises(DegenerateInputError):
+            train(matrix_from([[1.0], [2.0]]))
+
     def test_greedy_order_with_tie_break(self):
         # globals [1, 1, 0]: tie between rows 0/1 goes to 0; then row 1 scores
         # 2*1 = 2 against row 2's 0*0.
@@ -457,6 +463,26 @@ class TestSortNormalize:
                                                  ids=("a", "b")), model):
             assert matrix.shape == (2, 3)
             assert matrix.flags.c_contiguous and matrix.base is None
+
+
+class TestWindowShape:
+    """Both per-window signers check a window's shape before any arithmetic."""
+
+    MODEL = CSModel(("a", "b"), [1, 0], [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("sign", [lambda w, m: compute_signature(w, m, 1), sort_normalize])
+    @pytest.mark.parametrize(
+        "values, preceding, error, reason",
+        [
+            (np.zeros((3, 4)), None, DimensionError, "window values must be 2 sensors"),
+            (np.zeros((2, 4)), np.zeros(3), DimensionError, "preceding column must hold 2"),
+            (np.zeros((2, 0)), None, DegenerateInputError, "window holds no samples"),
+        ],
+    )
+    def test_malformed_window_rejected(self, sign, values, preceding, error, reason):
+        window = Window(("a", "b"), values, preceding, 0, 0)
+        with pytest.raises(error, match=reason):
+            sign(window, self.MODEL)
 
 
 class TestBlockLayout:
