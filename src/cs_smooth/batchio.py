@@ -132,36 +132,3 @@ def write_pgm(sink: PathOrStream, pixels: np.ndarray) -> None:
     with opened(sink, "PGM image", "wb") as stream:
         stream.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         stream.write(img.tobytes())
-
-
-def read_pgm(source: PathOrStream) -> np.ndarray:
-    """Read a binary PGM (P5) image back into a 2-D uint8 array."""
-    with opened(source, "PGM image", "rb") as stream:
-        data = stream.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("PGM header is truncated")
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise FormatError("not a binary PGM (P5) file")
-    if not all(f.isdigit() for f in fields[1:]):
-        raise FormatError("PGM width, height and maxval must be unsigned integers")
-    width, height, maxval = (int(f) for f in fields[1:])
-    if maxval != 255:
-        raise FormatError(f"unsupported PGM maxval {maxval}")
-    pos += 1
-    raster = np.frombuffer(data[pos : pos + width * height], dtype=np.uint8)
-    if raster.size != width * height:
-        raise FormatError("PGM raster is truncated")
-    return raster.reshape(height, width)

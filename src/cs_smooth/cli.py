@@ -249,16 +249,12 @@ class _ExternalPredictor:
         pred_path = self.workdir / f"fold{self.fold}_predictions.csv"
         self.fold += 1
         feat_header = [f"f_{i}" for i in range(1, width + 1)]
-        fmt_label = lambda y: y if isinstance(y, str) else repr(float(y))
-        fmt_row = lambda x: [repr(float(v)) for v in x]
         batchio.write_csv_report(
             train_path,
             ["label", *feat_header],
-            ([fmt_label(y), *fmt_row(x)] for x, y in zip(train_x, train_y)),
+            ([y, *x] for x, y in zip(train_x.tolist(), train_y.tolist())),
         )
-        batchio.write_csv_report(
-            test_path, feat_header, (fmt_row(x) for x in features)
-        )
+        batchio.write_csv_report(test_path, feat_header, features.tolist())
         proc = subprocess.run(
             [*self.argv, str(train_path), str(test_path), str(pred_path)],
             capture_output=True,
@@ -311,8 +307,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             predictor = evaluation.reference_predictor(args.task)
         metrics = evaluation.cross_validate(dataset, predictor, args.folds, args.seed)
-    rows = [(str(i), metrics.metric, repr(s)) for i, s in enumerate(metrics.per_fold)]
-    rows.append(("mean", metrics.metric, repr(metrics.score)))
+    rows = [(i, metrics.metric, s) for i, s in enumerate(metrics.per_fold)]
+    rows.append(("mean", metrics.metric, metrics.score))
     batchio.write_csv_report(args.out, ["fold", "metric", "score"], rows)
     print(f"{metrics.metric}={metrics.score:.4f} over {args.folds} folds -> {args.out}")
     return 0
@@ -391,28 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compress monitoring time-series into compact image-like signatures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="learn a sorting/normalization model")
-    p_train.add_argument("--dataset", required=True, help="directory of per-sensor CSVs")
-    p_train.add_argument("--interval", type=_counts("--interval"),
+    # The flags several commands share, each defined once.
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", required=True, help="directory of per-sensor CSVs")
+    dataset.add_argument("--interval", type=_counts("--interval"),
                          help="grid interval in ms (default: inferred)")
+    windowing = argparse.ArgumentParser(add_help=False)
+    windowing.add_argument("--window", type=parse_span, required=True,
+                           help="window length: samples or <int>(ms|s|m|h)")
+    windowing.add_argument("--step", type=parse_span, required=True,
+                           help="window step: samples or duration")
+
+    p_train = sub.add_parser("train", parents=[dataset],
+                             help="learn a sorting/normalization model")
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(handler=cmd_train)
 
-    p_sign = sub.add_parser("sign", help="compute a signature batch")
-    p_sign.add_argument("--dataset", required=True)
+    p_sign = sub.add_parser("sign", parents=[dataset, windowing],
+                            help="compute a signature batch")
     p_sign.add_argument("--model", help="model file (required for method cs)")
     p_sign.add_argument("--method", choices=METHODS, default="cs")
-    p_sign.add_argument("--window", type=parse_span, required=True,
-                        help="window length: samples or <int>(ms|s|m|h)")
-    p_sign.add_argument("--step", type=parse_span, required=True,
-                        help="window step: samples or duration")
     p_sign.add_argument("--blocks", type=_counts("block counts"), default=20,
                         help="signature blocks for method cs (default 20)")
     p_sign.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
     p_sign.add_argument("--retrain-every", type=_counts("--retrain-every"),
                         help="retrain on history every k windows")
-    p_sign.add_argument("--interval", type=_counts("--interval"))
     p_sign.add_argument("--out", required=True)
     p_sign.set_defaults(handler=cmd_sign)
 
@@ -422,15 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--out", required=True, help="PGM (P5) image to write")
     p_render.set_defaults(handler=cmd_render)
 
-    p_fid = sub.add_parser("fidelity", help="compression fidelity across block counts")
-    p_fid.add_argument("--dataset", required=True)
+    p_fid = sub.add_parser("fidelity", parents=[dataset, windowing],
+                           help="compression fidelity across block counts")
     p_fid.add_argument("--model", required=True)
-    p_fid.add_argument("--window", type=parse_span, required=True)
-    p_fid.add_argument("--step", type=parse_span, required=True)
     p_fid.add_argument("--blocks", type=_counts("block counts", many=True), required=True,
                        help="comma-separated block counts")
     p_fid.add_argument("--bins", type=_counts("--bins"), default=fidelity.DEFAULT_BINS)
-    p_fid.add_argument("--interval", type=_counts("--interval"))
     p_fid.add_argument("--out", required=True)
     p_fid.set_defaults(handler=cmd_fidelity)
 

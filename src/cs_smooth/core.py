@@ -170,21 +170,20 @@ def load_sensor_csv(source: PathOrStream, sensor_id: str) -> SensorSeries:
     is an error. Records are re-sorted by timestamp; duplicate timestamps keep
     the last value seen in the file. Timestamps must fit in int64. A text
     stream is parsed as its UTF-8 bytes, so a lone surrogate is a ParseError.
+    Whatever the source, CRLF and a lone CR end a line, as LF does.
     """
     with opened(source, f"sensor {sensor_id!r} CSV", "rb") as stream:
         data = stream.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    elif stream is not source and b"\r" in data:
-        # A named file, read as bytes: the universal newlines a text-mode read applies.
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return _parse_sensor_csv(data, sensor_id)
 
 
 # Bytes numpy's reader and the line loop read alike: digits, signs, decimal
-# point, exponent, comma, ASCII blanks and line ends. Anything else ('#',
-# 'nan', '_', non-ASCII digits or blanks, bad UTF-8) goes to the line loop.
-_FAST_ALPHABET = b"0123456789+-.eE, \t\r\n"
+# point, exponent, comma, ASCII blanks and LF. Anything else ('#', 'nan',
+# '_', non-ASCII digits or blanks, bad UTF-8) goes to the line loop.
+_FAST_ALPHABET = b"0123456789+-.eE, \t\n"
 _RECORD_DTYPE = np.dtype([("t", np.int64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
 
@@ -192,7 +191,7 @@ _INT64 = np.iinfo(np.int64)
 def _parse_sensor_csv(data: bytes, sensor_id: str) -> SensorSeries:
     records = _fast_records(data)
     if records is None:
-        return _parse_lines(data, sensor_id)
+        records = _parse_lines(data, sensor_id)
     ts, vs = records["t"], records["v"]
     if not np.all(ts[1:] > ts[:-1]):
         order = np.argsort(ts, kind="stable")
@@ -223,9 +222,10 @@ def _fast_records(data: bytes) -> np.ndarray | None:
     return records
 
 
-def _parse_lines(data: bytes, sensor_id: str) -> SensorSeries:
-    """The reference line-by-line parser; it raises every ingest error."""
-    points: dict[int, float] = {}
+def _parse_lines(data: bytes, sensor_id: str) -> np.ndarray:
+    """The reference line-by-line parser; it raises every ingest error and
+    returns the records in file order."""
+    records = []
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -250,15 +250,10 @@ def _parse_lines(data: bytes, sensor_id: str) -> SensorSeries:
             raise RejectedValueError(
                 f"sensor {sensor_id!r}: non-finite value at line {lineno}"
             )
-        points[ts] = val
-    if not points:
+        records.append((ts, val))
+    if not records:
         raise EmptyInputError(f"sensor {sensor_id!r}: no records in stream")
-    order = sorted(points)
-    return SensorSeries(
-        sensor_id=sensor_id,
-        timestamps=np.array(order, dtype=np.int64),
-        values=np.array([points[ts] for ts in order], dtype=np.float64),
-    )
+    return np.array(records, dtype=_RECORD_DTYPE)
 
 
 def load_dataset_dir(path: str | Path) -> list[SensorSeries]:

@@ -58,6 +58,16 @@ class TestParseSpan:
             parse_span("fast")
 
 
+@pytest.mark.parametrize("command", ["train", "sign", "fidelity"])
+def test_shared_flags_share_their_help(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "directory of per-sensor CSVs" in out
+    assert "grid interval in ms (default: inferred)" in out
+    assert ("window length: samples or <int>(ms|s|m|h)" in out) == (command != "train")
+
+
 class TestTrainCommand:
     def test_writes_round_trippable_model(self, write_dataset, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -451,11 +461,19 @@ class TestRenderCommand:
         ))
         return path
 
+    @staticmethod
+    def read_image(path):
+        """The pixels of a P5 image under the writer's fixed header."""
+        magic, size, maxval, raster = path.read_bytes().split(b"\n", 3)
+        assert (magic, maxval) == (b"P5", b"255")
+        width, height = map(int, size.split())
+        return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+
     def test_real_pixel_mapping(self, tmp_path):
         batch = self.write_batch(tmp_path, [[1.0, 0.0, 0.5]], [[0.0, 0.0, 0.0]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "real", "--out", out) == 0
-        img = batchio.read_pgm(out)
+        img = self.read_image(out)
         assert img.shape == (3, 1)  # one pixel-row per block, one column per signature
         assert img[:, 0].tolist() == [0, 255, 128]
 
@@ -463,7 +481,7 @@ class TestRenderCommand:
         batch = self.write_batch(tmp_path, [[0.1, 0.2], [0.4, 0.5]], [[0.3, 0.3], [0.3, 0.3]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "imag", "--out", out) == 0
-        img = batchio.read_pgm(out)
+        img = self.read_image(out)
         assert img.shape == (2, 2)
         assert np.all(img == 128)
 
@@ -471,7 +489,7 @@ class TestRenderCommand:
         batch = self.write_batch(tmp_path, [[0.0, 0.0]], [[-0.2, 0.6]])
         out = tmp_path / "img.pgm"
         assert run("render", "--batch", batch, "--component", "imag", "--out", out) == 0
-        img = batchio.read_pgm(out)
+        img = self.read_image(out)
         assert img[:, 0].tolist() == [255, 0]
 
     def test_empty_batch_errors(self, tmp_path, capsys):
@@ -479,13 +497,6 @@ class TestRenderCommand:
         path.write_text("")
         assert run("render", "--batch", path, "--out", tmp_path / "img.pgm") == 1
         assert capsys.readouterr().err.startswith("error: empty-input:")
-
-    @pytest.mark.parametrize(
-        "data", [b"P5\n3", b"P5\n3 2\n", b"", b"P5 # note\n", b"P5\n3 x\n255\n", b"P5\n-3 2\n255\n"]
-    )
-    def test_truncated_or_malformed_pgm_header(self, data):
-        with pytest.raises(FormatError, match="PGM"):
-            batchio.read_pgm(io.BytesIO(data))
 
 
 def _csv_writer_batch(batch):
@@ -843,6 +854,32 @@ with open(out_path, "w") as fh:
         rows = read_report(out)
         assert float(rows[-1]["score"]) >= 0.95
 
+
+    def test_external_predictor_fold_files_hold_each_float_as_its_repr(self, tmp_path):
+        batch, labels = make_labeled_batch(tmp_path)
+        signatures = batchio.read_signature_batch(batch)
+        starts = signatures.window_starts.tolist()
+        labels.write_text("window_start,label\n" + "".join(f"{s},{s / 3!r}\n" for s in starts))
+        plugin = tmp_path / "plugin.py"
+        plugin.write_text(f"""
+import shutil, sys
+for path in sys.argv[1:3]:
+    shutil.copy(path, {str(tmp_path)!r})
+with open(sys.argv[2]) as fh:
+    count = len(fh.readlines()) - 1
+with open(sys.argv[3], "w") as fh:
+    fh.write("prediction\\n" + "0.5\\n" * count)
+""")
+        out = tmp_path / "m.csv"
+        assert run("eval", "--batch", batch, "--labels", labels, "--task", "regression",
+                   "--predictor-cmd", f"{sys.executable} {plugin}", "--out", out) == 0
+        rows = [",".join(map(repr, [s / 3, *r, *i])) for s, r, i in
+                zip(starts, signatures.real.tolist(), signatures.imag.tolist())]
+        lines = lambda pattern: [line for f in tmp_path.glob(pattern)
+                                 for line in f.read_text().splitlines()[1:]]
+        assert set(lines("fold*_train.csv")) <= set(rows)
+        assert sorted(lines("fold*_test.csv")) == sorted(r.split(",", 1)[1] for r in rows)
+        assert all(repr(float(row["score"])) == row["score"] for row in read_report(out))
 
     def test_external_predictor_non_numeric_regression_output(self, tmp_path, capsys):
         batch, labels = make_labeled_batch(tmp_path)

@@ -40,6 +40,20 @@ def series(ts, vs, sensor_id="s"):
     return SensorSeries(sensor_id=sensor_id, timestamps=ts, values=vs)
 
 
+SOURCES = ["path", "binary stream", "text stream"]
+
+
+def _source(kind, data, tmp_path):
+    """``data`` as a sensor-CSV file path, a binary stream or an untranslated text stream."""
+    if kind == "path":
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        return path
+    if kind == "binary stream":
+        return io.BytesIO(data)
+    return io.StringIO(data.decode("utf-8"), newline="")
+
+
 class TestLoadSensorCsv:
     def test_direct_parse(self):
         s = load_sensor_csv(io.StringIO("0,1.0\n1000,2.0"), "a")
@@ -57,8 +71,11 @@ class TestLoadSensorCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_sensor_csv(io.StringIO("0,1\n1,2\nbroken"), "a")
 
-    def test_duplicate_timestamp_keeps_last(self):
-        s = load_sensor_csv(io.StringIO("0,1.0\n0,9.0\n1000,2.0"), "a")
+    # The comment sends the second file to the line loop; both parsers share one sort.
+    @pytest.mark.parametrize("head", ["", "# c\n"], ids=["c parser", "line loop"])
+    def test_duplicate_timestamp_keeps_last(self, head):
+        s = load_sensor_csv(io.StringIO(head + "1000,2.0\n0,1.0\n0,9.0"), "a")
+        assert s.timestamps.tolist() == [0, 1000]
         assert s.values.tolist() == [9.0, 2.0]
 
     def test_comments_and_blanks_skipped(self):
@@ -97,12 +114,15 @@ class TestLoadSensorCsv:
         with pytest.raises(ParseError, match="line 2: invalid UTF-8 byte 0xff"):
             load_sensor_csv(path, "a")
 
-    def test_file_lone_cr_is_a_line_break(self, tmp_path):
-        # A file is read with the universal newlines of text mode.
-        path = tmp_path / "s.csv"
-        path.write_bytes(b"1000,2.0\r0,1.0\r\n2000,3.0")
-        s = load_sensor_csv(path, "a")
-        assert s.timestamps.tolist() == [0, 1000, 2000]
+    @pytest.mark.parametrize("kind", SOURCES)
+    @pytest.mark.parametrize("data, timestamps, values", [
+        (b"1000,2.0\r0,1.0\r\n2000,3.0", [0, 1000, 2000], [1.0, 2.0, 3.0]),
+        (b"#c\r0,1\r1000,2\n3000,4\n", [0, 1000, 3000], [1.0, 2.0, 4.0]),  # CR ends a comment
+    ], ids=["records", "comment"])
+    def test_lone_cr_is_a_line_break(self, tmp_path, kind, data, timestamps, values):
+        s = load_sensor_csv(_source(kind, data, tmp_path), "a")
+        assert s.timestamps.tolist() == timestamps
+        assert s.values.tolist() == values
 
     @pytest.mark.parametrize(
         "text, line, column",
@@ -131,15 +151,13 @@ def _reference_load(lines, sensor_id):
     """The per-line ingest loop, kept as an independent oracle for the parser."""
     points = {}
     for lineno, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
-                    line=lineno,
-                ) from None
-        line = raw.strip()
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"invalid UTF-8 byte {raw[exc.start]:#04x} at column {exc.start + 1}",
+                line=lineno,
+            ) from None
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
@@ -241,26 +259,18 @@ class TestParserAgreesWithLineLoop:
     @settings(max_examples=500, deadline=None)
     @given(_sensor_file())
     def test_same_arrays_or_same_error(self, data):
-        expected = _outcome(lambda: _reference_load(io.BytesIO(data), "s"))
-        assert _outcome(lambda: load_sensor_csv(io.BytesIO(data), "s")) == expected
+        # Every source reads CRLF and a lone CR as LF.
+        lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        expected = _outcome(lambda: _reference_load(io.BytesIO(lines), "s"))
         try:
-            text = data.decode("utf-8")
+            data.decode("utf-8")
+            kinds = SOURCES
         except UnicodeDecodeError:
-            text = None
-        if text is not None:
-            expected_text = _outcome(lambda: _reference_load(io.StringIO(text), "s"))
-            assert _outcome(lambda: load_sensor_csv(io.StringIO(text), "s")) == expected_text
+            kinds = ["path", "binary stream"]  # bytes no text stream holds
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "s.csv"
-            path.write_bytes(data)
-            if text is not None:
-                with open(path, encoding="utf-8") as fh:
-                    expected_file = _outcome(lambda: _reference_load(fh, "s"))
-            else:
-                # Text mode's line split, with each line decoded on its own.
-                lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                expected_file = _outcome(lambda: _reference_load(io.BytesIO(lines), "s"))
-            assert _outcome(lambda: load_sensor_csv(path, "s")) == expected_file
+            for kind in kinds:
+                source = _source(kind, data, Path(tmp))
+                assert _outcome(lambda: load_sensor_csv(source, "s")) == expected, kind
 
 
 class TestSeriesInvariants:
@@ -354,15 +364,29 @@ _ANCHOR = st.one_of(
 @st.composite
 def _sampled_sensors(draw):
     """1-4 sensors around one anchor, each with its own first sample and 2-12
-    samples at irregular gaps of 1-50 ms, so their spans differ."""
+    samples at irregular gaps of 1-50 ms, so their spans differ.
+
+    The first of several sensors may also take one sample near the other int64
+    end, where its offset from the grid start passes the int64 range: before
+    its first sample for an anchor >= 0, after its last for one below. It is
+    added only where another sensor keeps the grid's edge on the near side, so
+    it brackets no grid instant."""
     anchor = draw(_ANCHOR)
+    value = st.floats(-1e9, 1e9)
     sensors = []
     for _ in range(draw(st.integers(1, 4))):
         first = anchor + draw(st.integers(0, 100))
         gaps = draw(st.lists(st.integers(1, 50), min_size=1, max_size=11))
-        values = draw(st.lists(st.floats(-1e9, 1e9), min_size=len(gaps) + 1,
-                               max_size=len(gaps) + 1))
+        values = draw(st.lists(value, min_size=len(gaps) + 1, max_size=len(gaps) + 1))
         sensors.append((list(itertools.accumulate(gaps, initial=first)), values))
+    (ts, vs), rest = sensors[0], sensors[1:]
+    if rest and draw(st.booleans()):
+        if anchor >= 0 and ts[0] <= max(r[0] for r, _ in rest):
+            ts.insert(0, draw(st.integers(-(2**63), -(2**63) + 1000)))
+            vs.insert(0, draw(value))
+        elif anchor < 0 and ts[-1] >= min(r[-1] for r, _ in rest):
+            ts.append(draw(st.integers(2**63 - 1001, 2**63 - 1)))
+            vs.append(draw(value))
     return sensors
 
 

@@ -75,11 +75,6 @@ READERS = {
         MODEL_JSON.replace(b'"a"', b'"\xff"'),
         b"",
     ]),
-    "read_pgm": (batchio.read_pgm, BINARY, [
-        b"P5\n# comment\n3 1\n255\n\x00\xff\x0a",
-        b"P5\n3 1\n255\n\x00",
-        b"P6\n1 1\n255\n\xff",
-    ]),
 }
 
 
