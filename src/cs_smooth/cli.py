@@ -158,9 +158,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix):
+def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
     """Sign every window, one batch per run of windows that share a model."""
-    spec = _window_spec(args, matrix)
     model = cs.load_model(args.model)
     starts = spec.starts(matrix.n_samples)
     every = args.retrain_every
@@ -184,10 +183,10 @@ def cmd_sign(args: argparse.Namespace) -> int:
     if args.method != "cs" and args.retrain_every is not None:
         raise InvalidParameterError("--retrain-every needs method cs: baselines have no model")
     matrix = _load_matrix(args)
+    spec = _window_spec(args, matrix)
     if args.method == "cs":
-        batch = _sign_cs(args, matrix)
+        batch = _sign_cs(args, matrix, spec)
     else:
-        spec = _window_spec(args, matrix)
         batch = baselines.baseline_signature_batch(matrix, spec, args.method, args.lan_subsample)
     count = batchio.write_signature_batch(args.out, batch)
     print(f"wrote {count} signatures to {args.out}")
@@ -397,19 +396,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="window length: samples or <int>(ms|s|m|h)")
     windowing.add_argument("--step", type=parse_span, required=True,
                            help="window step: samples or duration")
+    signing = argparse.ArgumentParser(add_help=False)
+    signing.add_argument("--blocks", type=_counts("block counts"), default=20,
+                         help="signature blocks for method cs (default 20)")
+    signing.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_counts("--seed", least=0), default=0)
 
     p_train = sub.add_parser("train", parents=[dataset],
                              help="learn a sorting/normalization model")
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(handler=cmd_train)
 
-    p_sign = sub.add_parser("sign", parents=[dataset, windowing],
+    p_sign = sub.add_parser("sign", parents=[dataset, windowing, signing],
                             help="compute a signature batch")
     p_sign.add_argument("--model", help="model file (required for method cs)")
     p_sign.add_argument("--method", choices=METHODS, default="cs")
-    p_sign.add_argument("--blocks", type=_counts("block counts"), default=20,
-                        help="signature blocks for method cs (default 20)")
-    p_sign.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
     p_sign.add_argument("--retrain-every", type=_counts("--retrain-every"),
                         help="retrain on history every k windows")
     p_sign.add_argument("--out", required=True)
@@ -430,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--out", required=True)
     p_fid.set_defaults(handler=cmd_fidelity)
 
-    p_eval = sub.add_parser("eval", help="cross-validate signatures on a labeled task")
+    p_eval = sub.add_parser("eval", parents=[seeded],
+                            help="cross-validate signatures on a labeled task")
     p_eval.add_argument("--batch", required=True, help="signature batch CSV")
     p_eval.add_argument("--labels", required=True, help="window_start,label CSV")
     p_eval.add_argument("--task", choices=(evaluation.CLASSIFICATION, evaluation.REGRESSION),
                         default=evaluation.CLASSIFICATION)
     p_eval.add_argument("--folds", type=_counts("--folds", least=2), default=5)
-    p_eval.add_argument("--seed", type=_counts("--seed", least=0), default=0)
     p_eval.add_argument("--real-only", action="store_true",
                         help="drop imaginary components from the features")
     p_eval.add_argument("--predictor-cmd", type=_command,
@@ -445,17 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=cmd_eval)
 
     p_bench = sub.add_parser(
-        "bench", help="median seconds per signature of sign's batch signers over a size grid"
+        "bench", parents=[signing, seeded],
+        help="median seconds per signature of sign's batch signers over a size grid",
     )
     p_bench.add_argument("--methods", type=_method_list, default=METHODS)
     p_bench.add_argument("--n-list", type=_counts("--n-list", many=True), default=(100, 1000),
                          help="comma-separated sensor counts")
     p_bench.add_argument("--wl-list", type=_counts("--wl-list", many=True), default=(10, 100),
                          help="comma-separated window lengths")
-    p_bench.add_argument("--blocks", type=_counts("block counts"), default=20)
-    p_bench.add_argument("--lan-subsample", type=_counts("--lan-subsample"), default=10)
     p_bench.add_argument("--reps", type=_counts("--reps"), default=20)
-    p_bench.add_argument("--seed", type=_counts("--seed", least=0), default=0)
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(handler=cmd_bench)
 

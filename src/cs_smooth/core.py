@@ -349,14 +349,14 @@ def windows(matrix: SensorMatrix, spec: WindowSpec) -> Iterator[Window]:
     """
     wl = spec.length_samples
     data = matrix.data
-    instants = matrix.grid.instants()
+    t0, dt = matrix.grid.start, matrix.grid.interval
     for s in spec.starts(matrix.n_samples):
         yield Window(
             sensor_ids=matrix.sensor_ids,
             values=data[:, s : s + wl],
             preceding=data[:, s - 1] if s > 0 else None,
-            start=int(instants[s]),
-            end=int(instants[s + wl - 1]),
+            start=t0 + dt * s,
+            end=t0 + dt * (s + wl - 1),
         )
 
 

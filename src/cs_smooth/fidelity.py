@@ -32,7 +32,6 @@ DEFAULT_BINS = 100
 class Histogram2D:
     """(dimension x value-bin) probability mass; every dimension holds 1/n."""
 
-    bins: int
     value_range: tuple[float, float]
     mass: np.ndarray
 
@@ -43,10 +42,6 @@ class Histogram2D:
         object.__setattr__(
             self, "value_range", (float(self.value_range[0]), float(self.value_range[1]))
         )
-
-    @property
-    def n_dims(self) -> int:
-        return self.mass.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ def build_distribution(
     """Histogram each row uniformly over ``value_range`` into a Histogram2D.
 
     Values outside the range are clamped into the edge bins; each row's
-    histogram is normalized to total 1/n_dims so the whole mass sums to one.
+    histogram is normalized to total 1/n (n rows) so the whole mass sums to one.
     """
     data = np.asarray(matrix, dtype=np.float64)
     if data.ndim != 2 or data.size == 0:
@@ -79,7 +74,7 @@ def build_distribution(
         raise DegenerateInputError(f"value range must satisfy hi > lo, got ({lo}, {hi})")
     n, width = data.shape
     mass = _bin_counts(data, bins, lo, hi) / (width * n)
-    return Histogram2D(bins=bins, value_range=(lo, hi), mass=mass)
+    return Histogram2D(value_range=(lo, hi), mass=mass)
 
 
 def _bin_counts(values: np.ndarray, bins: int, lo: float, hi: float, out=None) -> np.ndarray:
@@ -193,8 +188,8 @@ def fidelity_table(
         values[rows] = _bin_counts(norm[:, 1:], bins, 0.0, 1.0, out=norm[:, 1:])
         derivs[rows] = _bin_counts(diff, bins, -1.0, 1.0, out=diff)
     p = model.permutation
-    p_vals = Histogram2D(bins, (0.0, 1.0), values[p] / (t * n))
-    p_derivs = Histogram2D(bins, (-1.0, 1.0), derivs[p] / (t * n))
+    p_vals = Histogram2D((0.0, 1.0), values[p] / (t * n))
+    p_derivs = Histogram2D((-1.0, 1.0), derivs[p] / (t * n))
     # Signature side: an expanded row holds its block's values, so it has its
     # block's counts.
     table = []
@@ -204,8 +199,8 @@ def fidelity_table(
         q_vals = _bin_counts(batch.real.T, bins, 0.0, 1.0)[assignment] / total
         q_derivs = _bin_counts(batch.imag.T, bins, -1.0, 1.0)[assignment] / total
         table.append(FidelityComponents(
-            js_real=js_divergence(p_vals, Histogram2D(bins, (0.0, 1.0), q_vals)),
-            js_imag=js_divergence(p_derivs, Histogram2D(bins, (-1.0, 1.0), q_derivs)),
+            js_real=js_divergence(p_vals, Histogram2D((0.0, 1.0), q_vals)),
+            js_imag=js_divergence(p_derivs, Histogram2D((-1.0, 1.0), q_derivs)),
         ))
     return table
 

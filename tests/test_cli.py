@@ -1305,6 +1305,14 @@ class TestErrorContractFuzz:
     def test_unbroken_inputs_succeed(self, tmp_path, command):
         assert self.run_case(tmp_path, command) == (0, "")
 
+    def test_bounds_whose_span_overflows_are_one_error_line(self, tmp_path):
+        model = json.dumps({
+            "version": "v1", "sensor_ids": ["s000", "s001", "s002"], "permutation": [0, 1, 2],
+            "lower_bounds": [-1e308, -2.0, -2.0], "upper_bounds": [1e308, 2.0, 2.0],
+        })
+        code, err = self.run_case(tmp_path, "sign", model=model)
+        assert (code, err) == (1, "error: format: bounds span must fit in float64\n")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_malformed_input_is_one_error_line(self, data):

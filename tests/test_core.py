@@ -350,9 +350,11 @@ class TestAlign:
         assert np.array_equal(m.data[0], values)
 
 
-# Sensors are sampled within this many ms of their anchor: a first sample up to
-# 100 ms after it, then up to 11 gaps of up to 50 ms.
-_MAX_SPAN = 100 + 11 * 50
+# Every sensor's span covers the instant _SHARED ms after the anchor, with up to
+# 11 gaps of up to 50 ms on either side of it, so it lies within _MAX_SPAN ms of
+# the anchor.
+_SHARED = 11 * 50
+_MAX_SPAN = 2 * _SHARED
 _ANCHOR = st.one_of(
     st.integers(-(2**63), -(2**63) + 1000),  # the int64 minimum
     st.integers(2**63 - 1 - 2 * _MAX_SPAN, 2**63 - 1 - _MAX_SPAN),  # the int64 maximum
@@ -363,28 +365,30 @@ _ANCHOR = st.one_of(
 
 @st.composite
 def _sampled_sensors(draw):
-    """1-4 sensors around one anchor, each with its own first sample and 2-12
-    samples at irregular gaps of 1-50 ms, so their spans differ.
+    """1-4 sensors whose spans all cover one instant near the anchor, so the
+    grid exists, each with 2-12 samples at irregular gaps of 1-50 ms placed
+    anywhere around that instant, so their spans differ.
 
-    The first of several sensors may also take one sample near the other int64
-    end, where its offset from the grid start passes the int64 range: before
-    its first sample for an anchor >= 0, after its last for one below. It is
-    added only where another sensor keeps the grid's edge on the near side, so
-    it brackets no grid instant."""
+    Of several sensors, the one that starts first (for an anchor >= 0) or ends
+    last (for one below) may also take one sample near the other int64 end,
+    before its first sample or after its last, where its offset from the grid
+    start passes the int64 range. Another sensor keeps the grid's edge on the
+    near side, so the sample brackets no grid instant."""
     anchor = draw(_ANCHOR)
     value = st.floats(-1e9, 1e9)
     sensors = []
     for _ in range(draw(st.integers(1, 4))):
-        first = anchor + draw(st.integers(0, 100))
         gaps = draw(st.lists(st.integers(1, 50), min_size=1, max_size=11))
+        first = anchor + _SHARED - draw(st.integers(0, sum(gaps)))
         values = draw(st.lists(value, min_size=len(gaps) + 1, max_size=len(gaps) + 1))
         sensors.append((list(itertools.accumulate(gaps, initial=first)), values))
-    (ts, vs), rest = sensors[0], sensors[1:]
-    if rest and draw(st.booleans()):
-        if anchor >= 0 and ts[0] <= max(r[0] for r, _ in rest):
+    if len(sensors) > 1 and draw(st.booleans()):
+        if anchor >= 0:
+            ts, vs = min(sensors, key=lambda sensor: sensor[0][0])
             ts.insert(0, draw(st.integers(-(2**63), -(2**63) + 1000)))
             vs.insert(0, draw(value))
-        elif anchor < 0 and ts[-1] >= min(r[-1] for r, _ in rest):
+        else:
+            ts, vs = max(sensors, key=lambda sensor: sensor[0][-1])
             ts.append(draw(st.integers(2**63 - 1001, 2**63 - 1)))
             vs.append(draw(value))
     return sensors
@@ -402,10 +406,6 @@ class TestAlignAgainstExactReference:
         inputs = [series(ts, vs, f"s{i}") for i, (ts, vs) in enumerate(sensors)]
         start = max(ts[0] for ts, _ in sensors)
         end = min(ts[-1] for ts, _ in sensors)
-        if end < start:
-            with pytest.raises(AlignmentError):
-                infer_grid(inputs, interval)
-            return
         grid = infer_grid(inputs, interval)
         assert grid.start == start and grid.end <= end < grid.end + grid.interval
         assert interval is None or grid.interval == interval

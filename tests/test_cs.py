@@ -30,9 +30,11 @@ from cs_smooth.cs import (
     train,
     trim_central,
 )
+from cs_smooth.batchio import write_signature_batch
 from cs_smooth.errors import (
     DegenerateInputError,
     DimensionError,
+    EmptyInputError,
     FormatError,
     InvalidBlockCountError,
     InvalidParameterError,
@@ -483,6 +485,28 @@ class TestWindowShape:
         window = Window(("a", "b"), values, preceding, 0, 0)
         with pytest.raises(error, match=reason):
             sign(window, self.MODEL)
+
+
+class TestSignatureBatchShape:
+    @pytest.mark.parametrize(
+        "starts, ends, real, imag",
+        [
+            (np.arange(3), np.arange(3), np.zeros((5, 2)), None),  # more rows than instants
+            (np.arange(3), np.arange(3), np.zeros((3, 2)), np.zeros((3, 4))),  # wider imag
+            (np.arange(3), np.arange(2), np.zeros((3, 2)), None),
+            (np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2)), None),
+            (np.arange(3), np.arange(3), np.zeros((3, 2)), np.zeros((2, 2))),
+            (np.arange(3), np.arange(3), np.zeros(3), None),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, starts, ends, real, imag):
+        with pytest.raises(DimensionError, match="^a batch needs k window starts"):
+            cs.SignatureBatch(starts, ends, real, imag)
+
+    def test_zero_rows_left_to_the_writer(self):
+        empty = cs.SignatureBatch(np.arange(0), np.arange(0), np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(EmptyInputError, match="^no signatures to write$"):
+            write_signature_batch(io.StringIO(), empty)
 
 
 class TestBlockLayout:
@@ -1029,6 +1053,11 @@ class TestModelPersistence:
         path.write_text(json.dumps(payload))  # json writes NaN/Infinity literals
         with pytest.raises(FormatError, match=reason):
             load_model(path)
+
+    def test_bounds_whose_span_overflows_rejected(self):
+        # Each bound is finite, but their difference, the normalisation divisor, is not.
+        with pytest.raises(FormatError, match="^bounds span must fit in float64$"):
+            CSModel(("a", "b"), [0, 1], [-1e308, 0.0], [1e308, 0.0])
 
     def test_model_id_stable_across_round_trip(self, tmp_path):
         model = self.make_model()

@@ -30,7 +30,7 @@ from cs_smooth.synthetic import anti_correlated_matrix
 
 def hist(mass, value_range=(0.0, 1.0)):
     mass = np.asarray(mass, dtype=float)
-    return Histogram2D(bins=mass.shape[1], value_range=value_range, mass=mass)
+    return Histogram2D(value_range=value_range, mass=mass)
 
 
 class TestBuildDistribution:
