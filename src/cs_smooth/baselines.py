@@ -16,11 +16,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cs
-from .core import SensorMatrix, WindowSpec
+from .core import SensorMatrix, WindowSpec, _window_geometry
 from .errors import DegenerateInputError, InvalidParameterError
-
-TUNCER_PER_ROW = 11
-BODIK_PER_ROW = 9
 
 _TUNCER_PERCENTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 _BODIK_PERCENTILES = (5.0, 25.0, 35.0, 50.0, 65.0, 75.0, 95.0)
@@ -102,7 +99,7 @@ def baseline_signature_batch(
     if method not in maths:
         raise InvalidParameterError(f"unknown baseline method {method!r}")
     width = spec.length_samples
-    starts, *instants = cs._windows(matrix, spec)
+    starts, *instants = _window_geometry(matrix, spec)
     view = sliding_window_view(matrix.data, width, axis=1)[:, :: spec.step_samples]
     view = view.transpose(1, 0, 2)  # windows x sensors x samples, still a view
     per_chunk = max(1, cs._CHUNK_VALUES // (matrix.n_sensors * width))

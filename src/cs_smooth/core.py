@@ -308,9 +308,10 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
     Linear interpolation between samples; instants outside a series' span take
     the nearest endpoint value. Row order follows the input collection order.
     Interpolates on offsets from the grid start, exact in float64 up to 2**53
-    ms, so instants far from zero stay apart.
+    ms, so instants far from zero stay apart. A value that overflows float64
+    in interpolation is a RejectedValueError naming its sensor.
     """
-    rows, ids = [], []
+    rows, aligned = [], []
     with fits_in_memory(f"an aligned matrix of {grid.count} samples does not fit in memory"):
         instants = _offsets(grid.instants(), grid.start)
         for s in series:
@@ -322,10 +323,29 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
                     f"[{grid.start}, {grid.end}]"
                 )
             rows.append(np.interp(instants, _offsets(s.timestamps, grid.start), s.values))
-            ids.append(s.sensor_id)
+            aligned.append(s)
         if not rows:
             raise EmptyInputError("no series to align")
-        return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
+        ids = tuple(s.sensor_id for s in aligned)
+        try:
+            return SensorMatrix(sensor_ids=ids, grid=grid, data=np.stack(rows))
+        except RejectedValueError:
+            # Finite samples interpolate to a non-finite value only by overflowing.
+            bad = [s for s, row in zip(aligned, rows) if not np.all(np.isfinite(row))]
+            lo = min(s.values.min() for s in bad)
+            hi = max(s.values.max() for s in bad)
+            raise _overflow_error([s.sensor_id for s in bad], lo, hi, "interpolation") from None
+
+
+def _overflow_error(
+    sensor_ids: Sequence[str], lo: float, hi: float, operation: str
+) -> RejectedValueError:
+    """The error for sensors whose values, within [lo, hi], overflow float64 in ``operation``."""
+    names = ", ".join(repr(s) for s in sensor_ids)
+    noun = "sensor" if len(sensor_ids) == 1 else "sensors"
+    return RejectedValueError(
+        f"{noun} {names}: values in [{lo:g}, {hi:g}] overflow float64 in {operation}"
+    )
 
 
 def _offsets(timestamps: np.ndarray, start: int) -> np.ndarray:
@@ -347,17 +367,25 @@ def windows(matrix: SensorMatrix, spec: WindowSpec) -> Iterator[Window]:
     incomplete trailing windows are dropped. Yields an empty sequence when the
     window is longer than the matrix.
     """
-    wl = spec.length_samples
-    data = matrix.data
+    if spec.length_samples > matrix.n_samples:
+        return
+    wl, data = spec.length_samples, matrix.data
+    for s, start, end in zip(*(map(int, a) for a in _window_geometry(matrix, spec))):
+        before = data[:, s - 1] if s > 0 else None
+        yield Window(matrix.sensor_ids, data[:, s : s + wl], before, start, end)
+
+
+def _window_geometry(
+    matrix: SensorMatrix, spec: WindowSpec, first: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start columns of windows ``first``..``stop - 1`` of windows(matrix, spec) and
+    the grid instants of their first and last samples; none is a DegenerateInputError.
+    int64 arithmetic wraps modulo 2**64, so an instant is exact when it fits."""
+    starts = np.asarray(spec.starts(matrix.n_samples)[first:stop], dtype=np.int64)
+    if not len(starts):
+        raise DegenerateInputError("no complete windows fit the data; shrink the window")
     t0, dt = matrix.grid.start, matrix.grid.interval
-    for s in spec.starts(matrix.n_samples):
-        yield Window(
-            sensor_ids=matrix.sensor_ids,
-            values=data[:, s : s + wl],
-            preceding=data[:, s - 1] if s > 0 else None,
-            start=t0 + dt * s,
-            end=t0 + dt * (s + wl - 1),
-        )
+    return starts, t0 + dt * starts, t0 + dt * (starts + spec.length_samples - 1)
 
 
 def finite_difference(series: SensorSeries) -> SensorSeries:

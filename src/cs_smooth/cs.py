@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .core import SensorMatrix, TimeGrid, Window, WindowSpec
+from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _overflow_error, _window_geometry
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -239,7 +239,9 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
 def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np.ndarray]:
     """pairwise_correlation plus the row minima and maxima, from one pass."""
     data = matrix.data
-    _, comoment, lo, hi = _comoments(data, data[:, :1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, comoment, lo, hi = _comoments(data, data[:, :1])
+    _check_comoments(comoment, lo, hi, matrix.sensor_ids)
     comoment /= data.shape[1]
     return _correlation_stats(comoment), lo, hi
 
@@ -272,6 +274,18 @@ def _comoments(
         block.mean(axis=1, out=mean[rows])
         block -= mean[rows, None]
     return mean, centered @ centered.T, lo, hi
+
+
+def _check_comoments(
+    comoment: np.ndarray, lo: np.ndarray, hi: np.ndarray, sensor_ids: tuple[str, ...]
+) -> None:
+    """Reject the sensors whose co-moments overflowed float64 (to an infinity or,
+    through inf - inf, to NaN). |c_ij| <= max(c_ii, c_jj), so the diagonal shows
+    every overflow."""
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(comoment)))
+    if len(bad):
+        ids = [sensor_ids[i] for i in bad]
+        raise _overflow_error(ids, lo[bad].min(), hi[bad].max(), "their co-moments")
 
 
 def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
@@ -308,7 +322,8 @@ def train(matrix: SensorMatrix) -> CSModel:
     The permutation starts at the row with the highest global coefficient and
     greedily appends the remaining row maximizing (correlation with the last
     appended row) x (global coefficient); ties go to the lowest original row
-    index. Dominated by the correlation matrix, O(n^2 t).
+    index. Dominated by the correlation matrix, O(n^2 t). Co-moments that
+    overflow float64 are a RejectedValueError naming their sensors.
     """
     stats, lo, hi = _train_stats(matrix)
     perm = _greedy_order(stats.pairwise, stats.global_coeffs)
@@ -386,16 +401,18 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
             )
         for first in range(count, end, per_segment):
             raw = data[:, first : min(first + per_segment, end)]
-            seg_mean, seg_comoment, seg_lo, seg_hi = _comoments(raw, shift)
-            # New arrays, not in place: a yielded model holds the previous ones.
-            lo = np.minimum(lo, seg_lo)
-            hi = np.maximum(hi, seg_hi)
-            width = raw.shape[1]
-            delta = seg_mean - mean
-            total = count + width
-            comoment += seg_comoment
-            comoment += np.outer(delta, delta) * (count * width / total)
-            mean += delta * (width / total)
+            with np.errstate(over="ignore", invalid="ignore"):
+                seg_mean, seg_comoment, seg_lo, seg_hi = _comoments(raw, shift)
+                # New arrays, not in place: a yielded model holds the previous ones.
+                lo = np.minimum(lo, seg_lo)
+                hi = np.maximum(hi, seg_hi)
+                width = raw.shape[1]
+                delta = seg_mean - mean
+                total = count + width
+                comoment += seg_comoment
+                comoment += np.outer(delta, delta) * (count * width / total)
+                mean += delta * (width / total)
+            _check_comoments(comoment, lo, hi, matrix.sensor_ids)
             count = total
         stats = _correlation_stats(comoment / count)
         perm = _greedy_order(stats.pairwise, stats.global_coeffs)
@@ -448,8 +465,10 @@ def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarra
     out[:, 0] = before
     out[:, 1:] = values
     lo, denom = model._wide_scaling(out.shape[1])
-    np.subtract(out, lo[rows], out=out)
-    np.divide(out, denom[rows], out=out)
+    # A value far outside the bounds may overflow to an infinity: it clamps alike.
+    with np.errstate(over="ignore"):
+        np.subtract(out, lo[rows], out=out)
+        np.divide(out, denom[rows], out=out)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -574,7 +593,7 @@ def compute_signature_batches(
     n = model.n_sensors
     layouts = [block_layout(n, n_blocks) for n_blocks in block_counts]
     width, step = spec.length_samples, spec.step_samples
-    starts, *instants = _windows(matrix, spec, first, stop)
+    starts, *instants = _window_geometry(matrix, spec, first, stop)
     blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
     data, p = matrix.data, model.permutation
     per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
@@ -615,18 +634,6 @@ def compute_signature_batches(
             for layout, out in zip(layouts, blocks):
                 out[half, i : i + k] = _block_means(permuted, layout, width)
     return [SignatureBatch(*instants, real, imag) for real, imag in blocks]
-
-
-def _windows(
-    matrix: SensorMatrix, spec: WindowSpec, first: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start columns of windows ``first``..``stop - 1`` of windows(matrix, spec) and
-    the grid instants of their first and last samples; none is a DegenerateInputError."""
-    starts = np.asarray(spec.starts(matrix.n_samples)[first:stop], dtype=np.int64)
-    if not len(starts):
-        raise DegenerateInputError("no complete windows fit the data; shrink the window")
-    t0, dt = matrix.grid.start, matrix.grid.interval
-    return starts, t0 + dt * starts, t0 + dt * (starts + spec.length_samples - 1)
 
 
 def resample_signature(sig: Signature, new_blocks: int) -> Signature:

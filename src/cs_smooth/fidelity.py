@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SensorMatrix, WindowSpec
-from .cs import (
-    _CHUNK_VALUES, BlockLayout, CSModel, Signature, _normalize_block, block_layout,
-    compute_signature_batches,
-)
+from . import cs
+from .cs import BlockLayout, CSModel, Signature, compute_signature_batches
 # perfbench/spans.py times these under this module's names.
 from .cs import compute_signature, sort_normalize  # noqa: F401
 from .errors import (
@@ -175,15 +173,15 @@ def fidelity_table(
     with fits_in_memory(f"{bins} bins per sensor do not fit in memory"):
         values, derivs = np.empty((2, n, bins), dtype=np.int64)
     batches = compute_signature_batches(original, model, spec, block_counts)
-    # Original side: rows in chunks of about _CHUNK_VALUES values, sharing two
+    # Original side: rows in chunks of about cs._CHUNK_VALUES values, sharing two
     # buffers that are binned in place; count rows then go to permutation order.
     # The first column stands in for the one before it, so its difference is 0.
     data = original.data
-    per_chunk = min(n, max(1, _CHUNK_VALUES // (t + 1)))
+    per_chunk = min(n, max(1, cs._CHUNK_VALUES // (t + 1)))
     norm_buf, diff_buf = np.empty((per_chunk, t + 1)), np.empty((per_chunk, t))
     for start in range(0, n, per_chunk):
         rows = slice(start, start + per_chunk)
-        norm = _normalize_block(model, rows, data[rows, 0], data[rows], norm_buf[: n - start])
+        norm = cs._normalize_block(model, rows, data[rows, 0], data[rows], norm_buf[: n - start])
         diff = np.subtract(norm[:, 1:], norm[:, :-1], out=diff_buf[: n - start])
         values[rows] = _bin_counts(norm[:, 1:], bins, 0.0, 1.0, out=norm[:, 1:])
         derivs[rows] = _bin_counts(diff, bins, -1.0, 1.0, out=diff)
@@ -194,7 +192,7 @@ def fidelity_table(
     # block's counts.
     table = []
     for n_blocks, batch in zip(block_counts, batches):
-        assignment = _row_to_block(block_layout(n, n_blocks), n)
+        assignment = _row_to_block(cs.block_layout(n, n_blocks), n)
         total = batch.n_signatures * n
         q_vals = _bin_counts(batch.real.T, bins, 0.0, 1.0)[assignment] / total
         q_derivs = _bin_counts(batch.imag.T, bins, -1.0, 1.0)[assignment] / total

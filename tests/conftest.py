@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cs_smooth.core import SensorMatrix, TimeGrid
+
 
 @pytest.fixture
 def write_dataset(tmp_path):
@@ -18,3 +20,13 @@ def write_dataset(tmp_path):
         return root
 
     return _write
+
+
+# interval x column passes 2**63 on both grids while every instant fits in
+# int64; the second grid ends at the int64 maximum.
+@pytest.fixture(params=[(-3 * 2**61, 2**61), (2**63 - 1 - 5 * (2**61 - 1), 2**61 - 1)])
+def wrapping_matrix(request):
+    """A one-sensor matrix on a 6-instant grid, and its instants as Python integers."""
+    start, interval = request.param
+    matrix = SensorMatrix(("s0",), TimeGrid(start, interval, 6), np.arange(6.0)[None])
+    return matrix, [start + interval * k for k in range(6)]

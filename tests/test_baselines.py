@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cs_smooth import cs
-from cs_smooth.baselines import BODIK_PER_ROW, TUNCER_PER_ROW, baseline_signature_batch
+from cs_smooth.baselines import baseline_signature_batch
 from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, windows
 from cs_smooth.errors import DegenerateInputError, InvalidParameterError
 
@@ -123,8 +123,8 @@ class TestLan:
 def test_output_lengths_match_formulas(n, wl, seed):
     rng = np.random.default_rng(seed)
     rows = rng.uniform(size=(n, wl))
-    assert len(sign_one(rows, "tuncer")) == n * TUNCER_PER_ROW
-    assert len(sign_one(rows, "bodik")) == n * BODIK_PER_ROW
+    assert len(sign_one(rows, "tuncer")) == n * 11
+    assert len(sign_one(rows, "bodik")) == n * 9
     sub = int(rng.integers(1, wl + 1))
     assert len(sign_one(rows, "lan", sub)) == n * sub
 
@@ -198,6 +198,13 @@ class TestBaselineSignatureBatch:
         monkeypatch.setattr(cs, "_CHUNK_VALUES", 7 * 16 * 3)
         for method in ("tuncer", "bodik", "lan"):
             self.assert_same(baseline_signature_batch(mat, spec, method, 5), mat, spec, method, 5)
+
+    @pytest.mark.parametrize("method", ["tuncer", "bodik", "lan"])
+    def test_instants_exact_where_interval_times_column_wraps(self, wrapping_matrix, method):
+        matrix, instants = wrapping_matrix
+        batch = baseline_signature_batch(matrix, WindowSpec(2, 1), method, 2)
+        assert batch.window_starts.tolist() == instants[:-1]
+        assert batch.window_ends.tolist() == instants[1:]
 
     def test_window_longer_than_data_is_degenerate(self):
         mat = matrix_from(np.random.default_rng(0).uniform(size=(3, 10)))

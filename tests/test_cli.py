@@ -135,6 +135,33 @@ class TestTrainCommand:
         )
         assert not out.exists()
 
+    def test_overflowing_co_moments_are_one_rejected_value_line(
+        self, write_dataset, tmp_path, capsys
+    ):
+        data = np.random.default_rng(0).normal(size=(4, 64))
+        data[:2] *= 1e200
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", write_dataset(data), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: rejected-value: sensors 's000', 's001': values in \[\S+, \S+\] "
+            r"overflow float64 in their co-moments\n", err
+        )
+        assert not out.exists()
+
+    def test_interpolation_overflow_is_one_rejected_value_line(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        (dataset / "half_rate.csv").write_text("0,-1e308\n2000,1e308\n4000,0\n")
+        (dataset / "full_rate.csv").write_text("0,0\n1000,1\n2000,2\n3000,3\n4000,4\n")
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: rejected-value: sensor 'half_rate': values in [-1e+308, 1e+308] "
+            "overflow float64 in interpolation\n"
+        )
+        assert not out.exists()
+
 
 class TestIngestErrors:
     @pytest.mark.parametrize(
@@ -192,6 +219,18 @@ class TestSignCommand:
         ) == 0
         batch = batchio.read_signature_batch(out)
         assert batch.n_signatures == 3
+
+    def test_offset_overflow_signs_without_a_warning_line(self, write_dataset, tmp_path, capsys):
+        dataset = write_dataset([[1e308, 0.0, 1e308, 0.0]] * 2)
+        model = tmp_path / "model.json"
+        cs.save_model(cs.CSModel(("s000", "s001"), [0, 1], [-1e308, 0.0], [0.0, 1e308]), model)
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--model", model,
+            "--window", 2, "--step", 1, "--blocks", 2, "--out", out,
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert batchio.read_signature_batch(out).real.tolist() == [[1.0, 0.5]] * 3
 
     def test_cs_row_width_is_twice_blocks(self, write_dataset, tmp_path):
         rng = np.random.default_rng(2)

@@ -339,6 +339,14 @@ class TestAlign:
         early = series([-far, 1 - far, far], [1.0, 3.0, 4.0])
         assert align([early], TimeGrid(-far, 1, 2)).data.tolist() == [[1.0, 3.0]]
 
+    def test_interpolation_overflow_names_the_sensor(self):
+        # The slope between -1e308 and 1e308 overflows float64.
+        wild = series([0, 2000, 4000], [-1e308, 1e308, 0.0], "wild")
+        tame = series([0, 1000, 2000, 3000, 4000], [0.0, 1.0, 2.0, 3.0, 4.0], "tame")
+        expected = r"^sensor 'wild': values in \[-1e\+308, 1e\+308\] overflow float64 in interpolation$"
+        with pytest.raises(RejectedValueError, match=expected):
+            align([wild, tame], TimeGrid(0, 1000, 5))
+
     @given(st.integers(0, 10_000), st.integers(1, 500), st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_idempotent_on_grid_conforming_data(self, start, interval, count, seed):
@@ -508,6 +516,11 @@ class TestWindows:
 
     def test_window_longer_than_data_is_empty(self):
         assert list(windows(self.matrix(3), WindowSpec(4, 1))) == []
+
+    def test_instants_exact_where_interval_times_column_wraps(self, wrapping_matrix):
+        matrix, instants = wrapping_matrix
+        ws = list(windows(matrix, WindowSpec(2, 1)))
+        assert [(w.start, w.end) for w in ws] == list(zip(instants[:-1], instants[1:]))
 
     @given(st.integers(2, 60), st.integers(1, 20), st.integers(1, 20))
     @settings(max_examples=60)

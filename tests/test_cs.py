@@ -39,6 +39,7 @@ from cs_smooth.errors import (
     InvalidBlockCountError,
     InvalidParameterError,
     ModelIncompatibilityError,
+    RejectedValueError,
     UnsupportedVersionError,
 )
 from cs_smooth.synthetic import anti_correlated_matrix, clustered_plateau_matrix
@@ -137,6 +138,14 @@ class TestTrain:
         # SensorMatrix refuses a single column, so train never sees one.
         with pytest.raises(DegenerateInputError):
             train(matrix_from([[1.0], [2.0]]))
+
+    def test_overflowing_co_moments_name_the_sensors(self):
+        rows = np.random.default_rng(0).normal(size=(4, 64))
+        rows[:2] *= 1e200
+        expected = (r"^sensors 's0', 's1': values in \[-2\.\d+e\+200, 2\.\d+e\+200\] "
+                    r"overflow float64 in their co-moments$")
+        with pytest.raises(RejectedValueError, match=expected):
+            train(matrix_from(rows))
 
     def test_greedy_order_with_tie_break(self):
         # globals [1, 1, 0]: tie between rows 0/1 goes to 0; then row 1 scores
@@ -251,6 +260,24 @@ class TestPrefixModels:
             assert np.array_equal(model.lower_bounds, expected.lower_bounds), f"end {end}"
             assert np.array_equal(model.upper_bounds, expected.upper_bounds), f"end {end}"
             assert model.sensor_ids == matrix.sensor_ids
+
+    def test_overflow_in_a_later_prefix_names_the_sensors(self):
+        rows = np.random.default_rng(0).normal(size=(4, 64))
+        rows[1:3, 32:] *= 1e200
+        models = cs.prefix_models(matrix_from(rows), [16, 64])
+        assert next(models) == train(matrix_from(rows[:, :16]))
+        with pytest.raises(RejectedValueError, match=r"^sensors 's1', 's2': .* co-moments$"):
+            next(models)
+
+    def test_overflow_in_the_merge_names_the_sensor(self, monkeypatch):
+        # Each 8-column segment of row 0 is constant, so only the merge of the
+        # segments' means, 1e200 apart, overflows.
+        monkeypatch.setattr(cs, "_CHUNK_VALUES", 4 * 8)
+        rows = np.random.default_rng(0).normal(size=(4, 16))
+        rows[0] = np.repeat([0.0, 1e200], 8)
+        expected = r"^sensor 's0': values in \[0, 1e\+200\] overflow float64 in their co-moments$"
+        with pytest.raises(RejectedValueError, match=expected):
+            next(cs.prefix_models(matrix_from(rows), [16]))
 
     def test_oracle_random_matrices(self):
         # The random regime of the criterion 1 oracle, at every kind of gap
@@ -568,6 +595,18 @@ class TestComputeSignature:
         assert sig.blocks_real.tolist() == [0.1, 0.9, 0.4]
         assert sig.blocks_imag.tolist() == [0.0, 0.0, 0.0]
 
+    def test_offset_and_scale_overflow_clamp_without_warning(self):
+        # Row 0: 1e308 - (-1e308) overflows in the subtraction; row 1: 1e308 / 1e-300
+        # in the division. Each infinity clamps to 1, as any value above the bounds.
+        model = CSModel(("s0", "s1"), [0, 1], [-1e308, 0.0], [0.0, 1e-300])
+        matrix = matrix_from([[1e308, 0.0, 1e308, 0.0], [1e308, 0.0, 1e308, 0.0]])
+        sig = compute_signature(next(windows(matrix, WindowSpec(2, 1))), model, 2)
+        assert sig.blocks_real.tolist() == [1.0, 0.5]
+        assert sig.blocks_imag.tolist() == [0.0, -0.5]
+        batch = compute_signature_batch(matrix, model, WindowSpec(2, 1), 2)
+        assert batch.real.tolist() == [[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]]
+        assert batch.imag.tolist() == [[0.0, -0.5], [0.0, 0.0], [0.0, 0.0]]
+
     def test_identity_configuration_returns_permuted_column(self):
         data = np.array([[0.0, 4.0], [8.0, 0.0], [2.0, 2.0]])
         mat = matrix_from(data)
@@ -775,6 +814,12 @@ class TestComputeSignatureBatch:
         assert np.array_equal(batch.imag, np.stack([s.blocks_imag for s in sigs]))
         assert batch.window_starts.tolist() == [s.window_start for s in sigs]
         assert batch.window_ends.tolist() == [s.window_end for s in sigs]
+
+    def test_instants_exact_where_interval_times_column_wraps(self, wrapping_matrix):
+        matrix, instants = wrapping_matrix
+        batch = compute_signature_batch(matrix, train(matrix), WindowSpec(2, 1), 1)
+        assert batch.window_starts.tolist() == instants[:-1]
+        assert batch.window_ends.tolist() == instants[1:]
 
     @given(
         st.integers(0, 2**32 - 1),

@@ -253,8 +253,7 @@ class TestFidelityTable:
         )
         expected = reference_table(mat, model, spec, counts, bins)
         # chunk forces several time chunks (kernel) and row chunks (original side).
-        with mock.patch.object(cs, "_CHUNK_VALUES", chunk or cs._CHUNK_VALUES), \
-                mock.patch.object(fidelity, "_CHUNK_VALUES", chunk or fidelity._CHUNK_VALUES):
+        with mock.patch.object(cs, "_CHUNK_VALUES", chunk or cs._CHUNK_VALUES):
             assert fidelity_table(mat, model, spec, counts, bins) == expected
             assert fidelity_components(mat, model, spec, counts[0], bins) == expected[0]
 
