@@ -308,10 +308,11 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
     Linear interpolation between samples; instants outside a series' span take
     the nearest endpoint value. Row order follows the input collection order.
     Interpolates on offsets from the grid start, exact in float64 up to 2**53
-    ms, so instants far from zero stay apart. A value that overflows float64
-    in interpolation is a RejectedValueError naming its sensor.
+    ms, so instants far from zero stay apart. A series' values are
+    interpolated times their _power_of_two_scales scale and the row divided by
+    it again: no slope overflows, so any finite values align.
     """
-    rows, aligned = [], []
+    rows, ids = [], []
     with fits_in_memory(f"an aligned matrix of {grid.count} samples does not fit in memory"):
         instants = _offsets(grid.instants(), grid.start)
         for s in series:
@@ -322,30 +323,28 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
                     f"sensor {s.sensor_id!r} does not overlap the grid span "
                     f"[{grid.start}, {grid.end}]"
                 )
-            rows.append(np.interp(instants, _offsets(s.timestamps, grid.start), s.values))
-            aligned.append(s)
+            scale = _power_of_two_scales(s.values.min(), s.values.max())
+            values = s.values if scale is None else s.values * scale
+            row = np.interp(instants, _offsets(s.timestamps, grid.start), values)
+            rows.append(row if scale is None else row / scale)
+            ids.append(s.sensor_id)
         if not rows:
             raise EmptyInputError("no series to align")
-        ids = tuple(s.sensor_id for s in aligned)
-        try:
-            return SensorMatrix(sensor_ids=ids, grid=grid, data=np.stack(rows))
-        except RejectedValueError:
-            # Finite samples interpolate to a non-finite value only by overflowing.
-            bad = [s for s, row in zip(aligned, rows) if not np.all(np.isfinite(row))]
-            lo = min(s.values.min() for s in bad)
-            hi = max(s.values.max() for s in bad)
-            raise _overflow_error([s.sensor_id for s in bad], lo, hi, "interpolation") from None
+        return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
 
 
-def _overflow_error(
-    sensor_ids: Sequence[str], lo: float, hi: float, operation: str
-) -> RejectedValueError:
-    """The error for sensors whose values, within [lo, hi], overflow float64 in ``operation``."""
-    names = ", ".join(repr(s) for s in sensor_ids)
-    noun = "sensor" if len(sensor_ids) == 1 else "sensors"
-    return RejectedValueError(
-        f"{noun} {names}: values in [{lo:g}, {hi:g}] overflow float64 in {operation}"
-    )
+def _power_of_two_scales(lo, hi) -> np.ndarray | None:
+    """Each row's exact scale from its minimum ``lo`` and maximum ``hi``, or None if
+    all are 1. It is 1 where the row's largest magnitude m = max(-lo, hi) is 0
+    or in [2^-400, 2^400), whose co-moments and interpolation slopes stay far
+    from both ends of float64; else the power of two, at most 2^1023, that
+    brings m into [0.5, 1). Multiplying by a power of two is exact and commutes
+    with every later rounding: a scaled row gives the unscaled row's answer."""
+    _, exponent = np.frexp(np.maximum(-lo, hi))  # m in [2^(e-1), 2^e); 0 gives e = 0
+    if -399 <= exponent.min() and exponent.max() <= 400:
+        return None
+    outside = (exponent < -399) | (exponent > 400)
+    return np.ldexp(1.0, np.where(outside, np.minimum(-exponent, 1023), 0))
 
 
 def _offsets(timestamps: np.ndarray, start: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _overflow_error, _window_geometry
+from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _power_of_two_scales, _window_geometry
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     ModelIncompatibilityError,
     PathOrStream,
+    RejectedValueError,
     UnsupportedVersionError,
     opened,
 )
@@ -81,9 +82,8 @@ class CSModel:
             raise FormatError("bounds must be finite")
         if np.any(lo > hi):
             raise FormatError("lower bound exceeds upper bound")
-        with np.errstate(over="ignore"):
-            if np.any(np.isinf(hi - lo)):
-                raise FormatError("bounds span must fit in float64")
+        if np.any(_span_overflows(lo, hi)):
+            raise FormatError("bounds span must fit in float64")
         for name, arr in (("permutation", perm), ("lower_bounds", lo), ("upper_bounds", hi)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -239,9 +239,7 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
 def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np.ndarray]:
     """pairwise_correlation plus the row minima and maxima, from one pass."""
     data = matrix.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, comoment, lo, hi = _comoments(data, data[:, :1])
-    _check_comoments(comoment, lo, hi, matrix.sensor_ids)
+    _, comoment, lo, hi, _ = _comoments(data, data[:, :1])
     comoment /= data.shape[1]
     return _correlation_stats(comoment), lo, hi
 
@@ -250,42 +248,66 @@ _BLOCK_VALUES = 1 << 16  # values per row block of _comoments: 512 KB, cache-siz
 
 
 def _comoments(
-    raw: np.ndarray, shift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row means and co-moment matrix (sums of centred products) of raw - shift,
-    plus the row minima and maxima of raw.
+    raw: np.ndarray, shift: np.ndarray, lo: np.ndarray | None = None, hi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Row means and co-moment matrix (sums of centred products) of
+    (raw - shift) x scale, the row bounds and the row scales.
 
-    Shifting each row by one of its own samples keeps the centring exact on
+    The bounds are the minima and maxima of raw and, where given, of ``lo``
+    and ``hi`` (those of earlier columns); a row's scale is the
+    _power_of_two_scales of its bounds, and the scales are None where all are
+    1. Shifting each row by one of its own samples keeps the centring exact on
     data with a large offset and small spread; a constant row becomes exact
-    zeros, so it is flat. One pass over blocks of about _BLOCK_VALUES values
-    (whole rows) fills the centred n x t copy, the means and the bounds, so
-    each block is read from memory once. The co-moment product is one BLAS
-    syrk, which mirrors its triangle: the matrix is exactly symmetric.
+    zeros, so it is flat. A centred value is below 4 in a scaled row and 2^402
+    in any other: no co-moment overflows. One pass over blocks of about
+    _BLOCK_VALUES values (whole rows) fills the centred n x t copy, the means
+    and the bounds, so each block is read from memory once. The co-moment
+    product is one BLAS syrk, which mirrors its triangle: the matrix is
+    exactly symmetric.
     """
     n, t = raw.shape
     centered = np.empty((n, t))
-    mean, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    mean, scale = np.empty(n), None
+    lo = np.full(n, np.inf) if lo is None else lo.copy()
+    hi = np.full(n, -np.inf) if hi is None else hi.copy()
     per_block = max(1, _BLOCK_VALUES // t)
     for first in range(0, n, per_block):
         rows = slice(first, first + per_block)
-        raw[rows].min(axis=1, out=lo[rows])
-        raw[rows].max(axis=1, out=hi[rows])
-        block = np.subtract(raw[rows], shift[rows], out=centered[rows])
+        np.minimum(lo[rows], raw[rows].min(axis=1), out=lo[rows])
+        np.maximum(hi[rows], raw[rows].max(axis=1), out=hi[rows])
+        s = _power_of_two_scales(lo[rows], hi[rows])
+        if s is None:
+            block = np.subtract(raw[rows], shift[rows], out=centered[rows])
+        else:
+            scale = np.ones(n) if scale is None else scale
+            scale[rows] = s
+            block = np.multiply(raw[rows], s[:, None], out=centered[rows])
+            block -= shift[rows] * s[:, None]
         block.mean(axis=1, out=mean[rows])
         block -= mean[rows, None]
-    return mean, centered @ centered.T, lo, hi
+    return mean, centered @ centered.T, lo, hi, scale
 
 
-def _check_comoments(
-    comoment: np.ndarray, lo: np.ndarray, hi: np.ndarray, sensor_ids: tuple[str, ...]
-) -> None:
-    """Reject the sensors whose co-moments overflowed float64 (to an infinity or,
-    through inf - inf, to NaN). |c_ij| <= max(c_ii, c_jj), so the diagonal shows
-    every overflow."""
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(comoment)))
+def _span_overflows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where hi - lo overflows float64: min-max normalisation cannot divide by it."""
+    with np.errstate(over="ignore"):
+        return np.isinf(hi - lo)
+
+
+def _check_spans(sensor_ids: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> None:
+    """Reject the sensors whose span overflows, naming them and their range."""
+    # No row spans more than max(hi) - min(lo), and a Python float overflows
+    # without a warning: one subtraction clears every row, once per prefix.
+    if float(hi.max()) - float(lo.min()) < math.inf:
+        return
+    bad = np.flatnonzero(_span_overflows(lo, hi))
     if len(bad):
-        ids = [sensor_ids[i] for i in bad]
-        raise _overflow_error(ids, lo[bad].min(), hi[bad].max(), "their co-moments")
+        names = ", ".join(repr(sensor_ids[i]) for i in bad)
+        raise RejectedValueError(
+            f"{'sensor' if len(bad) == 1 else 'sensors'} {names}: values in "
+            f"[{lo[bad].min():g}, {hi[bad].max():g}] span more than float64 holds, "
+            "so they cannot be normalised"
+        )
 
 
 def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
@@ -322,10 +344,13 @@ def train(matrix: SensorMatrix) -> CSModel:
     The permutation starts at the row with the highest global coefficient and
     greedily appends the remaining row maximizing (correlation with the last
     appended row) x (global coefficient); ties go to the lowest original row
-    index. Dominated by the correlation matrix, O(n^2 t). Co-moments that
-    overflow float64 are a RejectedValueError naming their sensors.
+    index. Dominated by the correlation matrix, O(n^2 t). Exact power-of-two
+    scaling (see _comoments) makes rows times 2^k train to the same order and
+    bounds times 2^k. A sensor whose span overflows float64 cannot be
+    normalised: a RejectedValueError names the sensors and their range.
     """
     stats, lo, hi = _train_stats(matrix)
+    _check_spans(matrix.sensor_ids, lo, hi)
     perm = _greedy_order(stats.pairwise, stats.global_coeffs)
     return CSModel(
         sensor_ids=matrix.sensor_ids, permutation=perm, lower_bounds=lo, upper_bounds=hi
@@ -383,7 +408,10 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
     costs O(n^2) plus O(n^2) per new column instead of O(n^2 end). The
     covariance goes through train's correlation and ordering code. Where the
     order could differ from batch train's (a pick won by less than
-    _SCORE_MARGIN), train runs on the prefix instead.
+    _SCORE_MARGIN), train runs on the prefix instead. Each segment takes the
+    scales of the bounds so far, as train on that prefix would; when they fall
+    (the bounds only widen), the merged co-moments follow by the exact ratio.
+    A prefix's span error comes after the earlier prefixes' models.
     """
     data = matrix.data
     n, t = data.shape
@@ -394,6 +422,7 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
     comoment = np.zeros((n, n))
     lo = np.full(n, np.inf)
     hi = np.full(n, -np.inf)
+    scale = None
     for end in ends:
         if not (max(count + 1, 2) <= end <= t):
             raise InvalidParameterError(
@@ -401,19 +430,24 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
             )
         for first in range(count, end, per_segment):
             raw = data[:, first : min(first + per_segment, end)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                seg_mean, seg_comoment, seg_lo, seg_hi = _comoments(raw, shift)
-                # New arrays, not in place: a yielded model holds the previous ones.
-                lo = np.minimum(lo, seg_lo)
-                hi = np.maximum(hi, seg_hi)
-                width = raw.shape[1]
-                delta = seg_mean - mean
-                total = count + width
-                comoment += seg_comoment
-                comoment += np.outer(delta, delta) * (count * width / total)
-                mean += delta * (width / total)
-            _check_comoments(comoment, lo, hi, matrix.sensor_ids)
+            # New bounds, not in place: a yielded model holds the previous ones.
+            seg_mean, seg_comoment, lo, hi, new_scale = _comoments(raw, shift, lo, hi)
+            if new_scale is not None or scale is not None:
+                # A power of two per row: at most 1 after the first segment, where all is 0.
+                previous = 1.0 if scale is None else scale
+                ratio = (1.0 if new_scale is None else new_scale) / previous
+                mean *= ratio
+                comoment *= ratio[:, None]
+                comoment *= ratio
+                scale = new_scale
+            width = raw.shape[1]
+            delta = seg_mean - mean
+            total = count + width
+            comoment += seg_comoment
+            comoment += np.outer(delta, delta) * (count * width / total)
+            mean += delta * (width / total)
             count = total
+        _check_spans(matrix.sensor_ids, lo, hi)
         stats = _correlation_stats(comoment / count)
         perm = _greedy_order(stats.pairwise, stats.global_coeffs)
         if _min_margin(stats, perm) >= _SCORE_MARGIN:
@@ -466,7 +500,8 @@ def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarra
     out[:, 1:] = values
     lo, denom = model._wide_scaling(out.shape[1])
     # A value far outside the bounds may overflow to an infinity: it clamps alike.
-    with np.errstate(over="ignore"):
+    # +inf on a flat row is inf - inf: NaN, as a NaN value gives.
+    with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(out, lo[rows], out=out)
         np.divide(out, denom[rows], out=out)
     return np.clip(out, 0.0, 1.0, out=out)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import runpy
 import shlex
 import sys
 import tempfile
@@ -21,6 +22,9 @@ from cs_smooth.errors import EmptyInputError, FormatError, InvalidParameterError
 from cs_smooth.synthetic import anti_correlated_matrix, class_stream
 
 from naive_reference import naive_align, naive_signature, naive_train
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(*argv):
@@ -135,32 +139,87 @@ class TestTrainCommand:
         )
         assert not out.exists()
 
-    def test_overflowing_co_moments_are_one_rejected_value_line(
+    def test_rows_times_1e200_train_to_the_unscaled_order(
         self, write_dataset, tmp_path, capsys
     ):
+        # Unscaled, the co-moments of these rows overflow float64.
         data = np.random.default_rng(0).normal(size=(4, 64))
-        data[:2] *= 1e200
+        expected = cs.train(SensorMatrix(("a", "b", "c", "d"), TimeGrid(0, 1000, 64), data))
+        scaled = data.copy()
+        scaled[:2] *= 1e200
         out = tmp_path / "m.json"
-        assert run("train", "--dataset", write_dataset(data), "--out", out) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(
-            r"error: rejected-value: sensors 's000', 's001': values in \[\S+, \S+\] "
-            r"overflow float64 in their co-moments\n", err
-        )
-        assert not out.exists()
+        assert run("train", "--dataset", write_dataset(scaled), "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert cs.load_model(out).permutation.tolist() == expected.permutation.tolist()
 
-    def test_interpolation_overflow_is_one_rejected_value_line(self, tmp_path, capsys):
+    def write_float64_extremes(self, tmp_path):
         dataset = tmp_path / "dataset"
         dataset.mkdir()
         (dataset / "half_rate.csv").write_text("0,-1e308\n2000,1e308\n4000,0\n")
         (dataset / "full_rate.csv").write_text("0,0\n1000,1\n2000,2\n3000,3\n4000,4\n")
+        return dataset
+
+    def test_interpolation_between_float64_extremes_is_exact(self, tmp_path, capsys):
+        # The inferred grid, every 1.5 s, holds instants 0, 1500 and 3000:
+        # unscaled, both interpolations between -1e308 and 1e308 overflow.
         out = tmp_path / "m.json"
-        assert run("train", "--dataset", dataset, "--out", out) == 1
+        assert run("train", "--dataset", self.write_float64_extremes(tmp_path), "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        model = cs.load_model(out)
+        assert model.sensor_ids == ("full_rate", "half_rate")
+        assert model.lower_bounds.tolist() == [0.0, -1e308]
+        assert model.upper_bounds.tolist() == [3.0, 5e307]
+
+    def test_a_span_beyond_float64_is_one_rejected_value_line(self, tmp_path, capsys):
+        # On a 1 s grid, the half-rate sensor holds both -1e308 and 1e308.
+        dataset = self.write_float64_extremes(tmp_path)
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--interval", 1000, "--out", out) == 1
         assert capsys.readouterr().err == (
             "error: rejected-value: sensor 'half_rate': values in [-1e+308, 1e+308] "
-            "overflow float64 in interpolation\n"
+            "span more than float64 holds, so they cannot be normalised\n"
         )
         assert not out.exists()
+
+
+class TestScaleInvariance:
+    """Each sensor of the demo set times its own 2^k runs as the unscaled set does."""
+
+    def test_outputs_match_the_unscaled_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "make_synthetic_dataset.py", "--out", "plain", "--sensors", "24",
+            "--window", "16", "--windows-per-class", "20",
+        ])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "make_synthetic_dataset.py"), run_name="__main__")
+        assert done.value.code == 0
+        exponents = np.random.default_rng(3).integers(-900, 901, size=24)
+        Path("scaled").mkdir()
+        for k, path in zip(exponents, sorted(Path("plain").glob("s*.csv"))):
+            stamps, values = zip(*(line.split(",") for line in path.read_text().splitlines()))
+            scaled = np.ldexp(np.array(values, dtype=np.float64), k)
+            assert np.all((scaled == 0) | (np.abs(scaled) >= np.finfo(np.float64).tiny))
+            (Path("scaled") / path.name).write_text(
+                "".join(f"{t},{v!r}\n" for t, v in zip(stamps, scaled.tolist()))
+            )
+        for name in ("plain", "scaled"):
+            assert run("train", "--dataset", name, "--out", f"{name}.json") == 0
+            for tag, extra in (("step1", []), ("retrain", ["--retrain-every", 3])):
+                assert run(
+                    "sign", "--dataset", name, "--model", f"{name}.json", "--window", 16,
+                    "--step", 1, "--blocks", 10, *extra, "--out", f"{name}-{tag}.csv",
+                ) == 0
+            assert run(
+                "fidelity", "--dataset", name, "--model", f"{name}.json", "--window", 16,
+                "--step", 16, "--blocks", "5,10,20", "--out", f"{name}-fidelity.csv",
+            ) == 0
+        plain, scaled = cs.load_model("plain.json"), cs.load_model("scaled.json")
+        assert scaled.permutation.tolist() == plain.permutation.tolist()
+        assert np.array_equal(scaled.lower_bounds, np.ldexp(plain.lower_bounds, exponents))
+        assert np.array_equal(scaled.upper_bounds, np.ldexp(plain.upper_bounds, exponents))
+        for tag in ("step1", "retrain", "fidelity"):
+            assert Path(f"scaled-{tag}.csv").read_bytes() == Path(f"plain-{tag}.csv").read_bytes()
 
 
 class TestIngestErrors:

@@ -339,13 +339,18 @@ class TestAlign:
         early = series([-far, 1 - far, far], [1.0, 3.0, 4.0])
         assert align([early], TimeGrid(-far, 1, 2)).data.tolist() == [[1.0, 3.0]]
 
-    def test_interpolation_overflow_names_the_sensor(self):
-        # The slope between -1e308 and 1e308 overflows float64.
+    def test_interpolation_between_float64_extremes_is_exact(self):
+        # Unscaled, the slope between -1e308 and 1e308 overflows float64.
         wild = series([0, 2000, 4000], [-1e308, 1e308, 0.0], "wild")
         tame = series([0, 1000, 2000, 3000, 4000], [0.0, 1.0, 2.0, 3.0, 4.0], "tame")
-        expected = r"^sensor 'wild': values in \[-1e\+308, 1e\+308\] overflow float64 in interpolation$"
-        with pytest.raises(RejectedValueError, match=expected):
-            align([wild, tame], TimeGrid(0, 1000, 5))
+        assert align([wild, tame], TimeGrid(0, 1000, 5)).data.tolist() == [
+            [-1e308, 0.0, 1e308, 5e307, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0],
+        ]
+
+    def test_subnormal_midpoint_is_exact(self):
+        # Unscaled, the slope between 0 and 2 x 5e-324 underflows to 0.
+        tiny = series([0, 2000], [0.0, 2 * 5e-324], "tiny")
+        assert align([tiny], TimeGrid(0, 1000, 3)).data.tolist() == [[0.0, 5e-324, 1e-323]]
 
     @given(st.integers(0, 10_000), st.integers(1, 500), st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
@@ -383,7 +388,7 @@ def _sampled_sensors(draw):
     start passes the int64 range. Another sensor keeps the grid's edge on the
     near side, so the sample brackets no grid instant."""
     anchor = draw(_ANCHOR)
-    value = st.floats(-1e9, 1e9)
+    value = st.floats(allow_nan=False, allow_infinity=False)
     sensors = []
     for _ in range(draw(st.integers(1, 4))):
         gaps = draw(st.lists(st.integers(1, 50), min_size=1, max_size=11))

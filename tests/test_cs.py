@@ -139,11 +139,25 @@ class TestTrain:
         with pytest.raises(DegenerateInputError):
             train(matrix_from([[1.0], [2.0]]))
 
-    def test_overflowing_co_moments_name_the_sensors(self):
+    @pytest.mark.parametrize("factor", [1e200, 1e-165])
+    def test_rows_beyond_the_co_moment_range_keep_their_order(self, factor):
+        # Unscaled, the co-moments of rows times 1e200 overflow float64 and
+        # those of rows times 1e-165 underflow.
         rows = np.random.default_rng(0).normal(size=(4, 64))
-        rows[:2] *= 1e200
-        expected = (r"^sensors 's0', 's1': values in \[-2\.\d+e\+200, 2\.\d+e\+200\] "
-                    r"overflow float64 in their co-moments$")
+        assert train(matrix_from(rows)).permutation.tolist() == [3, 1, 0, 2]
+        scaled = rows.copy()
+        scaled[:2] *= factor
+        model = train(matrix_from(scaled))
+        assert model.permutation.tolist() == [3, 1, 0, 2]
+        assert np.array_equal(model.lower_bounds, scaled.min(axis=1))
+        assert np.array_equal(model.upper_bounds, scaled.max(axis=1))
+
+    def test_a_span_beyond_float64_names_the_sensors(self):
+        rows = np.random.default_rng(0).normal(size=(4, 64))
+        rows[1, :2] = [-1e308, 1e308]
+        rows[2, :2] = [1.5e308, -1e308]
+        expected = (r"^sensors 's1', 's2': values in \[-1e\+308, 1\.5e\+308\] "
+                    r"span more than float64 holds, so they cannot be normalised$")
         with pytest.raises(RejectedValueError, match=expected):
             train(matrix_from(rows))
 
@@ -261,23 +275,31 @@ class TestPrefixModels:
             assert np.array_equal(model.upper_bounds, expected.upper_bounds), f"end {end}"
             assert model.sensor_ids == matrix.sensor_ids
 
-    def test_overflow_in_a_later_prefix_names_the_sensors(self):
+    def test_a_later_prefix_beyond_the_co_moment_range_matches_train(self, train_calls):
+        # Unscaled, the co-moments of the prefixes past column 32 overflow. Each
+        # prefix takes the scale of its own bounds: scaled by the whole rows' scale,
+        # about 1e-200, those of the first prefix would underflow.
         rows = np.random.default_rng(0).normal(size=(4, 64))
         rows[1:3, 32:] *= 1e200
-        models = cs.prefix_models(matrix_from(rows), [16, 64])
-        assert next(models) == train(matrix_from(rows[:, :16]))
-        with pytest.raises(RejectedValueError, match=r"^sensors 's1', 's2': .* co-moments$"):
-            next(models)
+        self.assert_batch_equal(matrix_from(rows), [16, 40, 64])
+        assert train_calls == []
 
-    def test_overflow_in_the_merge_names_the_sensor(self, monkeypatch):
-        # Each 8-column segment of row 0 is constant, so only the merge of the
-        # segments' means, 1e200 apart, overflows.
+    def test_a_merge_of_means_1e200_apart_matches_train(self, monkeypatch, train_calls):
+        # Each 8-column segment of row 0 is constant, so unscaled, only the
+        # merge of the segments' means, 1e200 apart, overflows.
         monkeypatch.setattr(cs, "_CHUNK_VALUES", 4 * 8)
         rows = np.random.default_rng(0).normal(size=(4, 16))
         rows[0] = np.repeat([0.0, 1e200], 8)
-        expected = r"^sensor 's0': values in \[0, 1e\+200\] overflow float64 in their co-moments$"
-        with pytest.raises(RejectedValueError, match=expected):
-            next(cs.prefix_models(matrix_from(rows), [16]))
+        self.assert_batch_equal(matrix_from(rows), [8, 16])
+        assert train_calls == []
+
+    def test_a_span_beyond_float64_in_a_later_prefix_names_the_sensor(self):
+        rows = np.random.default_rng(0).normal(size=(4, 64))
+        rows[1, [40, 50]] = [-1e308, 1e308]
+        models = cs.prefix_models(matrix_from(rows), [16, 64])
+        assert next(models) == train(matrix_from(rows[:, :16]))
+        with pytest.raises(RejectedValueError, match=r"^sensor 's1': values in \[-1e\+308, 1e\+308\] span"):
+            next(models)
 
     def test_oracle_random_matrices(self):
         # The random regime of the criterion 1 oracle, at every kind of gap
@@ -377,6 +399,36 @@ def greedy_inputs(monkeypatch):
     return seen
 
 
+class TestPowerOfTwoScaling:
+    """Rows times 2^k train as the unscaled rows do: scaling by a power of two
+    is exact, and training scales each row into one band of magnitudes."""
+
+    @given(
+        st.integers(0, 2**31), st.integers(1, 8), st.integers(2, 48), st.integers(1, 300),
+        st.integers(1, 200), st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_times_powers_of_two(self, seed, n, t, block_values, chunk_values, draw):
+        rng = np.random.default_rng(seed)
+        # Magnitudes in [1, 2): times any 2^k, k in [-1000, 1000], each stays normal.
+        data = rng.uniform(1.0, 2.0, size=(n, t)) * rng.choice([-1.0, 1.0], size=(n, t))
+        k = np.array(draw.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)))
+        scaled = np.ldexp(data, k[:, None])
+        ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=1, max_size=6)))
+        with mock.patch.object(cs, "_BLOCK_VALUES", block_values), \
+                mock.patch.object(cs, "_CHUNK_VALUES", chunk_values):
+            base, model = train(matrix_from(data)), train(matrix_from(scaled))
+            assert model.permutation.tolist() == base.permutation.tolist()
+            assert np.array_equal(model.lower_bounds, np.ldexp(base.lower_bounds, k))
+            assert np.array_equal(model.upper_bounds, np.ldexp(base.upper_bounds, k))
+            got = pairwise_correlation(matrix_from(scaled))
+            want = pairwise_correlation(matrix_from(data))
+            assert got.pairwise.tobytes() == want.pairwise.tobytes()
+            assert got.global_coeffs.tobytes() == want.global_coeffs.tobytes()
+            models = list(cs.prefix_models(matrix_from(scaled), ends))
+            assert models == [train(matrix_from(scaled[:, :end])) for end in ends]
+
+
 class TestTrainingMatchesReference:
     """train, pairwise_correlation and prefix_models against the training maths
     of tests/naive_reference.py, byte for byte, at any row-block size."""
@@ -393,7 +445,7 @@ class TestTrainingMatchesReference:
         ref = reference_train(data)
         block_values = block_values or cs._BLOCK_VALUES
         with mock.patch.object(cs, "_BLOCK_VALUES", block_values):
-            mean, comoment, lo, hi = cs._comoments(data, data[:, :1])
+            mean, comoment, lo, hi, _ = cs._comoments(data, data[:, :1])
             stats = pairwise_correlation(matrix_from(data))
             model = train(matrix_from(data))
         for name, got in [
@@ -606,6 +658,14 @@ class TestComputeSignature:
         batch = compute_signature_batch(matrix, model, WindowSpec(2, 1), 2)
         assert batch.real.tolist() == [[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]]
         assert batch.imag.tolist() == [[0.0, -0.5], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_plus_infinity_on_a_flat_row_gives_nan_without_warning(self):
+        # A flat row's lower bound is stored as +inf, so +inf - inf is NaN there.
+        model = CSModel(("a", "b"), [0, 1], [2.0, 0.0], [2.0, 1.0])
+        window = Window(("a", "b"), np.array([[np.inf, 2.0], [0.5, 0.5]]), None, 0, 1)
+        sig = compute_signature(window, model, 2)
+        assert np.isnan(sig.blocks_real[0]) and sig.blocks_real[1] == 0.5
+        assert np.isnan(sig.blocks_imag[0]) and sig.blocks_imag[1] == 0.0
 
     def test_identity_configuration_returns_permuted_column(self):
         data = np.array([[0.0, 4.0], [8.0, 0.0], [2.0, 2.0]])

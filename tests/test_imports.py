@@ -1,10 +1,13 @@
-"""Every name a cs_smooth module imports is used in that module.
+"""Every name a cs_smooth module imports is used in that module, and every
+private module-level definition is referenced somewhere in the package
+besides its own definition.
 
 The package's ``__init__.py`` imports to re-export, and an import line marked
-``# noqa: F401`` is kept on purpose, so neither is checked.
+``# noqa: F401`` is kept on purpose, so neither is checked for use.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,41 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imports = imported_names(tree, source.splitlines())
     assert [f"{name} (line {line})" for name, line in imports if name not in used] == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) of every module-level private function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def references(tree: ast.AST):
+    """Every name read, attribute taken or name imported in a tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    everywhere = Counter(name for tree in trees.values() for name in references(tree))
+    dead = [
+        f"{module}: {name}"
+        for module, tree in sorted(trees.items())
+        for name, node in private_definitions(tree)
+        if everywhere[name] == Counter(references(node))[name]
+    ]
+    assert dead == []
