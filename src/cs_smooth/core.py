@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
-    CsSmoothError,
     DegenerateInputError,
+    DimensionError,
     EmptyInputError,
     InvalidParameterError,
     ParseError,
@@ -46,13 +46,13 @@ class SensorSeries:
         ts = np.asarray(self.timestamps, dtype=np.int64)
         vs = np.asarray(self.values, dtype=np.float64)
         if ts.ndim != 1 or vs.ndim != 1 or len(ts) != len(vs):
-            raise CsSmoothError(
+            raise DimensionError(
                 f"sensor {self.sensor_id!r}: timestamps and values must be "
                 f"1-D and equally long ({len(ts)} vs {len(vs)})"
             )
         # Compared pairwise: np.diff wraps around in int64.
         if not np.all(ts[1:] > ts[:-1]):
-            raise CsSmoothError(
+            raise InvalidParameterError(
                 f"sensor {self.sensor_id!r}: timestamps must be strictly increasing"
             )
         if not np.all(np.isfinite(vs)):
@@ -76,9 +76,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.interval <= 0:
-            raise CsSmoothError("grid interval must be positive")
+            raise InvalidParameterError("grid interval must be positive")
         if self.count < 1:
-            raise CsSmoothError("grid count must be positive")
+            raise InvalidParameterError("grid count must be positive")
         if self.interval > _INT64.max or not _INT64.min <= self.start <= self.end <= _INT64.max:
             raise InvalidParameterError("grid interval and instants must fit in int64 ms")
 
@@ -108,14 +108,14 @@ class SensorMatrix:
         object.__setattr__(self, "sensor_ids", tuple(self.sensor_ids))
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
-            raise CsSmoothError(f"matrix data must be 2-D, got {data.ndim}-D")
+            raise DimensionError(f"matrix data must be 2-D, got {data.ndim}-D")
         n, t = data.shape
         if n != len(self.sensor_ids):
-            raise CsSmoothError(
+            raise DimensionError(
                 f"{len(self.sensor_ids)} sensor ids but {n} data rows"
             )
         if t != self.grid.count:
-            raise CsSmoothError(f"grid has {self.grid.count} instants but data has {t} columns")
+            raise DimensionError(f"grid has {self.grid.count} instants but data has {t} columns")
         if n < 1 or t < 2:
             raise DegenerateInputError(f"matrix must be at least 1x2, got {n}x{t}")
         if not np.all(np.isfinite(data)):
@@ -140,7 +140,7 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.length_samples < 1 or self.step_samples < 1:
-            raise CsSmoothError("window length and step must be >= 1 samples")
+            raise InvalidParameterError("window length and step must be >= 1 samples")
 
     def starts(self, n_samples: int) -> range:
         """Start columns of the complete windows over ``n_samples`` columns."""

@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -377,9 +377,14 @@ def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray
     return order
 
 
-def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
+def _min_margin(stats: CorrelationStats, order: np.ndarray, flat: np.ndarray) -> float:
     """Smallest lead of the winning over the runner-up score among the greedy
-    picks that produced ``order`` (the first pick scores global coefficients)."""
+    picks that produced ``order`` (the first pick scores global coefficients).
+
+    Rows marked ``flat`` (lo == hi) are exact zeros after the shift on every
+    path, so they score exactly 1 at every pick and go in index order: only
+    the first flat row not yet picked competes.
+    """
     n = len(order)
     if n < 2:
         return math.inf
@@ -389,6 +394,10 @@ def _min_margin(stats: CorrelationStats, order: np.ndarray) -> float:
     scores[0] = g
     np.multiply(stats.pairwise.take(order[:-1], 0).take(order, 1), g, out=scores[1:])
     scores[np.tri(n, k=-1, dtype=bool)] = -np.inf  # rows picked before pick k
+    # A flat row competes from the pick after the previous flat row's on.
+    at = np.flatnonzero(flat[order])
+    for previous, position in zip(at[:-1], at[1:]):
+        scores[: previous + 1, position] = -np.inf
     top_two = -np.partition(-scores[:-1], 1, axis=1)[:, :2]
     return float(np.min(top_two[:, 0] - top_two[:, 1]))
 
@@ -450,7 +459,7 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
         _check_spans(matrix.sensor_ids, lo, hi)
         stats = _correlation_stats(comoment / count)
         perm = _greedy_order(stats.pairwise, stats.global_coeffs)
-        if _min_margin(stats, perm) >= _SCORE_MARGIN:
+        if _min_margin(stats, perm, lo == hi) >= _SCORE_MARGIN:
             yield CSModel(matrix.sensor_ids, perm, lo, hi)
             continue
         grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count)
@@ -473,11 +482,13 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
     )
 
 
-def _window_columns(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarray]:
-    """(column before the window, values) of a window that passes _check_sensors
-    and holds (n, w) values, w >= 1, and an (n,) preceding column, if any; with
-    none, the first column stands in, so its difference is 0. Values are not
-    checked for finiteness: that would be a full pass per window."""
+def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
+    """A window's values normalized by _normalize_block into a fresh
+    C-contiguous (n, w + 1) buffer, column 0 the column before the window; with
+    none, the first column stands in, so its difference is 0. The window must
+    pass _check_sensors and hold (n, w) values, w >= 1, and an (n,) preceding
+    column, if any. Values are not checked for finiteness: that would be a full
+    pass per window."""
     _check_sensors(window.sensor_ids, model)
     n = model.n_sensors
     values, before = window.values, window.preceding
@@ -487,7 +498,9 @@ def _window_columns(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndar
         raise DimensionError(f"preceding column must hold {n} values, got {np.shape(before)}")
     if values.shape[1] == 0:
         raise DegenerateInputError("window holds no samples")
-    return (values[:, 0] if before is None else before), values
+    buffer = np.empty((n, values.shape[1] + 1))
+    before = values[:, 0] if before is None else before
+    return _normalize_block(model, slice(None), before, values, buffer)
 
 
 def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
@@ -517,10 +530,7 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     when available and is 0 otherwise. Both matrices are fresh C-contiguous
     (n, w) arrays.
     """
-    before, values = _window_columns(window, model)
-    n, width = values.shape
-    norm = _normalize_block(model, slice(None), before, values, np.empty((n, width + 1)))
-    norm = norm[model.permutation]
+    norm = _normalized_window(window, model)[model.permutation]
     return np.ascontiguousarray(norm[:, 1:]), np.diff(norm, axis=1)
 
 
@@ -560,23 +570,16 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     Produces the block means of sort_normalize(window, model) without
     materializing the sorted matrices: block means only need per-row
     window sums, and the backward differences telescope to (last normalized
-    column - column preceding the window). Each value is normalized once, in
-    row chunks of about _CHUNK_VALUES values, by _normalize_block: the column
-    before the window (the window's first column when there is none, so its
-    difference is 0) and the window go into one contiguous (rows, w + 1)
-    buffer, normalized there in place. O(w * n).
+    column - column preceding the window). The window goes through
+    _normalized_window into one (n, w + 1) buffer, the window's size plus the
+    column before it, so each value is normalized once. O(w * n).
     """
-    before, values = _window_columns(window, model)
+    norm = _normalized_window(window, model)
     layout = block_layout(model.n_sensors, n_blocks)
-    n, width = values.shape
-    sums = np.empty((2, n))  # per-row value sums, then derivative sums
-    # One buffer for all chunks: a new 8 MB array per chunk faults its pages in anew.
-    buf = np.empty((min(n, max(1, _CHUNK_VALUES // (width + 1))), width + 1))
-    for start in range(0, n, len(buf)):
-        rows = slice(start, start + len(buf))
-        norm = _normalize_block(model, rows, before[rows], values[rows], buf[: n - start])
-        norm[:, 1:].sum(axis=1, out=sums[0, rows])
-        np.subtract(norm[:, width], norm[:, 0], out=sums[1, rows])
+    width = norm.shape[1] - 1
+    sums = np.empty((2, len(norm)))  # per-row value sums, then derivative sums
+    norm[:, 1:].sum(axis=1, out=sums[0])
+    np.subtract(norm[:, width], norm[:, 0], out=sums[1])
     real, imag = _block_means(sums.take(model.permutation, axis=1), layout, width)
     return Signature(
         blocks_real=real,
@@ -685,14 +688,7 @@ def resample_signature(sig: Signature, new_blocks: int) -> Signature:
     new_centers = _block_centers(new_layout)
     real = np.interp(new_centers, *_strictly_increasing(old_centers, sig.blocks_real))
     imag = np.interp(new_centers, *_strictly_increasing(old_centers, sig.blocks_imag))
-    return Signature(
-        blocks_real=real,
-        blocks_imag=imag,
-        layout=new_layout,
-        window_start=sig.window_start,
-        window_end=sig.window_end,
-        model_id=sig.model_id,
-    )
+    return replace(sig, blocks_real=real, blocks_imag=imag, layout=new_layout)
 
 
 def _block_centers(layout: BlockLayout) -> np.ndarray:
@@ -728,13 +724,8 @@ def trim_central(sig: Signature, keep_fraction: float) -> Signature:
         n_sensors=sig.layout.n_sensors,
         ranges=tuple(sig.layout.ranges[i] for i in keep),
     )
-    return Signature(
-        blocks_real=sig.blocks_real[idx],
-        blocks_imag=sig.blocks_imag[idx],
-        layout=layout,
-        window_start=sig.window_start,
-        window_end=sig.window_end,
-        model_id=sig.model_id,
+    return replace(
+        sig, blocks_real=sig.blocks_real[idx], blocks_imag=sig.blocks_imag[idx], layout=layout
     )
 
 

@@ -143,8 +143,9 @@ def reference_train(data: np.ndarray) -> dict[str, np.ndarray]:
 def reference_prefix_models(data, ends, per_segment, order_stands):
     """(permutation, lower bounds, upper bounds) for each prefix end, merged
     segment by segment as prefix_models merges them. ``order_stands(pairwise,
-    global_coeffs, order)`` is prefix_models' margin test; where it fails,
-    the prefix is trained in one batch instead."""
+    global_coeffs, order, flat)`` is prefix_models' margin test, given the
+    rows whose bounds meet (lo == hi); where it fails, the prefix is trained in
+    one batch instead."""
     n = data.shape[0]
     shift = data[:, :1]
     count, mean, comoment = 0, np.zeros(n), np.zeros((n, n))
@@ -165,7 +166,7 @@ def reference_prefix_models(data, ends, per_segment, order_stands):
             count = total
         pairwise, global_coeffs = reference_correlation_stats(comoment / count)
         order = reference_greedy_order(pairwise, global_coeffs)
-        if not order_stands(pairwise, global_coeffs, order):
+        if not order_stands(pairwise, global_coeffs, order, lo == hi):
             order = reference_train(data[:, :count])["permutation"]
         models.append((order, lo, hi))
     return models

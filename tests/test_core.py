@@ -27,6 +27,7 @@ from cs_smooth.errors import (
     AlignmentError,
     CsSmoothError,
     DegenerateInputError,
+    DimensionError,
     EmptyInputError,
     InvalidParameterError,
     ParseError,
@@ -292,6 +293,31 @@ class TestSeriesInvariants:
     def test_rejects_nan(self):
         with pytest.raises(RejectedValueError):
             series([1, 2], [0.0, np.nan])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: series([1, 2, 3], [0.0, 1.0]), DimensionError),
+        (lambda: series([2, 1], [0.0, 1.0]), InvalidParameterError),
+        (lambda: TimeGrid(0, 0, 3), InvalidParameterError),
+        (lambda: TimeGrid(0, 1000, 0), InvalidParameterError),
+        (lambda: SensorMatrix(("a",), TimeGrid(0, 1000, 2), np.zeros(2)), DimensionError),
+        (lambda: SensorMatrix(("a", "b"), TimeGrid(0, 1000, 2), np.zeros((1, 2))), DimensionError),
+        (lambda: SensorMatrix(("a",), TimeGrid(0, 1000, 3), np.zeros((1, 2))), DimensionError),
+        (lambda: WindowSpec(0, 1), InvalidParameterError),
+    ],
+    ids=[
+        "series-lengths", "series-order", "grid-interval", "grid-count",
+        "matrix-ndim", "matrix-rows", "matrix-columns", "window-length",
+    ],
+)
+def test_value_types_raise_the_error_naming_their_rule(build, error):
+    # The base class's code would print as "error: error: ...".
+    with pytest.raises(CsSmoothError) as raised:
+        build()
+    assert type(raised.value) is error
+    assert raised.value.code != "error"
 
 
 class TestAlign:

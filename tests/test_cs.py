@@ -336,6 +336,24 @@ class TestPrefixModels:
         self.assert_batch_equal(matrix_from(data), ends)
         assert train_calls == []
 
+    def test_flat_rows_need_no_fallback(self, train_calls):
+        # Two sensors read 0 until they start: flat rows score exactly 1 at every
+        # pick on both paths and go in index order, so their ties decide nothing.
+        data = np.cumsum(np.random.default_rng(23).standard_normal((16, 640)), axis=1)
+        data[[3, 11], :320] = 0.0
+        ends = list(range(16, 640, 16))
+        self.assert_batch_equal(matrix_from(data), ends)
+        assert train_calls == []
+
+    def test_flat_row_tying_a_non_flat_row_falls_back(self, train_calls):
+        # With every other row flat, row 0's global coefficient is exactly 1 too:
+        # at the first pick it ties the first flat row.
+        data = np.zeros((3, 30))
+        data[0] = np.random.default_rng(24).standard_normal(30)
+        ends = [10, 20, 30]
+        self.assert_batch_equal(matrix_from(data), ends)
+        assert train_calls == ends
+
     def test_duplicate_rows_tie_falls_back(self, train_calls):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((5, 50))
@@ -469,9 +487,9 @@ class TestTrainingMatchesReference:
         data = training_data(seed, n, t, offset, constant, duplicate)
         ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=1, max_size=8)))
 
-        def order_stands(pairwise, global_coeffs, order):
+        def order_stands(pairwise, global_coeffs, order, flat):
             stats = cs.CorrelationStats(pairwise, global_coeffs)
-            return cs._min_margin(stats, order) >= cs._SCORE_MARGIN
+            return cs._min_margin(stats, order, flat) >= cs._SCORE_MARGIN
 
         with mock.patch.object(cs, "_BLOCK_VALUES", block_values), \
                 mock.patch.object(cs, "_CHUNK_VALUES", chunk_values):
@@ -717,21 +735,20 @@ class TestComputeSignature:
         assert np.all(np.isfinite(sig.blocks_real))
         assert np.all(np.isfinite(sig.blocks_imag))
 
-    @pytest.mark.parametrize("chunk", [1, 16 * 3, 16 * 36])
-    @pytest.mark.parametrize("with_preceding", [True, False])
-    def test_row_chunks_do_not_change_the_result(self, monkeypatch, chunk, with_preceding):
-        rng = np.random.default_rng(chunk)
-        data = rng.uniform(-1.0, 1.0, size=(37, 17))
-        data[5] = 0.25  # flat in training, so a flat row of the model
-        data[5, 9:] = [0.5, 0.0, 0.25, 1.0, 0.25, -3.0, 0.25, 0.25]
+    def test_window_past_the_chunk_size_equals_batch_bytes(self):
+        # 1.2 M values, more than _CHUNK_VALUES: still one (n, w + 1) buffer.
+        rng = np.random.default_rng(25)
+        data = rng.normal(size=(3, 400_001))
+        data[1] = 0.25  # flat in training, so a flat row of the model
+        data[1, 9::7] = 3.0
         model = train(matrix_from(data[:, :8]))
-        window = window_from(data[:, 1:], preceding=data[:, 0] if with_preceding else None)
-        whole = compute_signature(window, model, 6)
-        # 16-sample windows: 1, 3 or 36 rows per chunk, so 37 rows end in a short chunk.
-        monkeypatch.setattr(cs, "_CHUNK_VALUES", chunk)
-        chunked = compute_signature(window, model, 6)
-        assert whole.blocks_real.tobytes() == chunked.blocks_real.tobytes()
-        assert whole.blocks_imag.tobytes() == chunked.blocks_imag.tobytes()
+        mat, spec = matrix_from(data), WindowSpec(400_000, 1)
+        assert 3 * 400_000 > cs._CHUNK_VALUES
+        for first, window in enumerate(windows(mat, spec)):
+            sig = compute_signature(window, model, 2)
+            batch = compute_signature_batch(mat, model, spec, 2, first, first + 1)
+            assert sig.blocks_real.tobytes() == batch.real[0].tobytes()
+            assert sig.blocks_imag.tobytes() == batch.imag[0].tobytes()
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -762,10 +779,7 @@ class TestComputeSignature:
         assert (window.preceding is not None) == with_preceding
         n_blocks = data.draw(st.integers(1, n), label="blocks")
         batch = compute_signature_batch(mat, model, spec, n_blocks, first, first + 1)
-        # Rows per chunk: below and past the gate, the window splits into row chunks.
-        chunk_rows = data.draw(st.integers(1, n), label="chunk rows")
-        with mock.patch.object(cs, "_CHUNK_VALUES", chunk_rows * (wl + 1)):
-            sig = compute_signature(window, model, n_blocks)
+        sig = compute_signature(window, model, n_blocks)
         assert sig.blocks_real.tobytes() == batch.real[0].tobytes()
         assert sig.blocks_imag.tobytes() == batch.imag[0].tobytes()
         # Up to the gate one repeated pair is cached, for this width; beyond, none.
