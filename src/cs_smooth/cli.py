@@ -159,20 +159,40 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
-    """Sign every window, one batch per run of windows that share a model."""
+    """Sign every window, one batch per run of windows that share a model.
+
+    The first run, signed with the loaded model before any retrain so that
+    its errors come first, and every run of several windows, whose windows
+    share their normalized samples where they overlap, go through
+    compute_signature_batch. A retrained run of one window has nothing to
+    share: consecutive such runs (under --retrain-every 1, every run after
+    the first) are signed in stacks of about cs._BLOCK_VALUES normalized
+    values, one pass per stack, with the same bits.
+    """
     model = cs.load_model(args.model)
     starts = spec.starts(matrix.n_samples)
     every = args.retrain_every
     cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
     # Each retrain learns from every sample before its first window.
     retrained = cs.prefix_models(matrix, (starts[i] for i in cuts))
-    parts = []
+    per_stack = max(1, cs._BLOCK_VALUES // (matrix.n_sensors * (spec.length_samples + 1)))
+    parts, stack = [], []  # stack: the models of the one-window runs just before ``first``
     for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
         if first:
             model = next(retrained)
             if log.isEnabledFor(logging.INFO):
                 log.info("window %d: retrained model %s", first, model.model_id)
-        parts.append(cs.compute_signature_batch(matrix, model, spec, args.blocks, first, stop))
+        single = first > 0 and stop - first == 1
+        if stack and (not single or len(stack) == per_stack):
+            parts.append(cs._signature_stack(matrix, stack, spec, args.blocks, first - len(stack)))
+            stack = []
+        if single:
+            stack.append(model)
+        else:
+            parts.append(cs.compute_signature_batch(matrix, model, spec, args.blocks, first, stop))
+    if stack:
+        first = len(starts) - len(stack)
+        parts.append(cs._signature_stack(matrix, stack, spec, args.blocks, first))
     fields = ("window_starts", "window_ends", "real", "imag")
     return cs.SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
 

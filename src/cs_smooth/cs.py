@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _power_of_two_scales, _window_geometry
 from .errors import (
+    CsSmoothError,
     DegenerateInputError,
     DimensionError,
     FormatError,
@@ -78,11 +79,16 @@ class CSModel:
             raise FormatError("permutation is not a bijection on the sensor rows")
         if lo.shape != (n,) or hi.shape != (n,):
             raise FormatError("bounds length does not match sensor count")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise FormatError("bounds must be finite")
-        if np.any(lo > hi):
-            raise FormatError("lower bound exceeds upper bound")
-        if np.any(_span_overflows(lo, hi)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+        # The span is finite and >= 0 exactly when the bounds are finite, ordered
+        # and representable: one pass clears all three checks, which run in turn
+        # only on failure, for their messages.
+        if not (span.min(initial=0.0) >= 0.0 and span.max(initial=0.0) < math.inf):
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise FormatError("bounds must be finite")
+            if np.any(lo > hi):
+                raise FormatError("lower bound exceeds upper bound")
             raise FormatError("bounds span must fit in float64")
         for name, arr in (("permutation", perm), ("lower_bounds", lo), ("upper_bounds", hi)):
             arr.flags.writeable = False
@@ -94,11 +100,7 @@ class CSModel:
 
     @functools.cached_property
     def _scaling(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower bounds, divisors) of min-max normalization. A flat row (lo == hi)
-        gets +inf and 1: any finite value maps to -inf, which clamps to +0.0."""
-        span = self.upper_bounds - self.lower_bounds
-        flat = span == 0.0
-        return np.where(flat, np.inf, self.lower_bounds), np.where(flat, 1.0, span)
+        return _min_max_scaling(self.lower_bounds, self.upper_bounds)
 
     def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
         """_scaling for a (n, columns) block: up to _BUFFERED_COLUMNS columns,
@@ -233,18 +235,23 @@ def pairwise_correlation(matrix: SensorMatrix) -> CorrelationStats:
     matrix is exactly symmetric. For a single row the global coefficient is 2
     by convention. O(n^2 t).
     """
-    return _train_stats(matrix)[0]
+    stats = _train_stats(matrix)[0]
+    return CorrelationStats(stats.pairwise[0], stats.global_coeffs[0])
 
 
 def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np.ndarray]:
-    """pairwise_correlation plus the row minima and maxima, from one pass."""
+    """pairwise_correlation as a stack of one, plus the row minima and maxima,
+    from one pass."""
     data = matrix.data
     _, comoment, lo, hi, _ = _comoments(data, data[:, :1])
     comoment /= data.shape[1]
-    return _correlation_stats(comoment), lo, hi
+    return _correlation_stats(comoment[None]), lo, hi
 
 
-_BLOCK_VALUES = 1 << 16  # values per row block of _comoments: 512 KB, cache-sized
+# Values per row block of _comoments and of _correlation_stats' division, per
+# group of prefix_models' covariances and per stack of sign's one-window runs:
+# 512 KB, cache-sized.
+_BLOCK_VALUES = 1 << 16
 
 
 def _comoments(
@@ -311,30 +318,34 @@ def _check_spans(sensor_ids: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) ->
 
 
 def _correlation_stats(cov: np.ndarray) -> CorrelationStats:
-    """Shifted correlation and global coefficients from a population covariance.
+    """Shifted correlation and global coefficients from a stack of population
+    covariances, (g, n, n) to a (g, n, n) pairwise and a (g, n) global stack.
 
-    Works in place: ``cov`` becomes the pairwise matrix.
+    Works in place: ``cov`` becomes the pairwise stack. Each matrix gets the
+    same values alone or in a stack: every step is elementwise or runs along
+    one row. The division goes through one buffer of about _BLOCK_VALUES
+    values, in row blocks when one matrix is larger, never through a whole
+    n x n outer product: train's stack of one adds no n x n temporary.
     """
-    sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sd = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
     flat = sd == 0.0
     denom = np.where(flat, 1.0, sd)
-    # Divided in row blocks through one small buffer, not an n x n outer product.
-    n = len(cov)
-    scale = np.empty((min(n, max(1, _BLOCK_VALUES // n)), n))
-    for first in range(0, n, len(scale)):
-        rows = slice(first, first + len(scale))
-        block = np.multiply(denom[rows, None], denom, out=scale[: n - first])
-        np.divide(cov[rows], block, out=cov[rows])
+    g, n = denom.shape
+    scale = np.empty((g, min(n, max(1, _BLOCK_VALUES // (g * n))), n))
+    for first in range(0, n, scale.shape[1]):
+        rows = slice(first, first + scale.shape[1])
+        block = np.multiply(denom[:, rows, None], denom[:, None], out=scale[:, : n - first])
+        np.divide(cov[:, rows], block, out=cov[:, rows])
     pairwise = cov
-    pairwise[flat, :] = 0.0
-    pairwise[:, flat] = 0.0
+    pairwise[flat] = 0.0
+    pairwise.swapaxes(1, 2)[flat] = 0.0
     np.clip(pairwise, -1.0, 1.0, out=pairwise)
     pairwise += 1.0
-    np.fill_diagonal(pairwise, 2.0)
+    pairwise[:, range(n), range(n)] = 2.0
     if n == 1:
-        global_coeffs = np.array([2.0])
+        global_coeffs = np.full((g, 1), 2.0)
     else:
-        global_coeffs = (pairwise.sum(axis=1) - 2.0) / (n - 1)
+        global_coeffs = (pairwise.sum(axis=2) - 2.0) / (n - 1)
     return CorrelationStats(pairwise=pairwise, global_coeffs=global_coeffs)
 
 
@@ -351,55 +362,69 @@ def train(matrix: SensorMatrix) -> CSModel:
     """
     stats, lo, hi = _train_stats(matrix)
     _check_spans(matrix.sensor_ids, lo, hi)
-    perm = _greedy_order(stats.pairwise, stats.global_coeffs)
+    perm = _greedy_order(stats.pairwise, stats.global_coeffs)[0]
     return CSModel(
         sensor_ids=matrix.sensor_ids, permutation=perm, lower_bounds=lo, upper_bounds=hi
     )
 
 
 def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray:
-    """The greedy row order of train from its correlation statistics.
+    """The greedy row orders of train, (g, n), from a stack of correlation
+    statistics, (g, n, n) and (g, n): each pick runs once for the whole stack.
 
     Relies on ``pairwise`` being exactly symmetric, as _correlation_stats makes
     it from a symmetric covariance: row c of pairwise * global_coeffs then
     holds every candidate's score after row c, pairwise[i, c] * global_coeffs[i].
-    Picked rows are masked by one -inf vector added to the row read.
+    Picked rows are masked by one -inf vector added to the rows read, which
+    are taken by flat index from the stacked rows.
     """
-    scores = pairwise * global_coeffs
-    taken = np.zeros(len(global_coeffs))
+    g, n = global_coeffs.shape
+    scores = (pairwise * global_coeffs[:, None]).reshape(g * n, n)
+    taken = np.zeros((g, n))
     row = np.empty_like(taken)
-    order = np.empty(len(global_coeffs), dtype=np.int64)
-    current = global_coeffs.argmax()
-    for k in range(len(order)):
-        order[k] = current
-        taken[current] = -np.inf
-        current = np.add(scores[current], taken, out=row).argmax()
+    order = np.empty((g, n), dtype=np.int64)
+    first_rows = np.arange(0, g * n, n)
+    current = global_coeffs.argmax(axis=1)
+    for k in range(n):
+        order[:, k] = current
+        picked = first_rows + current
+        taken.put(picked, -np.inf)
+        current = np.add(scores.take(picked, 0), taken, out=row).argmax(axis=1)
     return order
 
 
-def _min_margin(stats: CorrelationStats, order: np.ndarray, flat: np.ndarray) -> float:
-    """Smallest lead of the winning over the runner-up score among the greedy
-    picks that produced ``order`` (the first pick scores global coefficients).
+def _min_margin(stats: CorrelationStats, order: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """For each of a stack of (g, n) ``order``s, the smallest lead of the
+    winning over the runner-up score among the greedy picks that produced it
+    (the first pick scores global coefficients); +inf below two rows.
 
-    Rows marked ``flat`` (lo == hi) are exact zeros after the shift on every
-    path, so they score exactly 1 at every pick and go in index order: only
-    the first flat row not yet picked competes.
+    Rows marked ``flat`` (lo == hi, (g, n)) are exact zeros after the shift on
+    every path, so they score exactly 1 at every pick and go in index order:
+    only the first flat row not yet picked competes.
     """
-    n = len(order)
+    g, n = order.shape
     if n < 2:
-        return math.inf
-    g = stats.global_coeffs[order]
-    # scores[k, i]: the score of row order[i] at pick k, as _greedy_order forms it.
-    scores = np.empty((n, n))
-    scores[0] = g
-    np.multiply(stats.pairwise.take(order[:-1], 0).take(order, 1), g, out=scores[1:])
-    scores[np.tri(n, k=-1, dtype=bool)] = -np.inf  # rows picked before pick k
-    # A flat row competes from the pick after the previous flat row's on.
-    at = np.flatnonzero(flat[order])
-    for previous, position in zip(at[:-1], at[1:]):
-        scores[: previous + 1, position] = -np.inf
-    top_two = -np.partition(-scores[:-1], 1, axis=1)[:, :2]
-    return float(np.min(top_two[:, 0] - top_two[:, 1]))
+        return np.full(g, math.inf)
+    picks = np.arange(n - 1)  # the last pick has one candidate: no runner-up
+    rank = order.argsort(axis=1)  # the pick of each row
+    # scores[s, k, i]: the score of row i at pick k, as _greedy_order forms it
+    # from the row picked before; pick 0 scores 1.0 x the global coefficient.
+    before = np.concatenate((order[:, :1], order[:, :-2]), axis=1)
+    scores = stats.pairwise[np.arange(g)[:, None], before]
+    scores[:, 0] = 1.0
+    scores *= stats.global_coeffs[:, None]
+    # A flat row competes from the pick after the previous flat row's on:
+    # waits[s, k] is the pick of the flat row before the flat row picked at k,
+    # -1 where the row picked at k is not flat or is the first flat row.
+    flat = np.take_along_axis(flat, order, 1)
+    waits = np.full((g, n), -1)
+    waits[:, 1:] = np.maximum.accumulate(np.where(flat[:, :-1], picks, -1), axis=1)
+    waits[~flat] = -1
+    waiting = np.take_along_axis(waits, rank, 1)[:, None]  # by row, as scores' columns
+    # Masked: rows picked before pick k, and flat rows waiting for their turn.
+    np.copyto(scores, -np.inf, where=(picks[:, None] > rank[:, None]) | (picks[:, None] <= waiting))
+    scores.partition(n - 2, axis=2)  # the runner-up, then the winner, last
+    return np.min(scores[:, :, -1] - scores[:, :, -2], axis=1)
 
 
 # A greedy pick won by less than this may go the other way in batch train: the
@@ -420,8 +445,55 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
     _SCORE_MARGIN), train runs on the prefix instead. Each segment takes the
     scales of the bounds so far, as train on that prefix would; when they fall
     (the bounds only widen), the merged co-moments follow by the exact ratio.
-    A prefix's span error comes after the earlier prefixes' models.
+
+    Prefixes are ordered in groups of g = max(1, _BLOCK_VALUES // n^2) (16 at
+    64 sensors, 1 from 182 on): each covariance goes into a (g, n, n) buffer,
+    and correlation, greedy order and margins run once per group on the
+    stack, with the values each prefix gets alone. A bad end or a prefix's
+    span error comes after the earlier prefixes' models.
     """
+    n = matrix.n_sensors
+    covs = np.empty((max(1, _BLOCK_VALUES // (n * n)), n, n))
+    prefixes = _merged_prefixes(matrix, ends)
+    while True:
+        group, failure = [], None
+        try:
+            # zip takes a slot first: a full group reads no further prefix.
+            for cov, (count, comoment, lo, hi) in zip(covs, prefixes):
+                np.divide(comoment, count, out=cov)
+                group.append((count, lo, hi))
+        except CsSmoothError as exc:
+            failure = exc
+        if group:
+            yield from _group_models(matrix, covs[: len(group)], group)
+        if failure is not None:
+            raise failure
+        if len(group) < len(covs):
+            return
+
+
+def _group_models(
+    matrix: SensorMatrix, covs: np.ndarray, group: list[tuple[int, np.ndarray, np.ndarray]]
+) -> Iterator[CSModel]:
+    """prefix_models' models of a group of prefixes, from their stacked
+    covariances (consumed) and (sample count, bounds) each."""
+    stats = _correlation_stats(covs)
+    orders = _greedy_order(stats.pairwise, stats.global_coeffs)
+    margins = _min_margin(stats, orders, np.array([lo == hi for _, lo, hi in group]))
+    for (count, lo, hi), order, margin in zip(group, orders, margins):
+        if margin >= _SCORE_MARGIN:
+            yield CSModel(matrix.sensor_ids, order, lo, hi)
+            continue
+        grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count)
+        yield train(SensorMatrix(matrix.sensor_ids, grid, matrix.data[:, :count]))
+
+
+def _merged_prefixes(
+    matrix: SensorMatrix, ends: Iterable[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(sample count, co-moments, lower and upper bounds) of each prefix of
+    prefix_models, merged segment by segment; the co-moments are updated in
+    place for the next prefix."""
     data = matrix.data
     n, t = data.shape
     shift = data[:, :1]
@@ -457,13 +529,7 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
             mean += delta * (width / total)
             count = total
         _check_spans(matrix.sensor_ids, lo, hi)
-        stats = _correlation_stats(comoment / count)
-        perm = _greedy_order(stats.pairwise, stats.global_coeffs)
-        if _min_margin(stats, perm, lo == hi) >= _SCORE_MARGIN:
-            yield CSModel(matrix.sensor_ids, perm, lo, hi)
-            continue
-        grid = TimeGrid(matrix.grid.start, matrix.grid.interval, count)
-        yield train(SensorMatrix(matrix.sensor_ids, grid, data[:, :count]))
+        yield count, comoment, lo, hi
 
 
 def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
@@ -512,11 +578,26 @@ def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarra
     out[:, 0] = before
     out[:, 1:] = values
     lo, denom = model._wide_scaling(out.shape[1])
+    return _normalize(out, lo[rows], denom[rows])
+
+
+def _min_max_scaling(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower bounds, divisors) of min-max normalization, elementwise over bounds
+    of any shape. A flat row (lo == hi) gets +inf and 1: any finite value maps
+    to -inf, which clamps to +0.0."""
+    span = upper - lower
+    flat = span == 0.0
+    return np.where(flat, np.inf, lower), np.where(flat, 1.0, span)
+
+
+def _normalize(out: np.ndarray, lo: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``out`` min-max normalized in place by _min_max_scaling's (lo, denom),
+    which broadcast against it, and clamped to [0,1]."""
     # A value far outside the bounds may overflow to an infinity: it clamps alike.
     # +inf on a flat row is inf - inf: NaN, as a NaN value gives.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(out, lo[rows], out=out)
-        np.divide(out, denom[rows], out=out)
+        np.subtract(out, lo, out=out)
+        np.divide(out, denom, out=out)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -672,6 +753,38 @@ def compute_signature_batches(
             for layout, out in zip(layouts, blocks):
                 out[half, i : i + k] = _block_means(permuted, layout, width)
     return [SignatureBatch(*instants, real, imag) for real, imag in blocks]
+
+
+def _signature_stack(
+    matrix: SensorMatrix, models: list[CSModel], spec: WindowSpec, n_blocks: int, first: int
+) -> SignatureBatch:
+    """Windows ``first``.. of windows(matrix, spec), window first + j signed with
+    ``models[j]``: bit for bit compute_signature_batch on each window alone.
+
+    One pass for the stack: each window's (n, w + 1) columns, the column
+    before it first as in compute_signature_batches, are normalized against
+    its own model's bounds, summed along each row and gathered into its own
+    permutation order. It holds len(models) x n x (w + 1) values: callers
+    bound the stack.
+    """
+    for model in models:
+        _check_sensors(matrix.sensor_ids, model)
+    layout = block_layout(len(matrix.sensor_ids), n_blocks)
+    width = spec.length_samples
+    starts, *instants = _window_geometry(matrix, spec, first, first + len(models))
+    # At column 0 the first column stands in for the one before it: difference 0.
+    norm = matrix.data.take(np.maximum(starts[:, None] + np.arange(-1, width), 0), axis=1)
+    lo, denom = _min_max_scaling(
+        np.array([m.lower_bounds for m in models]).T, np.array([m.upper_bounds for m in models]).T
+    )
+    _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, windows, w + 1)
+    sums = np.empty((2, *norm.shape[:2]))
+    norm[:, :, 1:].sum(axis=2, out=sums[0])
+    np.subtract(norm[:, :, width], norm[:, :, 0], out=sums[1])
+    perms = np.array([m.permutation for m in models])[None]
+    permuted = np.take_along_axis(sums.transpose(0, 2, 1), perms, 2)  # C-contiguous
+    real, imag = _block_means(permuted, layout, width)
+    return SignatureBatch(*instants, real, imag)
 
 
 def resample_signature(sig: Signature, new_blocks: int) -> Signature:

@@ -393,6 +393,46 @@ class TestSignCommand:
         batchio.write_signature_batch(expected, concat_batches(parts))
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("block_values", [None, 100])
+    @pytest.mark.parametrize("step", [1, 3, 5, 7])
+    def test_retrain_every_1_matches_a_per_run_batch_loop(
+        self, write_dataset, tmp_path, monkeypatch, step, block_values
+    ):
+        # Window 5; steps below, at and above it (step 1: a two-window first
+        # run). A flat sensor and a ramp that leaves every earlier model's
+        # bounds; the loaded model knows only the first 10 samples. 100 values
+        # stack 2 one-window runs (6 sensors x 6 columns) and group 2 prefixes.
+        rng = np.random.default_rng(25)
+        data = np.cumsum(rng.standard_normal((6, 90)), axis=1)
+        data[3] = 2.5
+        data[4] = np.linspace(0.0, 9.0, 90)
+        data[5] = -data[0] + 0.1 * rng.standard_normal(90)
+        dataset = write_dataset(data)
+        model_path = self.make_model(write_dataset(data[:, :10], subdir="head"), tmp_path)
+        if block_values:
+            monkeypatch.setattr(cs, "_BLOCK_VALUES", block_values)
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--model", model_path, "--window", 5,
+            "--step", step, "--blocks", 3, "--retrain-every", 1, "--out", out,
+        ) == 0
+        series = load_dataset_dir(dataset)
+        matrix = align(series, infer_grid(series))
+        spec = WindowSpec(5, step)
+        starts = spec.starts(matrix.n_samples)
+        cuts = [i for i in range(1, len(starts)) if starts[i] >= 2]
+        model, parts = cs.load_model(model_path), []
+        for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
+            if first:
+                end = starts[first]
+                model = cs.train(SensorMatrix(
+                    matrix.sensor_ids, TimeGrid(0, 1000, end), matrix.data[:, :end]
+                ))
+            parts.append(cs.compute_signature_batch(matrix, model, spec, 3, first, stop))
+        expected = tmp_path / "expected.csv"
+        batchio.write_signature_batch(expected, concat_batches(parts))
+        assert out.read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize("step", [1, 4])
     def test_raw_irregular_csv_matches_naive_pipeline(self, tmp_path, step):
         # Sensors sampled at their own irregular instants over different spans,

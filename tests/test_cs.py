@@ -382,6 +382,52 @@ class TestPrefixModels:
         with pytest.raises(InvalidParameterError):
             list(cs.prefix_models(matrix_from(np.ones((2, 40))), ends))
 
+    @pytest.mark.parametrize("block_values", [None, 2 * 16])
+    def test_a_bad_end_inside_a_group_comes_after_the_earlier_models(
+        self, monkeypatch, block_values
+    ):
+        # 4 sensors: one group holds all 4,096 prefixes by default, 2 with 32
+        # values, where the bad end is second in the second group.
+        if block_values:
+            monkeypatch.setattr(cs, "_BLOCK_VALUES", block_values)
+        matrix = matrix_from(np.random.default_rng(2).normal(size=(4, 64)))
+        models = cs.prefix_models(matrix, [8, 16, 24, 20, 40])
+        for end in (8, 16, 24):
+            assert next(models) == train(prefix(matrix, end))
+        with pytest.raises(InvalidParameterError, match="got 20 after 24"):
+            next(models)
+
+
+class TestStackedOrdering:
+    """_correlation_stats, _greedy_order and _min_margin give each matrix of a
+    stack the bytes it gets alone, at any division block size."""
+
+    @given(
+        st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 6), st.integers(1, 2_000)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_stack_equals_each_matrix_alone(self, seed, n, g, block_values):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(g, n, 12))
+        data[rng.random((g, n)) < 0.3] = 1.5  # flat rows
+        tied = rng.random(g) < 0.5
+        data[tied, -1] = data[tied, 0]  # a duplicate row, or one more flat row
+        flat = data.min(axis=2) == data.max(axis=2)
+        centered = data - data.mean(axis=2, keepdims=True)
+        covs = centered @ centered.swapaxes(1, 2) / 12
+        with mock.patch.object(cs, "_BLOCK_VALUES", block_values):
+            stats = cs._correlation_stats(covs.copy())
+            orders = cs._greedy_order(stats.pairwise, stats.global_coeffs)
+            margins = cs._min_margin(stats, orders, flat)
+            for s in range(g):
+                alone = cs._correlation_stats(covs[s : s + 1].copy())
+                order = cs._greedy_order(alone.pairwise, alone.global_coeffs)
+                margin = cs._min_margin(alone, order, flat[s : s + 1])
+                assert stats.pairwise[s].tobytes() == alone.pairwise[0].tobytes()
+                assert stats.global_coeffs[s].tobytes() == alone.global_coeffs[0].tobytes()
+                assert orders[s].tobytes() == order[0].tobytes()
+                assert margins[s].tobytes() == margin[0].tobytes()
+
 
 def training_data(seed, n, t, offset, constant, duplicate):
     """Rows of mixed scale around ``offset``; optionally one constant row and a
@@ -409,7 +455,7 @@ def greedy_inputs(monkeypatch):
     seen = []
 
     def recording(pairwise, global_coeffs):
-        seen.append(pairwise.copy())
+        seen.extend(pairwise.copy())  # one matrix per prefix of the stack
         return greedy_order(pairwise, global_coeffs)
 
     greedy_order = cs._greedy_order
@@ -477,19 +523,26 @@ class TestTrainingMatchesReference:
     @given(
         st.integers(0, 2**31), st.integers(1, 24), st.integers(20, 300),
         st.sampled_from([0.0, 1e9]), st.booleans(), st.booleans(),
-        st.integers(1, 400), st.integers(20, 2_000), st.data(),
+        st.integers(1, 400), st.one_of(st.none(), st.integers(1, 5)), st.integers(20, 2_000),
+        st.data(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_prefix_models_across_blocks_and_segments(
-        self, seed, n, t, offset, constant, duplicate, block_values, chunk_values, draw
+        self, seed, n, t, offset, constant, duplicate, block_values, group, chunk_values, draw
     ):
-        # Small row blocks and segments: ends fall inside and across both.
+        # Small row blocks, segments and groups: ends fall inside and across all
+        # three. A ``group`` sets blocks that hold that many prefixes' n x n
+        # covariances (plus up to n^2 - 1 values) and more ends than one group.
         data = training_data(seed, n, t, offset, constant, duplicate)
-        ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=1, max_size=8)))
+        sizes = st.integers(1, 8)
+        if group is not None:
+            block_values = group * n * n + draw.draw(st.integers(0, n * n - 1))
+            sizes = st.integers(group + 1, group + 6)
+        ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=draw.draw(sizes), max_size=14)))
 
         def order_stands(pairwise, global_coeffs, order, flat):
-            stats = cs.CorrelationStats(pairwise, global_coeffs)
-            return cs._min_margin(stats, order, flat) >= cs._SCORE_MARGIN
+            stats = cs.CorrelationStats(pairwise[None], global_coeffs[None])
+            return cs._min_margin(stats, order[None], flat[None])[0] >= cs._SCORE_MARGIN
 
         with mock.patch.object(cs, "_BLOCK_VALUES", block_values), \
                 mock.patch.object(cs, "_CHUNK_VALUES", chunk_values):
@@ -929,6 +982,41 @@ class TestComputeSignatureBatch:
             self.per_window(mat, model, spec, n_blocks, first, stop),
         )
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 50),
+        st.integers(0, 80),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_stack_of_models_equals_each_window_alone(self, seed, n, wl, step, extra, data):
+        # Window first + j signed with model j: each model is trained on its own
+        # prefix, so bounds (flat in some models only) and orders differ.
+        t = max(2, wl + extra)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, t)) * rng.uniform(0.1, 100.0)
+        flat = data.draw(st.integers(-1, n - 1), label="flat row")
+        if flat >= 0:
+            values[flat, : t // 2] = 3.0
+        mat, spec = matrix_from(values), WindowSpec(wl, step)
+        n_blocks = data.draw(st.integers(1, n), label="blocks")
+        count = len(spec.starts(t))
+        first = data.draw(st.integers(0, count - 1), label="first")
+        stop = data.draw(st.integers(first + 1, count), label="stop")
+        models = [
+            train(matrix_from(values[:, : int(rng.integers(2, t + 1))])) for _ in range(first, stop)
+        ]
+        alone = [
+            compute_signature_batch(mat, model, spec, n_blocks, first + j, first + j + 1)
+            for j, model in enumerate(models)
+        ]
+        stacked = cs._signature_stack(mat, models, spec, n_blocks, first)
+        for field in ("window_starts", "window_ends", "real", "imag"):
+            expected = np.concatenate([getattr(b, field) for b in alone])
+            assert getattr(stacked, field).tobytes() == expected.tobytes(), field
+
     @pytest.mark.parametrize("step", [1, 3, 20, 37])
     def test_time_chunks_do_not_change_the_result(self, monkeypatch, step):
         rng = np.random.default_rng(step)
@@ -1177,6 +1265,24 @@ class TestModelPersistence:
         # Each bound is finite, but their difference, the normalisation divisor, is not.
         with pytest.raises(FormatError, match="^bounds span must fit in float64$"):
             CSModel(("a", "b"), [0, 1], [-1e308, 0.0], [1e308, 0.0])
+
+    @pytest.mark.parametrize(
+        "lo, hi, reason",
+        [
+            ([math.nan, 1.0, -1e308], [0.0, 0.0, 1e308], "bounds must be finite"),
+            ([0.0, 1.0, -1e308], [math.inf, 0.0, 1e308], "bounds must be finite"),
+            ([0.0, 1.0, -1e308], [0.0, 0.0, 1e308], "lower bound exceeds upper bound"),
+            ([0.0, 0.0, -1e308], [0.0, 0.0, 1e308], "bounds span must fit in float64"),
+        ],
+    )
+    def test_the_first_failing_bounds_check_names_the_error(self, lo, hi, reason):
+        # Bounds breaking several rules at once report the first rule, in this order.
+        with pytest.raises(FormatError, match=f"^{reason}$"):
+            CSModel(("a", "b", "c"), [0, 1, 2], lo, hi)
+
+    def test_equal_bounds_of_either_zero_sign_accepted(self):
+        model = CSModel(("a", "b"), [0, 1], [0.0, -0.0], [-0.0, 0.0])
+        assert model.lower_bounds.tolist() == [0.0, -0.0]
 
     def test_model_id_stable_across_round_trip(self, tmp_path):
         model = self.make_model()
