@@ -4,7 +4,7 @@
 Builds the 24-sensor demo set and a 128-sensor set with
 make_synthetic_dataset.py in a temporary directory, then runs on each:
 train; sign with cs at step 1, and at step 16 with and without
---retrain-every 3; sign with cs --retrain-every 1 at steps 1 and 16; sign
+--retrain-every 3; sign with cs --retrain-every 1 at steps 1, 4 and 16; sign
 with tuncer, bodik and lan at step 1; fidelity for l = 5, 10, 20; and the
 classification eval of the step-16 cs batch. Prints
 one ``<sha256>  <set>/<file>`` line per output. Two trees produce the same
@@ -57,12 +57,14 @@ def runs(data: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(output file, CLI argv) of each run on one dataset, in order."""
     dataset, model = ["--dataset", str(data)], ["--model", str(out / "model.json")]
     step1, step16 = ["--window", "16", "--step", "1"], ["--window", "16", "--step", "16"]
+    step4 = ["--window", "16", "--step", "4"]  # overlapping windows, a one-window first run
     return [
         ("model.json", ["train", *dataset]),
         ("cs_step1.csv", ["sign", *dataset, *model, *step1]),
         ("cs_step16.csv", ["sign", *dataset, *model, *step16]),
         ("cs_step16_retrain3.csv", ["sign", *dataset, *model, *step16, "--retrain-every", "3"]),
         ("cs_step1_retrain1.csv", ["sign", *dataset, *model, *step1, "--retrain-every", "1"]),
+        ("cs_step4_retrain1.csv", ["sign", *dataset, *model, *step4, "--retrain-every", "1"]),
         ("cs_step16_retrain1.csv", ["sign", *dataset, *model, *step16, "--retrain-every", "1"]),
         *((f"{m}_step1.csv", ["sign", *dataset, "--method", m, *step1])
           for m in ("tuncer", "bodik", "lan")),

@@ -161,15 +161,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
     """Sign every window, one batch per run of windows that share a model.
 
-    The first run, signed with the loaded model before any retrain so that
-    its errors come first, and every run of several windows, whose windows
-    share their normalized samples where they overlap, go through
-    compute_signature_batch. A retrained run of one window has nothing to
-    share: consecutive such runs (under --retrain-every 1, every run after
-    the first) are signed in stacks of about cs._BLOCK_VALUES normalized
-    values, one pass per stack, with the same bits.
+    A run of several windows goes through compute_signature_batch, which
+    shares normalized samples where its windows overlap. Consecutive runs of
+    one window, as --retrain-every 1 makes, go through cs._signature_stack in
+    stacks of about cs._BLOCK_VALUES normalized values, with the same bits.
+    A wrong model or block count fails before any retrain.
     """
     model = cs.load_model(args.model)
+    cs._check_sensors(matrix.sensor_ids, model)
+    cs.block_layout(matrix.n_sensors, args.blocks)
     starts = spec.starts(matrix.n_samples)
     every = args.retrain_every
     cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
@@ -182,7 +182,7 @@ def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
             model = next(retrained)
             if log.isEnabledFor(logging.INFO):
                 log.info("window %d: retrained model %s", first, model.model_id)
-        single = first > 0 and stop - first == 1
+        single = stop - first == 1
         if stack and (not single or len(stack) == per_stack):
             parts.append(cs._signature_stack(matrix, stack, spec, args.blocks, first - len(stack)))
             stack = []

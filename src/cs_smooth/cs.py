@@ -295,19 +295,15 @@ def _comoments(
     return mean, centered @ centered.T, lo, hi, scale
 
 
-def _span_overflows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Where hi - lo overflows float64: min-max normalisation cannot divide by it."""
-    with np.errstate(over="ignore"):
-        return np.isinf(hi - lo)
-
-
 def _check_spans(sensor_ids: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> None:
     """Reject the sensors whose span overflows, naming them and their range."""
     # No row spans more than max(hi) - min(lo), and a Python float overflows
     # without a warning: one subtraction clears every row, once per prefix.
     if float(hi.max()) - float(lo.min()) < math.inf:
         return
-    bad = np.flatnonzero(_span_overflows(lo, hi))
+    # Where hi - lo overflows, min-max normalisation cannot divide by it.
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(np.isinf(hi - lo))
     if len(bad):
         names = ", ".join(repr(sensor_ids[i]) for i in bad)
         raise RejectedValueError(
@@ -645,31 +641,33 @@ def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.nd
     return np.add.reduceat(row_sums, bounds, axis=-1)[..., 0::2] / (sizes * width)
 
 
-def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
-    """Full signature pipeline: normalize and sort, then smooth into l blocks.
+def _window_blocks(norm: np.ndarray, order: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """(real, imag) block means of windows from their normalized rows.
 
-    Produces the block means of sort_normalize(window, model) without
-    materializing the sorted matrices: block means only need per-row
-    window sums, and the backward differences telescope to (last normalized
-    column - column preceding the window). The window goes through
-    _normalized_window into one (n, w + 1) buffer, the window's size plus the
-    column before it, so each value is normalized once. O(w * n).
+    ``norm`` is C-contiguous (rows, w + 1), column 0 the column before each
+    window; ``order`` gathers rows into permutation order, (n,) for one window
+    or (k, n) for a stack, by index into ``norm``'s rows. The block means of
+    sort_normalize's matrices need only per-row window sums, and the backward
+    differences telescope to (last normalized column - column before the
+    window), so the sorted matrices are never built. O(rows * w).
     """
-    norm = _normalized_window(window, model)
-    layout = block_layout(model.n_sensors, n_blocks)
     width = norm.shape[1] - 1
     sums = np.empty((2, len(norm)))  # per-row value sums, then derivative sums
     norm[:, 1:].sum(axis=1, out=sums[0])
     np.subtract(norm[:, width], norm[:, 0], out=sums[1])
-    real, imag = _block_means(sums.take(model.permutation, axis=1), layout, width)
-    return Signature(
-        blocks_real=real,
-        blocks_imag=imag,
-        layout=layout,
-        window_start=window.start,
-        window_end=window.end,
-        model_id=model.model_id,
-    )
+    return _block_means(sums.take(order, axis=1), layout, width)
+
+
+def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
+    """Full signature pipeline: normalize and sort, then smooth into l blocks.
+
+    The window goes through _normalized_window into one (n, w + 1) buffer, so
+    each value is normalized once, and _window_blocks reduces it. O(w * n).
+    """
+    norm = _normalized_window(window, model)
+    layout = block_layout(model.n_sensors, n_blocks)
+    real, imag = _window_blocks(norm, model.permutation, layout)
+    return Signature(real, imag, layout, window.start, window.end, model.model_id)
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
@@ -763,27 +761,24 @@ def _signature_stack(
 
     One pass for the stack: each window's (n, w + 1) columns, the column
     before it first as in compute_signature_batches, are normalized against
-    its own model's bounds, summed along each row and gathered into its own
-    permutation order. It holds len(models) x n x (w + 1) values: callers
-    bound the stack.
+    its own model's bounds, and _window_blocks reduces the stack with each
+    window's own permutation. It holds len(models) x n x (w + 1) values:
+    callers bound the stack.
     """
     for model in models:
         _check_sensors(matrix.sensor_ids, model)
     layout = block_layout(len(matrix.sensor_ids), n_blocks)
-    width = spec.length_samples
-    starts, *instants = _window_geometry(matrix, spec, first, first + len(models))
+    k, width = len(models), spec.length_samples
+    starts, *instants = _window_geometry(matrix, spec, first, first + k)
     # At column 0 the first column stands in for the one before it: difference 0.
     norm = matrix.data.take(np.maximum(starts[:, None] + np.arange(-1, width), 0), axis=1)
     lo, denom = _min_max_scaling(
         np.array([m.lower_bounds for m in models]).T, np.array([m.upper_bounds for m in models]).T
     )
-    _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, windows, w + 1)
-    sums = np.empty((2, *norm.shape[:2]))
-    norm[:, :, 1:].sum(axis=2, out=sums[0])
-    np.subtract(norm[:, :, width], norm[:, :, 0], out=sums[1])
-    perms = np.array([m.permutation for m in models])[None]
-    permuted = np.take_along_axis(sums.transpose(0, 2, 1), perms, 2)  # C-contiguous
-    real, imag = _block_means(permuted, layout, width)
+    _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, k, w + 1)
+    # Row r of window j is row r k + j of the (n k, w + 1) view.
+    order = np.array([m.permutation for m in models]) * k + np.arange(k)[:, None]
+    real, imag = _window_blocks(norm.reshape(-1, width + 1), order, layout)
     return SignatureBatch(*instants, real, imag)
 
 

@@ -433,6 +433,34 @@ class TestSignCommand:
         batchio.write_signature_batch(expected, concat_batches(parts))
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("step", [1, 6, 9])
+    def test_retrain_every_1_matches_naive_oracle(self, write_dataset, tmp_path, step):
+        # Window 6: at step 1 the first run holds two windows; at steps 6 and 9
+        # every run holds one, the first included. Each window is checked
+        # against the brute-force training of the samples before it, or of the
+        # loaded model's 10 samples where it starts before the third sample.
+        data = anti_correlated_matrix(4, 3, 2, t=80, seed=7).data
+        dataset = write_dataset(data)
+        model_path = self.make_model(write_dataset(data[:, :10], subdir="head"), tmp_path)
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--model", model_path, "--window", 6,
+            "--step", step, "--blocks", 4, "--retrain-every", 1, "--out", out,
+        ) == 0
+        series = load_dataset_dir(dataset)
+        aligned = align(series, infer_grid(series)).data.tolist()
+        batch = batchio.read_signature_batch(out)
+        starts = range(0, len(aligned[0]) - 6 + 1, step)
+        assert batch.window_starts.tolist() == [1000 * s for s in starts]
+        for real, imag, s in zip(batch.real, batch.imag, starts, strict=True):
+            history = [row[:s] for row in aligned] if s >= 2 else [row[:10] for row in data]
+            perm, lo, hi = naive_train(history)
+            window = [row[s : s + 6] for row in aligned]
+            preceding = [row[s - 1] for row in aligned] if s else None
+            want_real, want_imag = naive_signature(window, preceding, perm, lo, hi, 4)
+            np.testing.assert_allclose(real, want_real, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(imag, want_imag, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("step", [1, 4])
     def test_raw_irregular_csv_matches_naive_pipeline(self, tmp_path, step):
         # Sensors sampled at their own irregular instants over different spans,
@@ -536,6 +564,33 @@ class TestSignCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: model-incompatible:")
+
+    @pytest.mark.parametrize("step", [1, 2, 16])
+    @pytest.mark.parametrize(
+        "fault,code",
+        [("other sensors", "model-incompatible"), ("blocks", "invalid-block-count"),
+         (None, "rejected-value")],
+    )
+    def test_retrain_every_1_reports_model_errors_before_a_retrain_fails(
+        self, write_dataset, tmp_path, capsys, step, fault, code
+    ):
+        # Window 16: the first run holds two windows at step 1 and one at steps
+        # 2 and 16. Sensor s001 spans more than float64 holds from sample 40
+        # on, so the retrain at the first window after it fails (the fault-free
+        # case); a wrong model or block count must be reported instead.
+        data = np.random.default_rng(26).uniform(size=(3, 80))
+        data[1, 40:42] = 1e308, -1e308
+        dataset = write_dataset(data)
+        head = data[:, :20] if fault != "other sensors" else np.vstack([data[:, :20], data[:1, :20]])
+        model = self.make_model(write_dataset(head, subdir="head"), tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "batch.csv"
+        assert run(
+            "sign", "--dataset", dataset, "--model", model, "--window", 16, "--step", step,
+            "--blocks", 4 if fault == "blocks" else 2, "--retrain-every", 1, "--out", out,
+        ) == 1
+        assert_one_line_error(capsys, code)
+        assert not out.exists()
 
 
 class TestWindowLongerThanData:

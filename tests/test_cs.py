@@ -1016,6 +1016,11 @@ class TestComputeSignatureBatch:
         for field in ("window_starts", "window_ends", "real", "imag"):
             expected = np.concatenate([getattr(b, field) for b in alone])
             assert getattr(stacked, field).tobytes() == expected.tobytes(), field
+        # compute_signature shares the stack's tail: window by window, the same bits.
+        each = list(windows(mat, spec))[first:stop]
+        sigs = [compute_signature(w, m, n_blocks) for w, m in zip(each, models, strict=True)]
+        assert stacked.real.tobytes() == np.stack([s.blocks_real for s in sigs]).tobytes()
+        assert stacked.imag.tobytes() == np.stack([s.blocks_imag for s in sigs]).tobytes()
 
     @pytest.mark.parametrize("step", [1, 3, 20, 37])
     def test_time_chunks_do_not_change_the_result(self, monkeypatch, step):
