@@ -19,14 +19,18 @@ from .errors import EmptyInputError, FormatError, PathOrStream, opened
 _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
+def _batch_header(n_blocks: int, imaginary: bool) -> list[str]:
+    """window_start,window_end,real_1..real_l[,imag_1..imag_l]: the one batch header."""
+    parts = ("real", "imag") if imaginary else ("real",)
+    blocks = range(1, n_blocks + 1)
+    return ["window_start", "window_end", *(f"{p}_{i}" for p in parts for i in blocks)]
+
+
 def write_signature_batch(sink: PathOrStream, batch: SignatureBatch) -> int:
     """Write a batch as CSV, one signature per row; returns the row count."""
     if batch.n_signatures == 0:
         raise EmptyInputError("no signatures to write")
-    width = batch.n_blocks
-    header = ["window_start", "window_end", *(f"real_{i}" for i in range(1, width + 1))]
-    if batch.imag is not None:
-        header += [f"imag_{i}" for i in range(1, width + 1)]
+    header = _batch_header(batch.n_blocks, batch.imag is not None)
     with opened(sink, "batch file", "w", newline="") as stream:
         stream.write(",".join(header) + "\r\n")
         # CSV as csv.writer writes it: shortest round-trip reprs, CRLF line ends and
@@ -56,14 +60,12 @@ def read_signature_batch(source: PathOrStream) -> SignatureBatch:
     """Read a batch file back into columnar arrays."""
     with opened(source, "batch file", "r", newline="") as stream:
         header, records = _table(stream, "signature batch file")
-        if header[:2] != ["window_start", "window_end"]:
-            raise FormatError("batch header must start with window_start,window_end")
         n_real = sum(1 for name in header if name.startswith("real_"))
-        n_imag = sum(1 for name in header if name.startswith("imag_"))
-        if n_real == 0 or len(header) != 2 + n_real + n_imag:
-            raise FormatError("batch header does not declare real_*/imag_* columns")
-        if n_imag not in (0, n_real):
-            raise FormatError("imaginary column count must match real column count")
+        imaginary = len(header) > 2 + n_real
+        if n_real == 0 or header != _batch_header(n_real, imaginary):
+            raise FormatError(
+                "batch header must be window_start,window_end,real_1..real_l[,imag_1..imag_l]"
+            )
         starts, ends, rows, linenos = [], [], [], []
         for lineno, row in records:
             if len(row) != len(header):
@@ -87,7 +89,7 @@ def read_signature_batch(source: PathOrStream) -> SignatureBatch:
         window_starts=np.array(starts, dtype=np.int64),
         window_ends=np.array(ends, dtype=np.int64),
         real=table[:, :n_real],
-        imag=table[:, n_real:] if n_imag else None,
+        imag=table[:, n_real:] if imaginary else None,
     )
 
 

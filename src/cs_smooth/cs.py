@@ -358,69 +358,52 @@ def train(matrix: SensorMatrix) -> CSModel:
     """
     stats, lo, hi = _train_stats(matrix)
     _check_spans(matrix.sensor_ids, lo, hi)
-    perm = _greedy_order(stats.pairwise, stats.global_coeffs)[0]
+    orders, _ = _greedy_order(stats.pairwise, stats.global_coeffs)
     return CSModel(
-        sensor_ids=matrix.sensor_ids, permutation=perm, lower_bounds=lo, upper_bounds=hi
+        sensor_ids=matrix.sensor_ids, permutation=orders[0], lower_bounds=lo, upper_bounds=hi
     )
 
 
-def _greedy_order(pairwise: np.ndarray, global_coeffs: np.ndarray) -> np.ndarray:
+def _greedy_order(
+    pairwise: np.ndarray, global_coeffs: np.ndarray, flat: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The greedy row orders of train, (g, n), from a stack of correlation
     statistics, (g, n, n) and (g, n): each pick runs once for the whole stack.
+    Given ``flat``, the (g, n) rows whose bounds meet (lo == hi), also each
+    order's pick margin, (g,); else None.
 
     Relies on ``pairwise`` being exactly symmetric, as _correlation_stats makes
     it from a symmetric covariance: row c of pairwise * global_coeffs then
     holds every candidate's score after row c, pairwise[i, c] * global_coeffs[i].
     Picked rows are masked by one -inf vector added to the rows read, which
-    are taken by flat index from the stacked rows.
+    are taken by flat index from the stacked rows; the first pick scores the
+    global coefficients.
+
+    A pick's lead is its score minus the best score among the other unpicked
+    rows, and the margin is the smallest lead, +inf below two rows. Flat rows
+    are exact zeros after the shift on every path, so they score exactly 1 at
+    every pick and go in index order: a flat pick's lead leaves the other flat
+    rows out.
     """
     g, n = global_coeffs.shape
     scores = (pairwise * global_coeffs[:, None]).reshape(g * n, n)
     taken = np.zeros((g, n))
-    row = np.empty_like(taken)
+    row = global_coeffs.copy()
     order = np.empty((g, n), dtype=np.int64)
+    margins = None if flat is None else np.full(g, math.inf)
     first_rows = np.arange(0, g * n, n)
-    current = global_coeffs.argmax(axis=1)
     for k in range(n):
+        current = row.argmax(axis=1)
         order[:, k] = current
         picked = first_rows + current
+        if margins is not None and k < n - 1:  # the last pick has no runner-up
+            lead = row.take(picked)
+            row.put(picked, -np.inf)
+            np.copyto(row, -np.inf, where=flat & flat.take(picked)[:, None])
+            np.minimum(margins, lead - row.max(axis=1), out=margins)
         taken.put(picked, -np.inf)
-        current = np.add(scores.take(picked, 0), taken, out=row).argmax(axis=1)
-    return order
-
-
-def _min_margin(stats: CorrelationStats, order: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """For each of a stack of (g, n) ``order``s, the smallest lead of the
-    winning over the runner-up score among the greedy picks that produced it
-    (the first pick scores global coefficients); +inf below two rows.
-
-    Rows marked ``flat`` (lo == hi, (g, n)) are exact zeros after the shift on
-    every path, so they score exactly 1 at every pick and go in index order:
-    only the first flat row not yet picked competes.
-    """
-    g, n = order.shape
-    if n < 2:
-        return np.full(g, math.inf)
-    picks = np.arange(n - 1)  # the last pick has one candidate: no runner-up
-    rank = order.argsort(axis=1)  # the pick of each row
-    # scores[s, k, i]: the score of row i at pick k, as _greedy_order forms it
-    # from the row picked before; pick 0 scores 1.0 x the global coefficient.
-    before = np.concatenate((order[:, :1], order[:, :-2]), axis=1)
-    scores = stats.pairwise[np.arange(g)[:, None], before]
-    scores[:, 0] = 1.0
-    scores *= stats.global_coeffs[:, None]
-    # A flat row competes from the pick after the previous flat row's on:
-    # waits[s, k] is the pick of the flat row before the flat row picked at k,
-    # -1 where the row picked at k is not flat or is the first flat row.
-    flat = np.take_along_axis(flat, order, 1)
-    waits = np.full((g, n), -1)
-    waits[:, 1:] = np.maximum.accumulate(np.where(flat[:, :-1], picks, -1), axis=1)
-    waits[~flat] = -1
-    waiting = np.take_along_axis(waits, rank, 1)[:, None]  # by row, as scores' columns
-    # Masked: rows picked before pick k, and flat rows waiting for their turn.
-    np.copyto(scores, -np.inf, where=(picks[:, None] > rank[:, None]) | (picks[:, None] <= waiting))
-    scores.partition(n - 2, axis=2)  # the runner-up, then the winner, last
-    return np.min(scores[:, :, -1] - scores[:, :, -2], axis=1)
+        np.add(scores.take(picked, 0), taken, out=row)
+    return order, margins
 
 
 # A greedy pick won by less than this may go the other way in batch train: the
@@ -444,9 +427,10 @@ def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel
 
     Prefixes are ordered in groups of g = max(1, _BLOCK_VALUES // n^2) (16 at
     64 sensors, 1 from 182 on): each covariance goes into a (g, n, n) buffer,
-    and correlation, greedy order and margins run once per group on the
-    stack, with the values each prefix gets alone. A bad end or a prefix's
-    span error comes after the earlier prefixes' models.
+    and correlation and the greedy order, which yields each order's pick
+    margin, run once per group on the stack, with the values each prefix gets
+    alone. A bad end or a prefix's span error comes after the earlier
+    prefixes' models.
     """
     n = matrix.n_sensors
     covs = np.empty((max(1, _BLOCK_VALUES // (n * n)), n, n))
@@ -472,10 +456,11 @@ def _group_models(
     matrix: SensorMatrix, covs: np.ndarray, group: list[tuple[int, np.ndarray, np.ndarray]]
 ) -> Iterator[CSModel]:
     """prefix_models' models of a group of prefixes, from their stacked
-    covariances (consumed) and (sample count, bounds) each."""
+    covariances (consumed) and (sample count, bounds) each: _greedy_order,
+    given the rows whose bounds meet, yields each order and its pick margin."""
     stats = _correlation_stats(covs)
-    orders = _greedy_order(stats.pairwise, stats.global_coeffs)
-    margins = _min_margin(stats, orders, np.array([lo == hi for _, lo, hi in group]))
+    flat = np.array([lo == hi for _, lo, hi in group])
+    orders, margins = _greedy_order(stats.pairwise, stats.global_coeffs, flat)
     for (count, lo, hi), order, margin in zip(group, orders, margins):
         if margin >= _SCORE_MARGIN:
             yield CSModel(matrix.sensor_ids, order, lo, hi)
@@ -878,6 +863,15 @@ def load_model(source: PathOrStream) -> CSModel:
     # A JSON string would pass as the sequence of its characters.
     if not isinstance(payload.get("sensor_ids", []), list):
         raise FormatError("sensor_ids must be a list of strings")
+    # CSModel would take JSON true as 1 and "0.5" as 0.5: the entries' JSON types decide.
+    for field, kinds, reason in (
+        ("permutation", (int,), "permutation entries must be integers"),
+        ("lower_bounds", (int, float), "malformed model field: lower_bounds must hold numbers"),
+        ("upper_bounds", (int, float), "malformed model field: upper_bounds must hold numbers"),
+    ):
+        entries = payload.get(field)
+        if isinstance(entries, list) and any(type(v) not in kinds for v in entries):
+            raise FormatError(reason)
     try:
         return CSModel(
             sensor_ids=payload["sensor_ids"],

@@ -106,9 +106,10 @@ def class_stream(
 def random_matrix(n_sensors: int, n_samples: int, seed: int = 0) -> SensorMatrix:
     """A uniform-random sensor matrix, e.g. for timing signature methods."""
     rng = np.random.default_rng(seed)
-    grid = TimeGrid(start=0, interval=1000, count=n_samples)
-    # Drawn before the ids, so a size beyond memory fails at once.
+    # Drawn before the grid and the ids, so a size beyond memory fails at once as such.
     data = rng.uniform(0.0, 1.0, size=(n_sensors, n_samples))
     return SensorMatrix(
-        sensor_ids=tuple(f"s{i:05d}" for i in range(n_sensors)), grid=grid, data=data
+        sensor_ids=tuple(f"s{i:05d}" for i in range(n_sensors)),
+        grid=TimeGrid(start=0, interval=1000, count=n_samples),
+        data=data,
     )

@@ -77,6 +77,26 @@ def naive_permutation(pairwise: list[list[float]], global_coeffs: list[float]) -
     return perm
 
 
+def naive_margin(
+    pairwise: list[list[float]], global_coeffs: list[float], flat: list[bool]
+) -> float:
+    """The smallest lead among the greedy picks of naive_permutation: a pick's
+    score minus the best score among the other rows not yet picked, leaving
+    out the other flat rows when the pick is flat; +inf below two rows."""
+    n = len(global_coeffs)
+    perm = naive_permutation(pairwise, global_coeffs)
+    margin = math.inf
+    for k, pick in enumerate(perm[:-1]):
+        if k == 0:
+            score = global_coeffs
+        else:
+            score = [pairwise[i][perm[k - 1]] * global_coeffs[i] for i in range(n)]
+        rivals = [score[i] for i in perm[k + 1 :] if not (flat[pick] and flat[i])]
+        if rivals:
+            margin = min(margin, score[pick] - max(rivals))
+    return margin
+
+
 def naive_train(data: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
     pairwise, global_coeffs = naive_correlation(data)
     perm = naive_permutation(pairwise, global_coeffs)
@@ -143,9 +163,9 @@ def reference_train(data: np.ndarray) -> dict[str, np.ndarray]:
 def reference_prefix_models(data, ends, per_segment, order_stands):
     """(permutation, lower bounds, upper bounds) for each prefix end, merged
     segment by segment as prefix_models merges them. ``order_stands(pairwise,
-    global_coeffs, order, flat)`` is prefix_models' margin test, given the
-    rows whose bounds meet (lo == hi); where it fails, the prefix is trained in
-    one batch instead."""
+    global_coeffs, flat)`` is prefix_models' margin test, given the rows whose
+    bounds meet (lo == hi); where it fails, the prefix is trained in one batch
+    instead."""
     n = data.shape[0]
     shift = data[:, :1]
     count, mean, comoment = 0, np.zeros(n), np.zeros((n, n))
@@ -165,8 +185,9 @@ def reference_prefix_models(data, ends, per_segment, order_stands):
             mean += delta * (width / total)
             count = total
         pairwise, global_coeffs = reference_correlation_stats(comoment / count)
-        order = reference_greedy_order(pairwise, global_coeffs)
-        if not order_stands(pairwise, global_coeffs, order, lo == hi):
+        if order_stands(pairwise, global_coeffs, lo == hi):
+            order = reference_greedy_order(pairwise, global_coeffs)
+        else:
             order = reference_train(data[:, :count])["permutation"]
         models.append((order, lo, hi))
     return models

@@ -36,6 +36,7 @@ def assert_one_line_error(capsys, code):
     assert err.startswith(f"error: {code}:")
     assert "\n" not in err.strip()
     assert "Traceback" not in err
+    return err
 
 
 def read_report(path):
@@ -1263,6 +1264,21 @@ class TestTableRows:
             read(io.StringIO(text, newline=""))
 
 
+class TestBatchHeader:
+    """A batch reader accepts the header the writer writes and no other:
+    columns are read by position, so a header out of order would swap them."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        ["imag_1,real_1", "real_1,imag_1,real_2,imag_2", "real_2,real_1", "real_x,real_y"],
+    )
+    def test_any_other_header_is_a_format_error(self, columns):
+        n = columns.count(",") + 1
+        text = f"window_start,window_end,{columns}\r\n0,4{',0.5' * n}\r\n"
+        with pytest.raises(FormatError, match="^batch header must be window_start,window_end,"):
+            batchio.read_signature_batch(io.StringIO(text, newline=""))
+
+
 class TestBenchCommand:
     def test_row_per_combination(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -1299,6 +1315,7 @@ class TestBenchCommand:
         [
             # More values than an array can address: ValueError at once.
             ("--n-list", 10**20),
+            ("--wl-list", 10**20),
             ("--reps", 10**20),
             # 2^61 bytes, beyond any address space: MemoryError at once.
             ("--n-list", 2**55),
@@ -1310,7 +1327,9 @@ class TestBenchCommand:
         code = run("bench", "--methods", "cs", "--n-list", 2, "--wl-list", 1,
                    flag, value, "--out", tmp_path / "b.csv")
         assert code == 1
-        assert_one_line_error(capsys, "invalid-parameter")
+        err = assert_one_line_error(capsys, "invalid-parameter")
+        if flag == "--wl-list":  # the matrix is drawn before its grid is built
+            assert err.endswith(f": a 2 x {10**20 + 7} matrix does not fit in memory\n")
         assert not (tmp_path / "b.csv").exists()
 
     def test_warm_up_beyond_memory_is_one_line(self, tmp_path, capsys, monkeypatch):

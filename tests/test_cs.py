@@ -42,9 +42,11 @@ from cs_smooth.errors import (
     RejectedValueError,
     UnsupportedVersionError,
 )
-from cs_smooth.synthetic import anti_correlated_matrix, clustered_plateau_matrix
+from cs_smooth.synthetic import anti_correlated_matrix, class_stream, clustered_plateau_matrix
 
 from naive_reference import (
+    naive_margin,
+    naive_permutation,
     naive_signature,
     naive_train,
     reference_prefix_models,
@@ -371,6 +373,17 @@ class TestPrefixModels:
         self.assert_batch_equal(matrix_from(data), ends)
         assert train_calls == []
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_benchmark_phase_data_needs_no_fallback(self, train_calls, seed):
+        # The retrain-stream benchmark's data at its test size: 24 sensors x
+        # 960 samples of 16-sample class phases in turn, a prefix end every 16.
+        phase_seeds = np.random.default_rng(seed).integers(0, 2**31, size=60)
+        data = np.hstack(
+            [class_stream(p % 3, 24, 16, seed=int(s)).data for p, s in enumerate(phase_seeds)]
+        )
+        self.assert_batch_equal(matrix_from(data), list(range(16, 960, 16)))
+        assert train_calls == []
+
     def test_clustered_data_needs_no_fallback(self, train_calls):
         matrix = clustered_plateau_matrix(8, 5, 5, t=600, seed=11)
         models = list(cs.prefix_models(matrix, range(3, 601)))
@@ -399,8 +412,8 @@ class TestPrefixModels:
 
 
 class TestStackedOrdering:
-    """_correlation_stats, _greedy_order and _min_margin give each matrix of a
-    stack the bytes it gets alone, at any division block size."""
+    """_correlation_stats and _greedy_order, orders and pick margins, give each
+    matrix of a stack the bytes it gets alone, at any division block size."""
 
     @given(
         st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 6), st.integers(1, 2_000)
@@ -417,16 +430,39 @@ class TestStackedOrdering:
         covs = centered @ centered.swapaxes(1, 2) / 12
         with mock.patch.object(cs, "_BLOCK_VALUES", block_values):
             stats = cs._correlation_stats(covs.copy())
-            orders = cs._greedy_order(stats.pairwise, stats.global_coeffs)
-            margins = cs._min_margin(stats, orders, flat)
+            orders, margins = cs._greedy_order(stats.pairwise, stats.global_coeffs, flat)
             for s in range(g):
                 alone = cs._correlation_stats(covs[s : s + 1].copy())
-                order = cs._greedy_order(alone.pairwise, alone.global_coeffs)
-                margin = cs._min_margin(alone, order, flat[s : s + 1])
+                order, margin = cs._greedy_order(
+                    alone.pairwise, alone.global_coeffs, flat[s : s + 1]
+                )
                 assert stats.pairwise[s].tobytes() == alone.pairwise[0].tobytes()
                 assert stats.global_coeffs[s].tobytes() == alone.global_coeffs[0].tobytes()
                 assert orders[s].tobytes() == order[0].tobytes()
                 assert margins[s].tobytes() == margin[0].tobytes()
+
+    @given(
+        st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 6),
+        st.sampled_from([None, 0, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_orders_and_margins_equal_the_naive_rule(self, seed, n, g, decimals):
+        # Rounded data ties scores, so leads of exactly 0 come up.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(g, n, 8))
+        if decimals is not None:
+            data = data.round(decimals)
+        data[rng.random((g, n)) < 0.3] = 1.5  # flat rows
+        duplicated = rng.random(g) < 0.5
+        data[duplicated, -1] = data[duplicated, 0]  # a duplicate row, or one more flat row
+        flat = data.min(axis=2) == data.max(axis=2)
+        centered = data - data.mean(axis=2, keepdims=True)
+        stats = cs._correlation_stats(centered @ centered.swapaxes(1, 2) / 8)
+        orders, margins = cs._greedy_order(stats.pairwise, stats.global_coeffs, flat)
+        for s in range(g):
+            pairwise, global_coeffs = stats.pairwise[s].tolist(), stats.global_coeffs[s].tolist()
+            assert orders[s].tolist() == naive_permutation(pairwise, global_coeffs)
+            assert margins[s] == naive_margin(pairwise, global_coeffs, flat[s].tolist())
 
 
 def training_data(seed, n, t, offset, constant, duplicate):
@@ -454,9 +490,9 @@ def greedy_inputs(monkeypatch):
     """Record every pairwise matrix the greedy ordering is given."""
     seen = []
 
-    def recording(pairwise, global_coeffs):
+    def recording(pairwise, global_coeffs, flat=None):
         seen.extend(pairwise.copy())  # one matrix per prefix of the stack
-        return greedy_order(pairwise, global_coeffs)
+        return greedy_order(pairwise, global_coeffs, flat)
 
     greedy_order = cs._greedy_order
     monkeypatch.setattr(cs, "_greedy_order", recording)
@@ -540,9 +576,9 @@ class TestTrainingMatchesReference:
             sizes = st.integers(group + 1, group + 6)
         ends = sorted(draw.draw(st.sets(st.integers(2, t), min_size=draw.draw(sizes), max_size=14)))
 
-        def order_stands(pairwise, global_coeffs, order, flat):
-            stats = cs.CorrelationStats(pairwise[None], global_coeffs[None])
-            return cs._min_margin(stats, order[None], flat[None])[0] >= cs._SCORE_MARGIN
+        def order_stands(pairwise, global_coeffs, flat):
+            margins = cs._greedy_order(pairwise[None], global_coeffs[None], flat[None])[1]
+            return margins[0] >= cs._SCORE_MARGIN
 
         with mock.patch.object(cs, "_BLOCK_VALUES", block_values), \
                 mock.patch.object(cs, "_CHUNK_VALUES", chunk_values):
@@ -1252,6 +1288,12 @@ class TestModelPersistence:
             ("sensor_ids", ["a", "b", "c", "d", "a"], "sensor ids are not unique"),
             ("sensor_ids", ["a", "b", "c", "d", 5], "sensor ids must be strings"),
             ("lower_bounds", ["x", 0.0, 0.0, 0.0, 0.0], "malformed model field"),
+            # JSON booleans and strings are not numbers, even where numpy reads one.
+            ("permutation", [True, 0, 2, 3, 4], "permutation entries must be integers"),
+            ("lower_bounds", ["0.0", 0.0, 0.0, 0.0, 0.0], "malformed model field"),
+            ("lower_bounds", [False, 0.0, 0.0, 0.0, 0.0], "malformed model field"),
+            ("upper_bounds", [True, 1.0, 1.0, 1.0, 1.0], "malformed model field"),
+            ("upper_bounds", [None, 1.0, 1.0, 1.0, 1.0], "malformed model field"),
             ("sensor_ids", "abcde", "sensor_ids must be a list of strings"),
             ("sensor_ids", {"a": 1}, "sensor_ids must be a list of strings"),
         ],
