@@ -6,9 +6,12 @@ make_synthetic_dataset.py in a temporary directory, then runs on each:
 train; sign with cs at step 1, and at step 16 with and without
 --retrain-every 3; sign with cs --retrain-every 1 at steps 1, 4 and 16; sign
 with tuncer, bodik and lan at step 1; fidelity for l = 5, 10, 20; and the
-classification eval of the step-16 cs batch. Prints
-one ``<sha256>  <set>/<file>`` line per output. Two trees produce the same
-outputs bit for bit when their lines are equal:
+classification eval of the step-16 cs batch. Prints one
+``<sha256>  <set>/<file>`` line per output. No command calls the library's
+per-window path, so one more line per set, ``<set>/compute_signature``,
+digests the blocks of compute_signature over every step-1 window, signed with
+the set's trained model. Two trees produce the same outputs bit for bit when
+their lines are equal:
 
     python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -27,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from cs_smooth import core, cs  # noqa: E402
 from cs_smooth.cli import main as cli  # noqa: E402
 
 DATASETS = {
@@ -74,6 +78,21 @@ def runs(data: Path, out: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def signature_digest(data: Path, model_path: Path) -> str:
+    """sha256 of the blocks_real then blocks_imag bytes of compute_signature
+    (20 blocks, sign's default) over every step-1 16-sample window of ``data``,
+    loaded and aligned as the CLI does."""
+    series = core.load_dataset_dir(data)
+    matrix = core.align(series, core.infer_grid(series))
+    model = cs.load_model(model_path)
+    digest = hashlib.sha256()
+    for window in core.windows(matrix, core.WindowSpec(16, 1)):
+        sig = cs.compute_signature(window, model, 20)
+        digest.update(sig.blocks_real.tobytes())
+        digest.update(sig.blocks_imag.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cs_smooth_digest_") as tmp:
         for name, flags in DATASETS.items():
@@ -86,6 +105,7 @@ def main() -> int:
                     print(f"cs-smooth {' '.join(argv)} failed", file=sys.stderr)
                     return 1
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{file}")
+            print(f"{signature_digest(data, out / 'model.json')}  {name}/compute_signature")
     return 0
 
 

@@ -97,7 +97,7 @@ def read_labels_csv(source: PathOrStream) -> dict[int, str]:
     """Read a labels file: header then one "window_start,label" row per window."""
     with opened(source, "labels file", "r", newline="") as stream:
         header, records = _table(stream, "labels file")
-        if [h.strip() for h in header[:2]] != ["window_start", "label"]:
+        if [h.strip() for h in header] != ["window_start", "label"]:
             raise FormatError("labels header must be window_start,label")
         labels: dict[int, str] = {}
         for lineno, row in records:

@@ -176,7 +176,8 @@ def load_sensor_csv(source: PathOrStream, sensor_id: str) -> SensorSeries:
         data = stream.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:  # one scan, where the replacements copy the file twice
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return _parse_sensor_csv(data, sensor_id)
 
 

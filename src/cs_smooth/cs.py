@@ -103,16 +103,18 @@ class CSModel:
         return _min_max_scaling(self.lower_bounds, self.upper_bounds)
 
     def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
-        """_scaling for a (n, columns) block: up to _BUFFERED_COLUMNS columns,
-        C-contiguous copies repeated along each row, cached for the last width
+        """_scaling for _normalized_window's time-major (columns, n) buffer,
+        columns = w + 1: up to _BUFFERED_COLUMNS, C-contiguous (columns, n)
+        copies of _scaling, one row per column, cached for the last width
         only, in the instance __dict__ like _scaling (never a field: equality,
-        model_id and the saved file do not see it); beyond, (n, 1) views. Read
-        once, the cached pair is never of the wrong width under threads."""
+        model_id and the saved file do not see it); beyond, the (n,) vectors,
+        which broadcast. Read once, the cached pair is never of the wrong width
+        under threads."""
         if columns > _BUFFERED_COLUMNS:
-            return tuple(a[:, None] for a in self._scaling)
+            return self._scaling
         wide = self.__dict__.get("_repeated_scaling")
-        if wide is None or wide[0].shape[1] != columns:
-            wide = tuple(np.repeat(a[:, None], columns, axis=1) for a in self._scaling)
+        if wide is None or len(wide[0]) != columns:
+            wide = tuple(np.repeat(a[None], columns, axis=0) for a in self._scaling)
             self.__dict__["_repeated_scaling"] = wide
         return wide
 
@@ -164,6 +166,17 @@ class BlockLayout:
         # segment, which tolerates the one-row overlap between adjacent blocks.
         bounds = np.array([(b - 1, e) for b, e in self.ranges], dtype=np.int64).ravel()
         return bounds[:-1], np.diff(bounds)[0::2]
+
+    def _divisor(self, width: int) -> np.ndarray:
+        """Block sizes times a window width, _block_means' divisor: cached for
+        the last width only, in the instance __dict__ as CSModel._wide_scaling
+        caches its pair. Read once, the cached pair is never of the wrong width
+        under threads."""
+        held = self.__dict__.get("_width_divisor")
+        if held is None or held[0] != width:
+            held = (width, self._reduction[1] * width)
+            self.__dict__["_width_divisor"] = held
+        return held[1]
 
 
 @dataclass(frozen=True)
@@ -530,12 +543,15 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
 
 
 def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
-    """A window's values normalized by _normalize_block into a fresh
-    C-contiguous (n, w + 1) buffer, column 0 the column before the window; with
-    none, the first column stands in, so its difference is 0. The window must
-    pass _check_sensors and hold (n, w) values, w >= 1, and an (n,) preceding
-    column, if any. Values are not checked for finiteness: that would be a full
-    pass per window."""
+    """A window's values min-max normalized into a fresh C-contiguous,
+    time-major (w + 1, n) buffer: row 0 the column before the window (with
+    none, the first column stands in, so its difference is 0), row 1 + i the
+    window's sample i. Copied first, transposed up to _TILE_SENSORS sensors
+    at a time, then normalized in place against CSModel._wide_scaling, so
+    each ufunc runs once over the buffer. The window must pass
+    _check_sensors and hold (n, w) values, w >= 1, and an (n,) preceding
+    column, if any. Values are not checked for finiteness: that would be a
+    full pass per window."""
     _check_sensors(window.sensor_ids, model)
     n = model.n_sensors
     values, before = window.values, window.preceding
@@ -545,21 +561,28 @@ def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
         raise DimensionError(f"preceding column must hold {n} values, got {np.shape(before)}")
     if values.shape[1] == 0:
         raise DegenerateInputError("window holds no samples")
-    buffer = np.empty((n, values.shape[1] + 1))
-    before = values[:, 0] if before is None else before
-    return _normalize_block(model, slice(None), before, values, buffer)
+    buffer = np.empty((values.shape[1] + 1, n))
+    buffer[0] = values[:, 0] if before is None else before
+    if n <= _TILE_SENSORS:
+        buffer[1:] = values.T
+    else:
+        for r in range(0, n, _TILE_SENSORS):
+            buffer[1:, r : r + _TILE_SENSORS] = values[r : r + _TILE_SENSORS].T
+    return _normalize(buffer, *model._wide_scaling(len(buffer)))
 
 
 def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
     """Min-max normalize sensor ``rows`` of a block of samples into ``out``, a
     C-contiguous (rows, 1 + samples) buffer, clamped to [0,1] (flat rows to 0):
     column 0 takes ``before``, the column preceding the block, the rest
-    ``values``. Copied first, then normalized in place against
-    CSModel._wide_scaling, so each ufunc runs once over the buffer."""
+    ``values``. Copied first, then normalized in place against (rows, 1)
+    bounds, which broadcast along each row: the batch chunks and fidelity's
+    row chunks are wide enough that repeated bounds would only add memory
+    traffic."""
     out[:, 0] = before
     out[:, 1:] = values
-    lo, denom = model._wide_scaling(out.shape[1])
-    return _normalize(out, lo[rows], denom[rows])
+    lo, denom = model._scaling
+    return _normalize(out, lo[rows, None], denom[rows, None])
 
 
 def _min_max_scaling(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -592,7 +615,7 @@ def sort_normalize(window: Window, model: CSModel) -> tuple[np.ndarray, np.ndarr
     when available and is 0 otherwise. Both matrices are fresh C-contiguous
     (n, w) arrays.
     """
-    norm = _normalized_window(window, model)[model.permutation]
+    norm = _normalized_window(window, model).T[model.permutation]
     return np.ascontiguousarray(norm[:, 1:]), np.diff(norm, axis=1)
 
 
@@ -622,32 +645,84 @@ def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.nd
     ``row_sums`` is C-contiguous, 1-D or with leading axes (windows, or real and
     imaginary sums); each block's rows are added in the same order either way.
     """
-    bounds, sizes = layout._reduction
-    return np.add.reduceat(row_sums, bounds, axis=-1)[..., 0::2] / (sizes * width)
+    blocks = np.add.reduceat(row_sums, layout._reduction[0], axis=-1)[..., 0::2]
+    return blocks / layout._divisor(width)
 
 
 def _window_blocks(norm: np.ndarray, order: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """(real, imag) block means of windows from their normalized rows.
+    """(real, imag) block means of windows from their normalized samples.
 
-    ``norm`` is C-contiguous (rows, w + 1), column 0 the column before each
-    window; ``order`` gathers rows into permutation order, (n,) for one window
-    or (k, n) for a stack, by index into ``norm``'s rows. The block means of
-    sort_normalize's matrices need only per-row window sums, and the backward
-    differences telescope to (last normalized column - column before the
-    window), so the sorted matrices are never built. O(rows * w).
+    ``norm`` is C-contiguous and time-major, (w + 1, c): each column is one
+    sensor row of one window, its row 0 the sample before the window and row
+    1 + i the window's sample i. ``order`` gathers the columns into
+    permutation order, (n,) for one window or (k, n) for a stack. The block
+    means of sort_normalize's matrices need only per-row window sums, and the
+    backward differences telescope to (last normalized sample - the one
+    before the window), so the sorted matrices are never built. Each step is
+    a numpy call over whole rows of c values; _row_sums adds each column as
+    ndarray.sum adds the same samples held contiguously. O(c * w).
     """
-    width = norm.shape[1] - 1
-    sums = np.empty((2, len(norm)))  # per-row value sums, then derivative sums
-    norm[:, 1:].sum(axis=1, out=sums[0])
-    np.subtract(norm[:, width], norm[:, 0], out=sums[1])
+    width = len(norm) - 1
+    sums = np.empty((2, norm.shape[1]))  # per-column value sums, then derivative sums
+    _row_sums(norm[1:], sums[0])
+    np.subtract(norm[width], norm[0], out=sums[1])
     return _block_means(sums.take(order, axis=1), layout, width)
+
+
+def _row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum of the m rows of ``terms``, (m, c), into ``out``, (c,): column
+    j's sum has the bytes of ndarray.sum over the same m values held
+    contiguously.
+
+    The rows are added in numpy's pairwise_sum order. Below 8 terms, a
+    running sum from 0.0. From 8 to 128 terms, eight partial sums, partial i
+    running over terms i, i + 8, ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest of a
+    non-multiple of 8 added one at a time. Above 128, a split at m / 2
+    rounded down to a multiple of 8, each half summed by the same rule. The
+    reduction then adds its identity +0.0 in front, so a column of -0.0 sums
+    to +0.0. Every call here adds it: 0.0 + x is x but for x = -0.0, so the
+    halves of a split differ from numpy's only in the sign of a zero, which
+    the identity added after them settles.
+    """
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        left = _row_sums(terms[:half], np.empty_like(out))
+        np.add(left, _row_sums(terms[half:], out), out=out)
+    elif m < 8:
+        out.fill(0.0)
+        for row in terms:
+            out += row
+    else:
+        partial = terms[:8] + terms[8:16] if m >= 16 else terms[:8]
+        for first in range(16, m - 7, 8):
+            partial += terms[first : first + 8]
+        pairs = partial.take(_PAIRING, axis=0)
+        pairs = pairs[:4] + pairs[4:]
+        pairs = pairs[:2] + pairs[2:]
+        np.add(pairs[0], pairs[1], out=out)
+        if m % 8:
+            for row in terms[m - m % 8 :]:
+                out += row
+    out += 0.0
+    return out
+
+
+# The eight partial sums in an order whose two halves hold the pairs that
+# numpy adds: [r0, r4, r2, r6 | r1, r5, r3, r7] adds to
+# [r0 + r1, r4 + r5 | r2 + r3, r6 + r7], and that to
+# [(r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)].
+_PAIRING = np.array([0, 4, 2, 6, 1, 5, 3, 7])
 
 
 def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
     """Full signature pipeline: normalize and sort, then smooth into l blocks.
 
-    The window goes through _normalized_window into one (n, w + 1) buffer, so
-    each value is normalized once, and _window_blocks reduces it. O(w * n).
+    The window goes through _normalized_window into one time-major (w + 1, n)
+    buffer, so each value is normalized once, and _window_blocks reduces it
+    in whole rows of n values, bit for bit as compute_signature_batch signs
+    the window. O(w * n).
     """
     norm = _normalized_window(window, model)
     layout = block_layout(model.n_sensors, n_blocks)
@@ -656,11 +731,17 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
-# Widest block row that _normalize_block normalizes against bounds repeated
-# along the row. Wider rows already run long inner loops, so they broadcast
-# (n, 1) bounds; repeated ones would only add memory traffic.
+# Widest window, in columns (w + 1), that _normalized_window normalizes against
+# bounds repeated once per column. A broadcasting ufunc call pays a set-up
+# that only a short window notices; for wider ones the repeated pair would
+# grow with the window and only add memory traffic, so they broadcast the
+# (n,) bounds.
 _BUFFERED_COLUMNS = 128
 _TILE_ROWS = 64  # rows per tile of compute_signature_batches' transposing copy
+# Sensors per tile of _normalized_window's transposing copy. Reading a tile's
+# columns touches only its rows, which stay in cache and in the TLB; one
+# plain copy of 32,000 sensors x 100 samples took twice the tiled one.
+_TILE_SENSORS = 256
 
 
 def compute_signature_batch(
@@ -745,10 +826,11 @@ def _signature_stack(
     ``models[j]``: bit for bit compute_signature_batch on each window alone.
 
     One pass for the stack: each window's (n, w + 1) columns, the column
-    before it first as in compute_signature_batches, are normalized against
-    its own model's bounds, and _window_blocks reduces the stack with each
-    window's own permutation. It holds len(models) x n x (w + 1) values:
-    callers bound the stack.
+    before it first as in compute_signature_batches, are gathered into one
+    (n, k, w + 1) stack and normalized against its own model's bounds. One
+    transposed (w + 1, n k) copy of the stack then goes to _window_blocks,
+    which reduces it with each window's own permutation. It holds
+    2 len(models) x n x (w + 1) values: callers bound the stack.
     """
     for model in models:
         _check_sensors(matrix.sensor_ids, model)
@@ -761,9 +843,9 @@ def _signature_stack(
         np.array([m.lower_bounds for m in models]).T, np.array([m.upper_bounds for m in models]).T
     )
     _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, k, w + 1)
-    # Row r of window j is row r k + j of the (n k, w + 1) view.
+    # Row r of window j is column r k + j of the (w + 1, n k) copy.
     order = np.array([m.permutation for m in models]) * k + np.arange(k)[:, None]
-    real, imag = _window_blocks(norm.reshape(-1, width + 1), order, layout)
+    real, imag = _window_blocks(np.ascontiguousarray(norm.reshape(-1, width + 1).T), order, layout)
     return SignatureBatch(*instants, real, imag)
 
 

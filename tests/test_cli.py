@@ -991,6 +991,16 @@ with open(out_path, "w") as fh:
         assert code == 1
         assert_one_line_error(capsys, "format")
 
+    def test_labels_header_with_an_extra_field(self, tmp_path, capsys):
+        # The rows still hold two fields each: only the header is wrong.
+        batch, labels = make_labeled_batch(tmp_path)
+        lines = labels.read_text().strip().splitlines()
+        lines[0] = "window_start,label,weight"
+        labels.write_text("\n".join(lines) + "\n")
+        code = run("eval", "--batch", batch, "--labels", labels, "--out", tmp_path / "m.csv")
+        assert code == 1
+        assert_one_line_error(capsys, "format")
+
     def test_regression_task_reports_nrmse(self, tmp_path):
         batch, labels = make_labeled_batch(tmp_path)
         # numeric targets derived from the class index, plus jitter

@@ -843,8 +843,10 @@ class TestComputeSignature:
         st.integers(0, 2**32 - 1),
         st.integers(1, 24),
         # w + 1 on both sides of the repeated-bounds width gate, well past it,
-        # and w = 1.
+        # and w = 1; w at the edges of _row_sums' regimes (8 and 128 terms,
+        # and one and two blocks of eight).
         st.one_of(st.integers(1, 9),
+                  st.sampled_from([7, 8, 9, 15, 16, 17, 128, 129]),
                   st.integers(cs._BUFFERED_COLUMNS - 3, cs._BUFFERED_COLUMNS + 1),
                   st.integers(cs._BUFFERED_COLUMNS + 1, 600)),
         st.booleans(),
@@ -861,6 +863,13 @@ class TestComputeSignature:
         flat = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="flat rows")
         training[flat] = 3.0
         values[flat] = rng.choice([2.0, 3.0, 4.0], size=(len(flat), wl + 1))
+        # Rows trained to lower bound +0.0 whose window holds -0.0 samples, which
+        # normalize (and clip) to -0.0: all of them, or mixed with +0.0.
+        zero = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="-0.0 rows")
+        training[zero] = np.abs(training[zero])
+        training[zero, 0] = 0.0
+        signs = [-0.0] if seed % 2 else [-0.0, 0.0]
+        values[zero] = rng.choice(signs, size=(len(zero), wl + 1))
         model = train(matrix_from(training))
         mat, spec = matrix_from(values), WindowSpec(wl, 1)
         first = int(with_preceding)  # the window at column 0 has no preceding column
@@ -874,7 +883,21 @@ class TestComputeSignature:
         # Up to the gate one repeated pair is cached, for this width; beyond, none.
         held = model.__dict__.get("_repeated_scaling")
         buffered = wl + 1 <= cs._BUFFERED_COLUMNS
-        assert (held is not None and held[0].shape == (n, wl + 1)) == buffered
+        assert (held is not None and held[0].shape == (wl + 1, n)) == buffered
+
+    def test_sensors_past_one_copy_tile_equal_batch_bytes(self):
+        # More sensors than one tile of _normalized_window's transposing copy,
+        # the last tile a partial one.
+        n = 2 * cs._TILE_SENSORS + 37
+        rng = np.random.default_rng(28)
+        data = rng.normal(size=(n, 40)) * rng.uniform(0.1, 100.0, size=(n, 1))
+        model = train(matrix_from(data[:, :20]))
+        mat, spec = matrix_from(data), WindowSpec(16, 1)
+        batch = compute_signature_batch(mat, model, spec, 20)
+        for j, window in enumerate(windows(mat, spec)):
+            sig = compute_signature(window, model, 20)
+            assert sig.blocks_real.tobytes() == batch.real[j].tobytes()
+            assert sig.blocks_imag.tobytes() == batch.imag[j].tobytes()
 
     def test_one_model_at_two_widths_matches_fresh_models(self):
         data = np.random.default_rng(4).normal(size=(30, 120))
@@ -886,7 +909,7 @@ class TestComputeSignature:
             window = window_from(data[:, start : start + wl], preceding=data[:, start - 1])
             sig = compute_signature(window, model, 4)
             # One repeated pair is cached, for the last width, outside the model's fields.
-            assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(30, wl + 1)] * 2
+            assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(wl + 1, 30)] * 2
             fresh = compute_signature(window, train(matrix_from(data[:, :50])), 4)
             assert sig.blocks_real.tobytes() == fresh.blocks_real.tobytes()
             assert sig.blocks_imag.tobytes() == fresh.blocks_imag.tobytes()
@@ -896,9 +919,10 @@ class TestComputeSignature:
         save_model(model, after)
         assert after.getvalue() == saved.getvalue()
 
-    def test_short_streams_of_every_length_leave_one_cached_pair(self):
+    def test_short_streams_of_every_length_cache_no_repeated_pair(self):
         # Step-1 streams of 17-127 samples normalize time chunks 18-128 columns
-        # wide, all up to the width gate: only the last width's pair may stay.
+        # wide, all up to the width gate; the batch path broadcasts the (n,)
+        # bounds, so no repeated pair may stay.
         n, rng = 16, np.random.default_rng(7)
         model = train(matrix_from(rng.normal(size=(n, 40))))
         for length in range(17, 128):
@@ -906,9 +930,9 @@ class TestComputeSignature:
                                     WindowSpec(16, 1), 4)
         fields = {f.name for f in dataclasses.fields(CSModel)}
         cached = sum(array_bytes(v) for k, v in model.__dict__.items() if k not in fields)
-        # One repeated pair at the gate, plus the (n,) pair of _scaling.
+        # At most one repeated pair at the gate, plus the (n,) pair of _scaling.
         assert cached <= 2 * n * (cs._BUFFERED_COLUMNS + 1) * 8
-        assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(n, 128)] * 2
+        assert "_repeated_scaling" not in model.__dict__
 
     def test_threads_sharing_a_model_sign_as_serial(self):
         # Two threads sign with one model at w + 1 = 8 and 41, so each keeps
@@ -964,6 +988,47 @@ class TestComputeSignature:
                     *norm[1], *deriv[1]]
         assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in flat_row), flat_row
         assert sig.blocks_real[0] > 0.0 and sig.blocks_real[2] > 0.0
+
+    @pytest.mark.parametrize("wl", [7, 8, 16, 129])
+    def test_negative_zero_samples_give_positive_zero_blocks(self, wl):
+        # Row s1 is trained to lower bound +0.0 and its window holds only -0.0,
+        # which normalizes and clips to -0.0. ndarray.sum adds its identity
+        # +0.0 in front, so the row sums to +0.0 on every path.
+        model = CSModel(("s0", "s1", "s2"), [2, 1, 0], [0.0, 0.0, -1.0], [1.0, 2.0, 1.0])
+        values = np.full((3, wl + 1), -0.0)
+        values[0], values[2] = 0.5, 0.25
+        mat, spec = matrix_from(values), WindowSpec(wl, 1)
+        sig = compute_signature(list(windows(mat, spec))[1], model, 3)
+        batch = compute_signature_batch(mat, model, spec, 3, first=1, stop=2)
+        assert sig.blocks_real.tobytes() == batch.real[0].tobytes()
+        assert sig.blocks_imag.tobytes() == batch.imag[0].tobytes()
+        # With l = n each block is one row in permutation order: s1 is block 1.
+        for x in (sig.blocks_real[1], sig.blocks_imag[1]):
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+class TestRowSums:
+    @given(
+        st.one_of(st.integers(0, 300), st.integers(8191, 8193)),
+        st.integers(1, 5),
+        st.sampled_from(["random", "all -0.0", "mixed +-0.0"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_ndarray_sum_bytes(self, m, c, kind, seed):
+        # c rows of m terms each, summed by ndarray.sum along the contiguous row
+        # and by _row_sums down the columns of the transposed copy.
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            # Magnitudes spread over 16 decades, so any other order of the adds
+            # shows in the bits.
+            rows = rng.normal(size=(c, m)) * 10.0 ** rng.integers(-8, 8, size=(c, m))
+        elif kind == "all -0.0":
+            rows = np.full((c, m), -0.0)
+        else:
+            rows = rng.choice([-0.0, 0.0], size=(c, m))
+        got = cs._row_sums(np.ascontiguousarray(rows.T), np.empty(c))
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
 
 
 class TestComputeSignatureBatch:
