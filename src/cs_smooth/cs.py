@@ -262,8 +262,8 @@ def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np
 
 
 # Values per row block of _comoments and of _correlation_stats' division, per
-# group of prefix_models' covariances and per stack of sign's one-window runs:
-# 512 KB, cache-sized.
+# group of prefix_models' covariances and per stack of sign's one-window runs
+# (its gathered and its time-major copy together): 512 KB, cache-sized.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -546,12 +546,11 @@ def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
     """A window's values min-max normalized into a fresh C-contiguous,
     time-major (w + 1, n) buffer: row 0 the column before the window (with
     none, the first column stands in, so its difference is 0), row 1 + i the
-    window's sample i. Copied first, transposed up to _TILE_SENSORS sensors
-    at a time, then normalized in place against CSModel._wide_scaling, so
-    each ufunc runs once over the buffer. The window must pass
-    _check_sensors and hold (n, w) values, w >= 1, and an (n,) preceding
-    column, if any. Values are not checked for finiteness: that would be a
-    full pass per window."""
+    window's sample i. Copied first, transposed _TILE_SENSORS sensors at a
+    time, then normalized in place against CSModel._wide_scaling, so each
+    ufunc runs once over the buffer. The window must pass _check_sensors and
+    hold (n, w) values, w >= 1, and an (n,) preceding column, if any. Values
+    are not checked for finiteness: that would be a full pass per window."""
     _check_sensors(window.sensor_ids, model)
     n = model.n_sensors
     values, before = window.values, window.preceding
@@ -563,12 +562,16 @@ def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
         raise DegenerateInputError("window holds no samples")
     buffer = np.empty((values.shape[1] + 1, n))
     buffer[0] = values[:, 0] if before is None else before
-    if n <= _TILE_SENSORS:
-        buffer[1:] = values.T
-    else:
-        for r in range(0, n, _TILE_SENSORS):
-            buffer[1:, r : r + _TILE_SENSORS] = values[r : r + _TILE_SENSORS].T
+    _copy_transposed(buffer[1:], values, _TILE_SENSORS)
     return _normalize(buffer, *model._wide_scaling(len(buffer)))
+
+
+def _copy_transposed(out: np.ndarray, rows: np.ndarray, tile: int) -> None:
+    """``out[...] = rows.T``, ``tile`` rows at a time, so the rows that a tile
+    reads column by column stay in cache and in the TLB: one plain copy of
+    32,000 sensors x 100 samples takes about 1.6x the tiled one."""
+    for r in range(0, len(rows), tile):
+        out[:, r : r + tile] = rows[r : r + tile].T
 
 
 def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
@@ -674,39 +677,49 @@ def _row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
     j's sum has the bytes of ndarray.sum over the same m values held
     contiguously.
 
-    The rows are added in numpy's pairwise_sum order. Below 8 terms, a
-    running sum from 0.0. From 8 to 128 terms, eight partial sums, partial i
-    running over terms i, i + 8, ..., combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest of a
-    non-multiple of 8 added one at a time. Above 128, a split at m / 2
-    rounded down to a multiple of 8, each half summed by the same rule. The
-    reduction then adds its identity +0.0 in front, so a column of -0.0 sums
-    to +0.0. Every call here adds it: 0.0 + x is x but for x = -0.0, so the
-    halves of a split differ from numpy's only in the sign of a zero, which
-    the identity added after them settles.
+    The rows are added in the order of numpy's pairwise_sum
+    (numpy/_core/src/umath/loops_utils.h.src, checked against numpy 2.4.6;
+    TestRowSums guards it). Below 8 terms, a running sum from 0.0. From 8
+    to 128 terms, eight partial sums, partial i running over terms i, i + 8,
+    ..., combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    the rest of a non-multiple of 8 added one at a time. Above 128, a split
+    at m / 2 rounded down to a multiple of 8, each half summed by the same
+    rule. The reduction then adds its identity +0.0 in front, so a column of
+    -0.0 sums to +0.0, and so it is added here last: 0.0 + x is x but for
+    x = -0.0, and partials that start from 0.0 (a reduction's) differ from
+    numpy's only in the sign of a zero, which the identity settles.
     """
+    return np.add(_pairwise_sum(terms), 0.0, out=out)
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """_row_sums' rule over axis 0 of ``terms``, (m, ...), less the identity.
+    The two halves of an even split (m a multiple of 16) are summed side by
+    side, as one batch of twice the columns: at m = 4,000 the four subtrees
+    of 1,000 terms share every numpy call, so 8 leaves are summed, not 32."""
     m = len(terms)
     if m > 128:
         half = m // 2 - m // 2 % 8
-        left = _row_sums(terms[:half], np.empty_like(out))
-        np.add(left, _row_sums(terms[half:], out), out=out)
-    elif m < 8:
-        out.fill(0.0)
-        for row in terms:
-            out += row
+        if 2 * half == m:
+            both = _pairwise_sum(terms.reshape(2, half, *terms.shape[1:]).swapaxes(0, 1))
+            return both[0] + both[1]
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if m < 8:
+        return terms.sum(axis=0)
+    whole = m - m % 8
+    # Each partial runs down axis 0, in order: over two groups of eight as one
+    # add, over more as one reduction (which would copy the first of two).
+    if whole == 16:
+        partial = terms[:8] + terms[8:16]
     else:
-        partial = terms[:8] + terms[8:16] if m >= 16 else terms[:8]
-        for first in range(16, m - 7, 8):
-            partial += terms[first : first + 8]
-        pairs = partial.take(_PAIRING, axis=0)
-        pairs = pairs[:4] + pairs[4:]
-        pairs = pairs[:2] + pairs[2:]
-        np.add(pairs[0], pairs[1], out=out)
-        if m % 8:
-            for row in terms[m - m % 8 :]:
-                out += row
-    out += 0.0
-    return out
+        partial = terms[:whole].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
+    pairs = partial.take(_PAIRING, axis=0)
+    pairs = pairs[:4] + pairs[4:]
+    pairs = pairs[:2] + pairs[2:]
+    total = pairs[0] + pairs[1]
+    for i in range(whole, m):
+        total += terms[i]
+    return total
 
 
 # The eight partial sums in an order whose two halves hold the pairs that
@@ -737,10 +750,14 @@ _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
 # grow with the window and only add memory traffic, so they broadcast the
 # (n,) bounds.
 _BUFFERED_COLUMNS = 128
-_TILE_ROWS = 64  # rows per tile of compute_signature_batches' transposing copy
-# Sensors per tile of _normalized_window's transposing copy. Reading a tile's
-# columns touches only its rows, which stay in cache and in the TLB; one
-# plain copy of 32,000 sensors x 100 samples took twice the tiled one.
+# Rows per tile of _copy_transposed. compute_signature_batches' copy reads rows
+# of a chunk's k window sums, kilobytes each, and 64 rows keep those reads
+# within the TLB: tiles of 256 made that copy 2.1-2.8 against 1.6 ms at 1,024
+# sensors x 1,024 windows. _normalized_window's copy reads rows of w samples,
+# each on its own page of the window's matrix, so a tile of 64 reads too
+# little per call: its copy took 18.7 against 10.1 us at 1,024 x 16, and 9.4
+# against 8.0 ms at 32,000 x 100.
+_TILE_ROWS = 64
 _TILE_SENSORS = 256
 
 
@@ -805,14 +822,13 @@ def compute_signature_batches(
         windows.sum(axis=2, out=sums[0])
         np.subtract(norm[:, width::step], norm[:, : (k - 1) * step + 1 : step], out=sums[1])
         # The normalized block is spent: its buffer takes each half transposed to
-        # windows x rows, _TILE_ROWS rows at a time so the copy stays in cache.
-        # The spent half then takes those rows in permutation order, so every
-        # block's rows are contiguous; mode="clip" (the indices are valid) writes
-        # straight into ``out``, where the default mode buffers it.
+        # windows x rows. The spent half then takes those rows in permutation
+        # order, so every block's rows are contiguous; mode="clip" (the indices
+        # are valid) writes straight into ``out``, where the default mode
+        # buffers it.
         transposed = norm_buf[: k * n].reshape(k, n)
         for half, row_sums in enumerate(sums):
-            for r in range(0, n, _TILE_ROWS):
-                transposed[:, r : r + _TILE_ROWS] = row_sums[r : r + _TILE_ROWS].T
+            _copy_transposed(transposed, row_sums, _TILE_ROWS)
             permuted = transposed.take(p, 1, row_sums.reshape(k, n), "clip")
             for layout, out in zip(layouts, blocks):
                 out[half, i : i + k] = _block_means(permuted, layout, width)

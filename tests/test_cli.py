@@ -394,7 +394,7 @@ class TestSignCommand:
         batchio.write_signature_batch(expected, concat_batches(parts))
         assert out.read_bytes() == expected.read_bytes()
 
-    @pytest.mark.parametrize("block_values", [None, 100])
+    @pytest.mark.parametrize("block_values", [None, 100, 150])
     @pytest.mark.parametrize("step", [1, 3, 5, 7])
     def test_retrain_every_1_matches_a_per_run_batch_loop(
         self, write_dataset, tmp_path, monkeypatch, step, block_values
@@ -402,7 +402,8 @@ class TestSignCommand:
         # Window 5; steps below, at and above it (step 1: a two-window first
         # run). A flat sensor and a ramp that leaves every earlier model's
         # bounds; the loaded model knows only the first 10 samples. 100 values
-        # stack 2 one-window runs (6 sensors x 6 columns) and group 2 prefixes.
+        # group 2 prefixes (6 x 6 covariances); 150 stack 2 one-window runs
+        # (two copies of 6 sensors x 6 columns each) and group 4 prefixes.
         rng = np.random.default_rng(25)
         data = np.cumsum(rng.standard_normal((6, 90)), axis=1)
         data[3] = 2.5
