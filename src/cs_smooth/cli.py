@@ -16,22 +16,17 @@ variable (debug/info/warning) controls logging.
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
 import logging
 import os
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, batchio, cs, evaluation, fidelity, synthetic
+from . import cs
 from .core import (
     SensorMatrix,
     WindowSpec,
@@ -52,6 +47,10 @@ from .errors import (
 log = logging.getLogger("cs_smooth")
 
 METHODS = ("cs", "tuncer", "bodik", "lan")
+# fidelity.DEFAULT_BINS and (evaluation.CLASSIFICATION, evaluation.REGRESSION),
+# spelled out so that building the parser imports neither module; a test pins them.
+_DEFAULT_BINS = 100
+_TASKS = ("classification", "regression")
 _SPAN_RE = re.compile(r"^(\d+)(ms|s|m|h)?$")
 _SPAN_MS = {"ms": 1, "s": 1_000, "m": 60_000, "h": 3_600_000}
 
@@ -107,6 +106,8 @@ def _counts(what: str, many: bool = False, least: int = 1):
 
 def _command(text: str) -> list[str]:
     """A command line split into shell words, once; it must hold at least one."""
+    import shlex
+
     try:
         argv = shlex.split(text)
     except ValueError as exc:
@@ -203,11 +204,15 @@ def cmd_sign(args: argparse.Namespace) -> int:
         raise InvalidParameterError("--model is required for method cs")
     if args.method != "cs" and args.retrain_every is not None:
         raise InvalidParameterError("--retrain-every needs method cs: baselines have no model")
+    from . import batchio
+
     matrix = _load_matrix(args)
     spec = _window_spec(args, matrix)
     if args.method == "cs":
         batch = _sign_cs(args, matrix, spec)
     else:
+        from . import baselines
+
         batch = baselines.baseline_signature_batch(matrix, spec, args.method, args.lan_subsample)
     count = batchio.write_signature_batch(args.out, batch)
     print(f"wrote {count} signatures to {args.out}")
@@ -215,6 +220,8 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import batchio
+
     batch = batchio.read_signature_batch(args.batch)
     if args.component == "real":
         values = batch.real
@@ -236,6 +243,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    from . import batchio, fidelity
+
     matrix = _load_matrix(args)
     spec = _window_spec(args, matrix)
     model = cs.load_model(args.model)
@@ -262,6 +271,11 @@ class _ExternalPredictor:
         self._train = (features, labels)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        import csv
+        import subprocess
+
+        from . import batchio
+
         train_x, train_y = self._train
         width = train_x.shape[1]
         train_path = self.workdir / f"fold{self.fold}_train.csv"
@@ -297,7 +311,10 @@ class _ExternalPredictor:
         return np.array([row[0] for row in rows[1:]])
 
 
-def _dataset_from_files(args: argparse.Namespace) -> evaluation.LabeledDataset:
+def _dataset_from_files(args: argparse.Namespace):
+    """The eval command's features and labels, as a LabeledDataset."""
+    from . import batchio, evaluation
+
     batch = batchio.read_signature_batch(args.batch)
     labels_by_start = batchio.read_labels_csv(args.labels)
     missing = [s for s in batch.window_starts.tolist() if s not in labels_by_start]
@@ -319,6 +336,10 @@ def _dataset_from_files(args: argparse.Namespace) -> evaluation.LabeledDataset:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from . import batchio, evaluation
+
     dataset = _dataset_from_files(args)
     # The directory holds the fold files an external predictor exchanges.
     with tempfile.TemporaryDirectory(prefix="cs_smooth_eval_") as tmp:
@@ -348,6 +369,10 @@ def _bench_model(matrix: SensorMatrix, seed: int) -> cs.CSModel:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import functools
+
+    from . import baselines, batchio, synthetic
+
     # Each case signs one batch of step-1 windows with the signer sign runs. What
     # a signature costs depends on the batch size, so that size is fixed.
     cases = []  # (method, n, wl, signer)
@@ -449,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--model", required=True)
     p_fid.add_argument("--blocks", type=_counts("block counts", many=True), required=True,
                        help="comma-separated block counts")
-    p_fid.add_argument("--bins", type=_counts("--bins"), default=fidelity.DEFAULT_BINS)
+    p_fid.add_argument("--bins", type=_counts("--bins"), default=_DEFAULT_BINS)
     p_fid.add_argument("--out", required=True)
     p_fid.set_defaults(handler=cmd_fidelity)
 
@@ -457,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cross-validate signatures on a labeled task")
     p_eval.add_argument("--batch", required=True, help="signature batch CSV")
     p_eval.add_argument("--labels", required=True, help="window_start,label CSV")
-    p_eval.add_argument("--task", choices=(evaluation.CLASSIFICATION, evaluation.REGRESSION),
-                        default=evaluation.CLASSIFICATION)
+    p_eval.add_argument("--task", choices=_TASKS, default=_TASKS[0])
     p_eval.add_argument("--folds", type=_counts("--folds", least=2), default=5)
     p_eval.add_argument("--real-only", action="store_true",
                         help="drop imaginary components from the features")

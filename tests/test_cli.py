@@ -1,11 +1,15 @@
+import ast
 import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import runpy
 import shlex
+import socket
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cs_smooth import batchio, cs
+from cs_smooth import batchio, cli, core, cs
 from cs_smooth.cli import main, parse_span
 from cs_smooth.core import SensorMatrix, TimeGrid, WindowSpec, align, infer_grid, load_dataset_dir
 from cs_smooth.errors import EmptyInputError, FormatError, InvalidParameterError
@@ -25,6 +29,7 @@ from naive_reference import naive_align, naive_signature, naive_train
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def run(*argv):
@@ -260,6 +265,105 @@ class TestIngestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {expected}")
         assert "\n" not in err.strip()
+
+
+class TestDatasetEntries:
+    """Directories among the *.csv entries are skipped; any other entry that is
+    not a regular file is one error line naming it, before any file is parsed."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        parse = core._parse_sensor_csv
+        monkeypatch.setattr(core, "_parse_sensor_csv", lambda *a: calls.append(a) or parse(*a))
+        return calls
+
+    def dataset(self, write_dataset):
+        return write_dataset(np.random.default_rng(0).uniform(size=(2, 10)))
+
+    def test_directory_is_skipped(self, write_dataset, tmp_path, capsys):
+        dataset = self.dataset(write_dataset)
+        (dataset / "nested.csv").mkdir()
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+        assert json.loads((tmp_path / "m.json").read_text())["sensor_ids"] == ["s000", "s001"]
+
+    def test_dangling_link_is_one_error_line(self, write_dataset, tmp_path, capsys, parses):
+        dataset = self.dataset(write_dataset)
+        (dataset / "s002.csv").symlink_to(tmp_path / "missing.csv")
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 1
+        assert "s002.csv" in assert_one_line_error(capsys, "io")
+        assert parses == [] and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind", ["fifo", "socket"])
+    def test_special_file_is_one_error_line(
+        self, write_dataset, tmp_path, capsys, monkeypatch, parses, kind
+    ):
+        dataset = self.dataset(write_dataset)
+        if kind == "fifo":
+            os.mkfifo(dataset / "s000a.csv")  # opening it would block
+        else:
+            monkeypatch.chdir(dataset)  # a socket path must be short
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.bind("s000a.csv")
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 1
+        err = assert_one_line_error(capsys, "format")
+        assert err == "error: format: s000a.csv: not a regular file\n"
+        assert parses == []
+
+
+class TestIngestCacheCommands:
+    """Later commands on one dataset read its ingest cache and write the same bytes."""
+
+    def test_later_commands_parse_no_file(self, write_dataset, tmp_path, monkeypatch):
+        dataset = write_dataset(np.random.default_rng(1).uniform(size=(5, 40)))
+        parses = []
+        parse = core._parse_sensor_csv
+        monkeypatch.setattr(core, "_parse_sensor_csv", lambda *a: parses.append(a) or parse(*a))
+        sign = ["sign", "--dataset", dataset, "--model", tmp_path / "m.json", "--window", 8,
+                "--step", 3, "--blocks", 3]
+        outputs = {}
+        for tag, parsed in (("first", 5), ("cached", 0)):
+            parses.clear()
+            assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+            assert run(*sign, "--out", tmp_path / "b.csv") == 0
+            assert run(*sign, "--retrain-every", 2, "--out", tmp_path / "r.csv") == 0
+            assert len(parses) == parsed
+            outputs[tag] = [(tmp_path / f).read_bytes() for f in ("m.json", "b.csv", "r.csv")]
+            if tag == "first":
+                (dataset / core._CACHE_NAME).unlink()  # the next train parses and caches
+                parses.clear()
+                assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+                assert len(parses) == 5
+        assert outputs["cached"] == outputs["first"]
+
+    def test_parser_defaults_are_the_library_constants(self):
+        from cs_smooth import evaluation, fidelity
+
+        assert cli._DEFAULT_BINS == fidelity.DEFAULT_BINS
+        assert cli._TASKS == (evaluation.CLASSIFICATION, evaluation.REGRESSION)
+
+    @pytest.mark.parametrize("command, modules", [
+        ("train", set()),
+        ("sign", {"batchio"}),
+        ("fidelity", {"batchio", "fidelity"}),
+    ])
+    def test_commands_import_only_what_they_run(self, write_dataset, tmp_path, command, modules):
+        dataset = write_dataset(np.random.default_rng(2).uniform(size=(3, 12)))
+        argv = {"train": [], "sign": ["--model", "m.json", "--window", "4", "--step", "2", "--blocks", "2"],
+                "fidelity": ["--model", "m.json", "--window", "4", "--step", "2",
+                             "--blocks", "2"]}[command]
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+        code = (
+            "import sys\n"
+            "from cs_smooth import cli\n"
+            f"assert cli.main({[command, '--dataset', str(dataset), *argv, '--out', 'o']!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cs_smooth.')), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m.removeprefix("cs_smooth.") for m in ast.literal_eval(proc.stderr)}
+        assert loaded == {"cli", "core", "cs", "errors", *modules}
 
 
 class TestSignCommand:

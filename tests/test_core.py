@@ -1,9 +1,12 @@
 import io
 import itertools
+import logging
 import math
+import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -604,3 +607,204 @@ class TestDatasetDir:
     def test_empty_dir(self, tmp_path):
         with pytest.raises(EmptyInputError):
             load_dataset_dir(tmp_path)
+
+
+def _fresh_load(directory):
+    """What load_dataset_dir returns with no cache: each sensor file through
+    load_sensor_csv, the first failure prefixed with its file name."""
+    loaded = []
+    for p in sorted(directory.glob("*.csv")):
+        try:
+            s = load_sensor_csv(p, p.stem)
+        except CsSmoothError as exc:
+            return type(exc), f"{p.name}: {exc}"
+        loaded.append((s.sensor_id, s.timestamps.dtype, s.timestamps.tobytes(), s.values.tobytes()))
+    return loaded
+
+
+def _cached_load(directory):
+    """load_dataset_dir's outcome in _fresh_load's terms, and how many files it parsed."""
+    with mock.patch.object(core, "_parse_sensor_csv", wraps=core._parse_sensor_csv) as parse:
+        try:
+            loaded = [(s.sensor_id, s.timestamps.dtype, s.timestamps.tobytes(),
+                       s.values.tobytes()) for s in load_dataset_dir(directory)]
+        except CsSmoothError as exc:
+            loaded = type(exc), str(exc)
+    return loaded, parse.call_count
+
+
+def _write_sensors(directory, files):
+    """Make ``directory`` hold exactly the sensor files ``files`` (name -> bytes)."""
+    for p in directory.glob("*.csv"):
+        if p.stem not in files:
+            p.unlink()
+    for name, data in files.items():
+        (directory / f"{name}.csv").write_bytes(data)
+
+
+_SENSOR_NAME = st.sampled_from(["a", "b", "c", "d", "e"])
+# Valid files mostly: a load that fails writes no cache.
+_CACHE_FILE = st.one_of(
+    st.lists(_record_line(clean=True), min_size=1, max_size=6).map(b"\n".join),
+    st.lists(_record_line(clean=True), min_size=1, max_size=6).map(b"\r\n".join),
+    _sensor_file(),
+)
+
+
+@st.composite
+def _dataset_edits(draw):
+    """A start state (name -> bytes) and edits, each one file changed, added,
+    removed, renamed or copied byte for byte under a new name."""
+    files = draw(st.dictionaries(_SENSOR_NAME, _CACHE_FILE, min_size=1, max_size=4))
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        files = dict(files)
+        edit = draw(st.sampled_from(["change", "add", "remove", "rename", "copy"]))
+        name, other = draw(st.sampled_from(sorted(files))), draw(_SENSOR_NAME)
+        if edit == "change":
+            files[name] = draw(_CACHE_FILE)
+        elif edit == "add":
+            files[other] = draw(_CACHE_FILE)
+        elif edit == "remove" and len(files) > 1:
+            del files[name]
+        elif edit == "rename":
+            files[other] = files.pop(name)
+        elif edit == "copy":
+            files[other] = files[name]
+        states.append(files)
+    return states
+
+
+@pytest.fixture(scope="class")
+def cached_dir(tmp_path_factory):
+    """One dataset directory every example of a class rewrites, so each starts
+    from the cache the previous one left."""
+    return tmp_path_factory.mktemp("cached")
+
+
+class TestIngestCache:
+    @settings(max_examples=100, deadline=None)
+    @given(_dataset_edits())
+    def test_reload_equals_a_fresh_parse(self, cached_dir, states):
+        for files in states:
+            _write_sensors(cached_dir, files)
+            expected = _fresh_load(cached_dir)
+            first, _ = _cached_load(cached_dir)
+            again, parsed = _cached_load(cached_dir)
+            assert first == expected
+            assert again == expected
+            if isinstance(expected, list):
+                assert parsed == 0  # every file came from the cache
+
+    def test_identical_files_share_one_entry(self, tmp_path):
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.csv").write_bytes(b"0,1.5\n1000,2.5\n")
+        load_dataset_dir(tmp_path)
+        cache = (tmp_path / core._CACHE_NAME).read_bytes()
+        entry = core._CACHE_ENTRY.size + 2 * 16 + core._CRC.size
+        assert len(cache) == core._CACHE_HEADER.size + entry
+        assert _cached_load(tmp_path) == (_fresh_load(tmp_path), 0)
+
+    @pytest.mark.parametrize("damage, reparsed", [
+        (lambda b: b[:-1], 3),  # truncated
+        (lambda b: b[: core._CACHE_HEADER.size], 3),
+        (lambda b: b"", 3),
+        (lambda b: b + b"\0", 3),  # trailing bytes
+        (lambda b: bytes(range(256)) * 4, 3),  # garbage
+        (lambda b: b[:8] + bytes(32) + b[40:], 3),  # another key: another version
+        (lambda b: b[:-10] + bytes([b[-10] ^ 1]) + b[-9:], 1),  # a flipped bit in one entry
+        (lambda b: b[:-2] + bytes([b[-2] ^ 1]) + b[-1:], 1),  # a flipped bit in its CRC
+    ])
+    def test_damaged_cache_is_a_miss_and_rewritten(self, tmp_path, damage, reparsed):
+        for name, offset in (("a", 0.5), ("b", 1.5), ("c", 2.5)):
+            (tmp_path / f"{name}.csv").write_text(f"0,{offset}\n1000,{-offset}\n2000,7\n")
+        load_dataset_dir(tmp_path)
+        path = tmp_path / core._CACHE_NAME
+        valid = path.read_bytes()
+        path.write_bytes(damage(valid))
+        assert _cached_load(tmp_path) == (_fresh_load(tmp_path), reparsed)
+        assert path.read_bytes() == valid
+        assert _cached_load(tmp_path)[1] == 0
+
+    def test_another_source_is_another_version(self, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_text("0,1\n1000,2\n")
+        load_dataset_dir(tmp_path)
+        monkeypatch.setattr(core, "__file__", str(tmp_path / "a.csv"))
+        assert _cached_load(tmp_path)[1] == 1
+        assert _cached_load(tmp_path)[1] == 0
+
+    @pytest.mark.parametrize("entry", ["directory", "fifo"])
+    def test_cache_path_that_is_no_file_is_a_miss(self, tmp_path, entry):
+        (tmp_path / "a.csv").write_text("0,1\n1000,2\n")
+        path = tmp_path / core._CACHE_NAME
+        if entry == "directory":
+            path.mkdir()
+        else:
+            os.mkfifo(path)  # opening it would block
+        assert _cached_load(tmp_path) == (_fresh_load(tmp_path), 1)
+        # os.replace puts the cache in a FIFO's place, not in a directory's.
+        assert _cached_load(tmp_path)[1] == (entry == "directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [core._CACHE_NAME, "a.csv"]
+
+    @pytest.mark.parametrize("fails", ["replace", "write"])
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, fails):
+        (tmp_path / "a.csv").write_text("0,1\n1000,2\n")
+
+        def no_room(*args):
+            raise OSError(28, "No space left on device")
+
+        if fails == "replace":
+            monkeypatch.setattr(core.os, "replace", no_room)
+        else:
+            monkeypatch.setattr(core, "_entry_crc", no_room)
+        assert _cached_load(tmp_path) == (_fresh_load(tmp_path), 1)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_interrupted_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_text("0,1\n1000,2\n")
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(core, "_entry_crc", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset_dir(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    @pytest.mark.parametrize("content, error, message", [
+        (b"0,1.0\n99999999999999999999,1.0\n", ParseError,
+         "b.csv: line 2: timestamp 99999999999999999999 does not fit in int64"),
+        (b"0,1.0\n1000,nan\n", RejectedValueError,
+         "b.csv: sensor 'b': non-finite value at line 2"),
+        (b"# nothing\n", EmptyInputError, "b.csv: sensor 'b': no records in stream"),
+    ])
+    def test_bad_file_beside_a_valid_cache_raises_its_error(self, tmp_path, content, error,
+                                                            message):
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.csv").write_text("0,1\n1000,2\n")
+        load_dataset_dir(tmp_path)
+        cache = (tmp_path / core._CACHE_NAME).read_bytes()
+        (tmp_path / "b.csv").write_bytes(content)
+        for _ in range(2):  # the bad file is never cached
+            with pytest.raises(error) as caught:
+                load_dataset_dir(tmp_path)
+            assert str(caught.value) == message
+        assert (tmp_path / core._CACHE_NAME).read_bytes() == cache
+
+    def test_debug_log_counts_parsed_and_reused_files(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="cs_smooth")
+        for name, value in (("a", 2), ("b", 5)):
+            (tmp_path / f"{name}.csv").write_text(f"0,1\n1000,{value}\n")
+        load_dataset_dir(tmp_path)
+        (tmp_path / "b.csv").write_text("0,1\n1000,3\n")
+        load_dataset_dir(tmp_path)
+        load_dataset_dir(tmp_path)
+        counts = [m.split(": ")[1] for m in caplog.messages if m.startswith("ingest ")]
+        assert counts == [f"parsed {p} files, reused {2 - p}" for p in (2, 1, 0)]
+
+    def test_sensor_ids_come_from_current_names(self, tmp_path):
+        (tmp_path / "a.csv").write_text("0,1\n1000,2\n")
+        load_dataset_dir(tmp_path)
+        (tmp_path / "a.csv").rename(tmp_path / "z.csv")
+        loaded, parsed = _cached_load(tmp_path)
+        assert (loaded[0][0], parsed) == ("z", 0)

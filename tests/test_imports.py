@@ -2,11 +2,15 @@
 private module-level definition is referenced somewhere in the package
 besides its own definition.
 
-The package's ``__init__.py`` imports to re-export, and an import line marked
-``# noqa: F401`` is kept on purpose, so neither is checked for use.
+The package's ``__init__.py`` only re-exports, each name on first use, and an
+import line marked ``# noqa: F401`` is kept on purpose, so neither is checked
+for use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -74,3 +78,18 @@ def test_every_private_definition_is_referenced():
         if everywhere[name] == Counter(references(node))[name]
     ]
     assert dead == []
+
+
+def test_package_imports_a_module_on_first_use_of_its_names():
+    code = (
+        "import sys\n"
+        "import cs_smooth\n"
+        "assert [m for m in sys.modules if m.startswith('cs_smooth.')] == []\n"
+        "from cs_smooth import *\n"
+        "assert 'cs_smooth.fidelity' in sys.modules and fidelity_table.__module__ == 'cs_smooth.fidelity'\n"
+        "assert set(cs_smooth.__all__) <= set(dir(cs_smooth))\n"
+        "assert all(globals()[name] is getattr(cs_smooth, name) for name in cs_smooth.__all__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
