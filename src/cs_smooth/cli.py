@@ -16,6 +16,7 @@ variable (debug/info/warning) controls logging.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import re
@@ -526,5 +527,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The process entry of ``cs-smooth`` and ``python -m cs_smooth.cli``: exits
+    with main's code after freezing the cyclic GC, so the interpreter's teardown
+    skips a last pass over every object numpy and the command left alive."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -461,10 +461,10 @@ def infer_grid(series: Sequence[SensorSeries], interval: int | None = None) -> T
         raise EmptyInputError("no series to infer a grid from")
     if interval is None:
         # Gaps are positive, so uint64 holds each one where int64 could wrap.
-        gaps = [np.median(np.diff(s.timestamps.view(np.uint64))) for s in series if len(s) > 1]
+        gaps = [_median(np.diff(s.timestamps.view(np.uint64))) for s in series if len(s) > 1]
         if not gaps:
             raise DegenerateInputError("cannot infer a grid interval from single-point series")
-        interval = int(max(1, round(float(np.median(gaps)))))
+        interval = int(max(1, round(float(_median(np.array(gaps))))))
     start = max(int(s.timestamps[0]) for s in series)
     end = min(int(s.timestamps[-1]) for s in series)
     if end < start:
@@ -481,11 +481,13 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
     Interpolates on offsets from the grid start, exact in float64 up to 2**53
     ms, so instants far from zero stay apart. A series' values are
     interpolated times their _power_of_two_scales scale and the row divided by
-    it again: no slope overflows, so any finite values align.
+    it again: no slope overflows, so any finite values align. A series whose
+    samples within the grid span are its instants takes those samples, with the
+    same scaling: np.interp's value at a knot is the knot's own.
     """
-    rows, ids = [], []
+    series = tuple(series)
     with fits_in_memory(f"an aligned matrix of {grid.count} samples does not fit in memory"):
-        instants = _offsets(grid.instants(), grid.start)
+        instants = grid.instants()
         for s in series:
             if len(s) == 0:
                 raise AlignmentError(f"sensor {s.sensor_id!r} has no samples")
@@ -494,14 +496,24 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
                     f"sensor {s.sensor_id!r} does not overlap the grid span "
                     f"[{grid.start}, {grid.end}]"
                 )
+        if not series:
+            raise EmptyInputError("no series to align")
+        data = np.empty((len(series), grid.count))
+        offsets = _offsets(instants, grid.start)
+        # Below 2**53 ms every offset is exact, so a sample is a knot at a grid
+        # instant's offset exactly when its timestamp is that instant.
+        exact = grid.end - grid.start < 2**53
+        for row, s in zip(data, series):
             scale = _power_of_two_scales(s.values.min(), s.values.max())
             values = s.values if scale is None else s.values * scale
-            row = np.interp(instants, _offsets(s.timestamps, grid.start), values)
-            rows.append(row if scale is None else row / scale)
-            ids.append(s.sensor_id)
-        if not rows:
-            raise EmptyInputError("no series to align")
-        return SensorMatrix(sensor_ids=tuple(ids), grid=grid, data=np.stack(rows))
+            first = np.searchsorted(s.timestamps, grid.start)
+            if exact and np.array_equal(s.timestamps[first : first + grid.count], instants):
+                row[:] = values[first : first + grid.count]
+            else:
+                row[:] = np.interp(offsets, _offsets(s.timestamps, grid.start), values)
+            if scale is not None:
+                row /= scale
+        return SensorMatrix(sensor_ids=tuple(s.sensor_id for s in series), grid=grid, data=data)
 
 
 def _power_of_two_scales(lo, hi) -> np.ndarray | None:
@@ -516,6 +528,17 @@ def _power_of_two_scales(lo, hi) -> np.ndarray | None:
         return None
     outside = (exponent < -399) | (exponent > 400)
     return np.ldexp(1.0, np.where(outside, np.minimum(-exponent, 1023), 0))
+
+
+def _median(a: np.ndarray) -> np.float64:
+    """np.median of a 1-D array without NaN, bit for bit: the float64 mean of its
+    middle one or two elements after the same np.partition. np.median's NaN check
+    of float input imports numpy.ma, which no command needs otherwise."""
+    half, odd = divmod(a.size, 2)
+    kth = [half] if odd else [half - 1, half]
+    if a.dtype.kind == "f":
+        kth.append(-1)  # np.median's partition places the NaN candidate too
+    return np.mean(np.partition(a, kth)[half - 1 + odd : half + 1])
 
 
 def _offsets(timestamps: np.ndarray, start: int) -> np.ndarray:

@@ -118,7 +118,9 @@ def f1_macro(true_labels: Sequence, predicted_labels: Sequence) -> float:
             f"{len(true)} true labels but {len(pred)} predictions"
         )
     scores = []
-    for cls in np.unique(true):
+    # return_counts takes np.unique's sort path, with the same sorted classes,
+    # past the masked-array check that imports numpy.ma.
+    for cls in np.unique(true, return_counts=True)[0]:
         tp = np.sum((pred == cls) & (true == cls))
         fp = np.sum((pred == cls) & (true != cls))
         fn = np.sum((pred != cls) & (true == cls))

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -121,12 +122,38 @@ class TestTrainCommand:
         )
         assert not out.exists()
 
-    def test_aligned_matrix_beyond_memory(self, write_dataset, tmp_path, capsys, monkeypatch):
+    def test_aligned_matrix_beyond_memory(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
             raise MemoryError
 
+        # Each sensor has one extra sample between two of the 10 grid instants,
+        # so align interpolates every row.
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        for i, extra in enumerate([500, 4500, 8500]):
+            stamps = sorted([*range(0, 10_000, 1000), extra])
+            (dataset / f"s{i:03d}.csv").write_text("".join(f"{t},{t / 1000 + i}\n" for t in stamps))
+        monkeypatch.setattr(np, "interp", no_memory)  # what align fills off-grid rows with
+        out = tmp_path / "m.json"
+        assert run("train", "--dataset", dataset, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-parameter: an aligned matrix of 10 samples does not fit in memory\n"
+        )
+        assert not out.exists()
+
+    def test_aligned_matrix_beyond_memory_on_grid(self, write_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+        # Every sample sits on the grid, so align copies rows into the one
+        # 3 x 10 matrix it allocates.
+        empty = np.empty
+
+        def no_matrix(shape, *args, **kwargs):
+            if shape == (3, 10):
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
         dataset = write_dataset(np.random.default_rng(0).uniform(size=(3, 10)))
-        monkeypatch.setattr(np, "interp", no_memory)  # what align fills each row with
+        monkeypatch.setattr(np, "empty", no_matrix)
         out = tmp_path / "m.json"
         assert run("train", "--dataset", dataset, "--out", out) == 1
         assert capsys.readouterr().err == (
@@ -346,24 +373,76 @@ class TestIngestCacheCommands:
         ("train", set()),
         ("sign", {"batchio"}),
         ("fidelity", {"batchio", "fidelity"}),
+        ("eval", {"batchio", "evaluation"}),
     ])
     def test_commands_import_only_what_they_run(self, write_dataset, tmp_path, command, modules):
         dataset = write_dataset(np.random.default_rng(2).uniform(size=(3, 12)))
-        argv = {"train": [], "sign": ["--model", "m.json", "--window", "4", "--step", "2", "--blocks", "2"],
-                "fidelity": ["--model", "m.json", "--window", "4", "--step", "2",
-                             "--blocks", "2"]}[command]
         assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+        signing = ["--dataset", str(dataset), "--model", "m.json", "--window", "4", "--step", "2",
+                   "--blocks", "2"]
+        if command == "eval":
+            batch, labels = make_labeled_batch(tmp_path)
+            argv = ["--batch", str(batch), "--labels", str(labels), "--task", "classification"]
+        else:
+            argv = {"train": ["--dataset", str(dataset)], "sign": signing,
+                    "fidelity": signing}[command]
         code = (
             "import sys\n"
             "from cs_smooth import cli\n"
-            f"assert cli.main({[command, '--dataset', str(dataset), *argv, '--out', 'o']!r}) == 0\n"
+            f"assert cli.main({[command, *argv, '--out', 'o']!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('cs_smooth.')), file=sys.stderr)\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded = {m.removeprefix("cs_smooth.") for m in ast.literal_eval(proc.stderr)}
-        assert loaded == {"cli", "core", "cs", "errors", *modules}
+        loaded, numpy_ma = map(ast.literal_eval, proc.stderr.splitlines())
+        assert {m.removeprefix("cs_smooth.") for m in loaded} == {"cli", "core", "cs", "errors",
+                                                                  *modules}
+        assert numpy_ma is False
+
+
+class TestEntryPoint:
+    """``python -m cs_smooth.cli`` exits with main's code; main itself leaves the GC be."""
+
+    def module(self, *argv, cwd):
+        return subprocess.run([sys.executable, "-m", "cs_smooth.cli", *map(str, argv)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+    def test_success_exits_0_with_the_full_last_line(self, write_dataset, tmp_path):
+        dataset = write_dataset(np.random.default_rng(3).uniform(size=(3, 12)))
+        proc = self.module("train", "--dataset", dataset, "--out", "m.json", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert re.fullmatch(r"trained model [0-9a-f]{12}: n=3 t=12 wall_time_s=\d+\.\d{3}\n",
+                            proc.stdout)
+
+    def test_bad_input_exits_1_with_one_error_line(self, tmp_path):
+        proc = self.module("train", "--dataset", tmp_path / "missing", "--out", "m.json",
+                           cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert re.fullmatch(r"error: [a-z-]+: [^\n]+\n", proc.stderr)
+
+    def test_entry_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert (exited.value.code, calls) == (3, ["main", "freeze"])
+
+    def test_console_script_is_the_same_entry(self):
+        import tomllib
+
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        assert project["scripts"]["cs-smooth"] == "cs_smooth.cli:entry"
+
+    def test_main_leaves_the_gc_unfrozen(self, write_dataset, tmp_path):
+        dataset = write_dataset(np.random.default_rng(3).uniform(size=(3, 12)))
+        frozen = gc.get_freeze_count()
+        assert run("train", "--dataset", dataset, "--out", tmp_path / "m.json") == 0
+        assert run("train", "--dataset", tmp_path / "missing", "--out", tmp_path / "n.json") == 1
+        assert gc.get_freeze_count() == frozen
 
 
 class TestSignCommand:

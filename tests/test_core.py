@@ -472,6 +472,140 @@ class TestAlignAgainstExactReference:
             assert all(abs(Fraction(g) - e) <= tol for g, e in zip(row, want))
 
 
+def _interpolated(inputs, grid):
+    """align's matrix with every row through np.interp, as before on-grid rows
+    were copied: offsets from the grid start, values times their scale."""
+    offsets = core._offsets(grid.instants(), grid.start)
+    rows = []
+    for s in inputs:
+        scale = core._power_of_two_scales(s.values.min(), s.values.max())
+        values = s.values if scale is None else s.values * scale
+        row = np.interp(offsets, core._offsets(s.timestamps, grid.start), values)
+        rows.append(row if scale is None else row / scale)
+    return np.stack(rows)
+
+
+_EDGE_VALUE = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-310, 1e300, -1e300, 1e308, -1e308]
+)
+_ALIGN_VALUE = st.one_of(_EDGE_VALUE, st.floats(allow_nan=False, allow_infinity=False))
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def _grid_and_series(draw):
+    """A grid of 2-30 instants near zero, beyond 2**53 or at either int64 end,
+    and 1-4 series on it: exactly on its instants, on them with extra samples
+    before and after plus up to two anywhere in int64, shifted by one instant,
+    jittered off the instants, or missing some; each row of random finite values
+    or of float64 edge values (signed zeros, subnormals, +-1e300 and +-1e308)."""
+    count = draw(st.integers(2, 30))
+    interval = draw(st.one_of(st.integers(1, 1000), st.integers(1, (2**64 - 1) // (count - 1))))
+    span = interval * (count - 1)
+    start = draw(st.one_of(
+        st.integers(_INT64_MIN, _INT64_MIN + 1000),
+        st.integers(_INT64_MAX - span - 1000, _INT64_MAX - span),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(2**62), 2**62),
+    ).filter(lambda t: _INT64_MIN <= t and t + span <= _INT64_MAX))
+    grid = TimeGrid(start, interval, count)
+    instants = [start + k * interval for k in range(count)]
+    inputs = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["on", "extra", "shifted", "jittered", "sparse"]))
+        stamps = list(instants)
+        if kind == "extra":
+            gap = draw(st.integers(1, 2**62))
+            stamps = [*(start - k * gap for k in (2, 1)), *stamps,
+                      *(stamps[-1] + k * gap for k in (1, 2))]
+            stamps += draw(st.lists(st.integers(_INT64_MIN, _INT64_MAX), max_size=2))
+        elif kind == "shifted":
+            shift = draw(st.sampled_from([-interval, interval]))
+            stamps = [t + shift for t in stamps]
+        elif kind == "jittered":
+            stamps = [t + draw(st.integers(-(interval // 3), interval // 3)) for t in stamps]
+        elif kind == "sparse":
+            keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+            stamps = [t for t, k in zip(stamps, keep) if k] or stamps[:1]
+        stamps = sorted({t for t in stamps if _INT64_MIN <= t <= _INT64_MAX})
+        value = draw(st.sampled_from([_ALIGN_VALUE, _EDGE_VALUE]))
+        values = draw(st.lists(value, min_size=len(stamps), max_size=len(stamps)))
+        inputs.append(series(stamps, values, f"s{i}"))
+    return inputs, grid
+
+
+class TestAlignCopiesOnGridRows:
+    @given(_grid_and_series())
+    @example(  # past 2**53 ms the sample 1 ms after the grid's end rounds onto its offset
+        ([series([-(2**62), -(2**61), 0, 2**61, 2**61 + 1], [1.0, 2.0, 3.0, 4.0, 5.0])],
+         TimeGrid(-(2**62), 2**61, 4)),
+    )
+    @example(  # a grid of 2**53 ms: the sample 1 ms after its end rounds onto its offset
+        ([series([0, 2**53, 2**53 + 1], [1.0, 2.0, 3.0])], TimeGrid(0, 2**53, 2)),
+    )
+    @example(  # a grid of 2**53 - 1 ms: every offset is exact
+        ([series([0, 2**53 - 1, 2**53], [1.0, 2.0, 3.0])], TimeGrid(0, 2**53 - 1, 2)),
+    )
+    @example(  # a 1e300 row scales its subnormal sample down to 0
+        ([series([0, 1000, 2000], [1e300, 5e-324, -0.0])], TimeGrid(0, 1000, 3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_align_equals_the_interpolation_path(self, case):
+        inputs, grid = case
+        assert align(inputs, grid).data.tobytes() == _interpolated(inputs, grid).tobytes()
+
+    def test_on_grid_rows_skip_interpolation(self, monkeypatch):
+        grid = TimeGrid(-(2**63), 7, 5)
+        tame = series(grid.instants(), [-0.0, 5e-324, 1e-300, -7.0, 2.5])
+        # Scaled by 2**-997 and back, the subnormal sample becomes 0, as interpolated.
+        wild = series(grid.instants(), [-0.0, 5e-324, 1e300, -1e300, 2.5])
+        monkeypatch.setattr(np, "interp", mock.Mock(side_effect=AssertionError))
+        assert align([tame, wild], grid).data.tobytes() == np.array(
+            [[-0.0, 5e-324, 1e-300, -7.0, 2.5], [-0.0, 0.0, 1e300, -1e300, 2.5]]
+        ).tobytes()
+
+
+def _gap_arrays(dtype):
+    if dtype == "uint64":
+        element = st.one_of(st.integers(0, 2**53), st.integers(2**53, 2**64 - 1))
+    else:
+        element = st.one_of(_EDGE_VALUE, st.floats(allow_nan=False))
+    return st.lists(element, min_size=1, max_size=40).map(lambda xs: np.array(xs, dtype=dtype))
+
+
+class TestMedian:
+    @given(st.one_of(_gap_arrays("uint64"), _gap_arrays("float64")))
+    @example(np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64))
+    @example(np.array([0.0, -0.0, -0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median_byte_for_byte(self, a):
+        with np.errstate(all="ignore"):  # inf - inf and sums past float64, alike
+            want, got = np.median(a), core._median(a)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(
+        st.lists(st.integers(_INT64_MIN, _INT64_MAX), min_size=1, max_size=12, unique=True),
+        min_size=1, max_size=4,
+    ))
+    @example([[-9 * 10**18, 9 * 10**18]])
+    @settings(max_examples=200, deadline=None)
+    def test_infer_grid_interval_is_the_median_of_medians(self, stamp_lists):
+        inputs = [series(sorted(ts), [0.0] * len(ts), f"s{i}") for i, ts in enumerate(stamp_lists)]
+
+        def outcome(interval):
+            try:
+                return infer_grid(inputs, interval)
+            except CsSmoothError as exc:
+                return type(exc)
+
+        gaps = [np.median(np.diff(s.timestamps.view(np.uint64))) for s in inputs if len(s) > 1]
+        if not gaps:
+            assert outcome(None) is DegenerateInputError
+        else:
+            assert outcome(None) == outcome(int(max(1, round(float(np.median(gaps))))))
+
+
 class TestInferGrid:
     def test_median_interval_and_common_span(self):
         a = series([0, 1000, 2000, 3000], [0, 1, 2, 3], "a")

@@ -164,6 +164,19 @@ class TestF1Macro:
         perm = np.random.default_rng(0).permutation(len(truth))
         assert f1_macro(truth, pred) == f1_macro(truth[perm], pred[perm])
 
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan")]), st.integers(-3, 3))] * 2),
+        min_size=1, max_size=30), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_classes_as_np_unique_gives_them(self, pairs, as_text):
+        truth, pred = (np.array(v, dtype=str if as_text else float) for v in zip(*pairs))
+        scores = []
+        for c in np.unique(truth):
+            tp = np.sum((pred == c) & (truth == c))
+            denom = 2 * tp + np.sum((pred == c) != (truth == c))
+            scores.append(2 * tp / denom if denom else 0.0)
+        assert f1_macro(truth, pred) == float(np.mean(scores))
+
 
 class TestNrmseC:
     def test_perfect(self):
