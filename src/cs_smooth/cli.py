@@ -166,8 +166,7 @@ def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
     A run of several windows goes through compute_signature_batch, which
     shares normalized samples where its windows overlap. Consecutive runs of
     one window, as --retrain-every 1 makes, go through cs._signature_stack in
-    stacks whose two copies (gathered, then time-major) hold about
-    cs._BLOCK_VALUES normalized values, with the same bits.
+    stacks of about cs._BLOCK_VALUES normalized values, with the same bits.
     A wrong model or block count fails before any retrain.
     """
     model = cs.load_model(args.model)
@@ -178,7 +177,7 @@ def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
     cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
     # Each retrain learns from every sample before its first window.
     retrained = cs.prefix_models(matrix, (starts[i] for i in cuts))
-    per_stack = max(1, cs._BLOCK_VALUES // (2 * matrix.n_sensors * (spec.length_samples + 1)))
+    per_stack = max(1, cs._BLOCK_VALUES // (matrix.n_sensors * (spec.length_samples + 1)))
     parts, stack = [], []  # stack: the models of the one-window runs just before ``first``
     for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
         if first:

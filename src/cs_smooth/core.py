@@ -503,15 +503,15 @@ def align(series: Iterable[SensorSeries], grid: TimeGrid) -> SensorMatrix:
         # Below 2**53 ms every offset is exact, so a sample is a knot at a grid
         # instant's offset exactly when its timestamp is that instant.
         exact = grid.end - grid.start < 2**53
-        for row, s in zip(data, series):
-            scale = _power_of_two_scales(s.values.min(), s.values.max())
-            values = s.values if scale is None else s.values * scale
+        scales = _power_of_two_scales(*np.array([(s.values.min(), s.values.max()) for s in series]).T)
+        for row, s, scale in zip(data, series, np.ones(len(series)) if scales is None else scales):
+            values = s.values if scale == 1.0 else s.values * scale
             first = np.searchsorted(s.timestamps, grid.start)
             if exact and np.array_equal(s.timestamps[first : first + grid.count], instants):
                 row[:] = values[first : first + grid.count]
             else:
                 row[:] = np.interp(offsets, _offsets(s.timestamps, grid.start), values)
-            if scale is not None:
+            if scale != 1.0:
                 row /= scale
         return SensorMatrix(sensor_ids=tuple(s.sensor_id for s in series), grid=grid, data=data)
 

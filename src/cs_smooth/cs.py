@@ -263,7 +263,7 @@ def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np
 
 # Values per row block of _comoments and of _correlation_stats' division, per
 # group of prefix_models' covariances and per stack of sign's one-window runs
-# (its gathered and its time-major copy together): 512 KB, cache-sized.
+# (its gathered copy): 512 KB, cache-sized.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -579,9 +579,8 @@ def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarra
     C-contiguous (rows, 1 + samples) buffer, clamped to [0,1] (flat rows to 0):
     column 0 takes ``before``, the column preceding the block, the rest
     ``values``. Copied first, then normalized in place against (rows, 1)
-    bounds, which broadcast along each row: the batch chunks and fidelity's
-    row chunks are wide enough that repeated bounds would only add memory
-    traffic."""
+    bounds, which broadcast along each row: fidelity's row chunks are wide
+    enough that repeated bounds would only add memory traffic."""
     out[:, 0] = before
     out[:, 1:] = values
     lo, denom = model._scaling
@@ -655,78 +654,55 @@ def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.nd
 def _window_blocks(norm: np.ndarray, order: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """(real, imag) block means of windows from their normalized samples.
 
-    ``norm`` is C-contiguous and time-major, (w + 1, c): each column is one
-    sensor row of one window, its row 0 the sample before the window and row
-    1 + i the window's sample i. ``order`` gathers the columns into
-    permutation order, (n,) for one window or (k, n) for a stack. The block
-    means of sort_normalize's matrices need only per-row window sums, and the
-    backward differences telescope to (last normalized sample - the one
-    before the window), so the sorted matrices are never built. Each step is
-    a numpy call over whole rows of c values; _row_sums adds each column as
-    ndarray.sum adds the same samples held contiguously. O(c * w).
+    ``norm`` is time-major, (w + 1, c): each column is one sensor row of one
+    window, its row 0 the sample before the window and row 1 + i the window's
+    sample i. ``order`` gathers the columns into permutation order, (n,) for
+    one window or (k, n) for a stack. The block means of sort_normalize's
+    matrices need only per-row window sums, and the backward differences
+    telescope to (last normalized sample - the one before the window), so the
+    sorted matrices are never built: _window_sums takes both over whole rows of
+    c values, by the rule that every signer follows. O(c * w).
     """
     width = len(norm) - 1
-    sums = np.empty((2, norm.shape[1]))  # per-column value sums, then derivative sums
-    _row_sums(norm[1:], sums[0])
-    np.subtract(norm[width], norm[0], out=sums[1])
-    return _block_means(sums.take(order, axis=1), layout, width)
+    sums = _window_sums(norm, width, 1, np.empty((2, 1, norm.shape[1])))
+    return _block_means(sums[:, 0].take(order, axis=1), layout, width)
 
 
-def _row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sum of the m rows of ``terms``, (m, c), into ``out``, (c,): column
-    j's sum has the bytes of ndarray.sum over the same m values held
-    contiguously.
+def _window_sums(norm: np.ndarray, width: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Value and derivative sums of k windows of time-major normalized rows, into
+    ``out``, (2, k, c). Window j spans rows j step + 1 .. j step + width of
+    ``norm``, (rows, c), and row j step holds the sample before it.
 
-    The rows are added in the order of numpy's pairwise_sum
-    (numpy/_core/src/umath/loops_utils.h.src, checked against numpy 2.4.6;
-    TestRowSums guards it). Below 8 terms, a running sum from 0.0. From 8
-    to 128 terms, eight partial sums, partial i running over terms i, i + 8,
-    ..., combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
-    the rest of a non-multiple of 8 added one at a time. Above 128, a split
-    at m / 2 rounded down to a multiple of 8, each half summed by the same
-    rule. The reduction then adds its identity +0.0 in front, so a column of
-    -0.0 sums to +0.0, and so it is added here last: 0.0 + x is x but for
-    x = -0.0, and partials that start from 0.0 (a reduction's) differ from
-    numpy's only in the sign of a zero, which the identity settles.
+    This is the summation rule of every signer: a window's value sum is
+    ((0.0 + x1) + x2) + ... + xw, its samples added one at a time, oldest
+    first, from +0.0, so -0.0 samples sum to +0.0. Its derivative sum
+    telescopes to xw - x0. Over a (width, k, c) view of the windows whose
+    last axis is contiguous and holds two or more columns, that axis has the
+    smallest stride, so np.add.reduce loops over it innermost and adds whole
+    rows in order. Its first partial is x1, not 0.0 + x1, which differs only
+    in the sign of a zero, and the closing + 0.0 settles that. numpy adds a
+    contiguous run pairwise, so one column takes np.add.accumulate, which adds
+    in order, and columns strided along time (the retrain stack's view) are
+    added one row at a time.
     """
-    return np.add(_pairwise_sum(terms), 0.0, out=out)
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """_row_sums' rule over axis 0 of ``terms``, (m, ...), less the identity.
-    The two halves of an even split (m a multiple of 16) are summed side by
-    side, as one batch of twice the columns: at m = 4,000 the four subtrees
-    of 1,000 terms share every numpy call, so 8 leaves are summed, not 32."""
-    m = len(terms)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        if 2 * half == m:
-            both = _pairwise_sum(terms.reshape(2, half, *terms.shape[1:]).swapaxes(0, 1))
-            return both[0] + both[1]
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    if m < 8:
-        return terms.sum(axis=0)
-    whole = m - m % 8
-    # Each partial runs down axis 0, in order: over two groups of eight as one
-    # add, over more as one reduction (which would copy the first of two).
-    if whole == 16:
-        partial = terms[:8] + terms[8:16]
+    values, k = out[0], out.shape[1]
+    (time, column), c = norm.strides, norm.shape[1]
+    if k == 1:  # as_strided's 3-4 us would cost most of one window's reduction
+        terms = norm[1 : width + 1, None]
     else:
-        partial = terms[:whole].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
-    pairs = partial.take(_PAIRING, axis=0)
-    pairs = pairs[:4] + pairs[4:]
-    pairs = pairs[:2] + pairs[2:]
-    total = pairs[0] + pairs[1]
-    for i in range(whole, m):
-        total += terms[i]
-    return total
-
-
-# The eight partial sums in an order whose two halves hold the pairs that
-# numpy adds: [r0, r4, r2, r6 | r1, r5, r3, r7] adds to
-# [r0 + r1, r4 + r5 | r2 + r3, r6 + r7], and that to
-# [(r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)].
-_PAIRING = np.array([0, 4, 2, 6, 1, 5, 3, 7])
+        terms = np.lib.stride_tricks.as_strided(norm[1:], (width, k, c), (time, step * time, column))
+    if c == 1:
+        values[...] = np.add.accumulate(terms, axis=0)[-1]
+    elif column == norm.itemsize:
+        np.add.reduce(terms, axis=0, out=values)
+    else:
+        np.copyto(values, terms[0])
+        for term in terms[1:]:
+            values += term
+    np.add(values, 0.0, out=values)
+    last = (k - 1) * step + 1
+    np.subtract(norm[width : width + last : step], norm[:last:step], out=out[1])
+    return out
 
 
 def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signature:
@@ -744,20 +720,26 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
+# Adds per _window_sums call of compute_signature_batches, in at least 8
+# windows. The calls' fixed costs need about 2^18 adds to spread over at w =
+# 16. At long windows 8 windows share each sample read into cache, and at up
+# to about 128 sensors their sums stay in L1: at 128 sensors x 1,000 samples
+# the batch took 62 ms, against 125 ms with sums of 2^16 values per call.
+_SUM_ADDS = 1 << 18
 # Widest window, in columns (w + 1), that _normalized_window normalizes against
 # bounds repeated once per column. A broadcasting ufunc call pays a set-up
 # that only a short window notices; for wider ones the repeated pair would
 # grow with the window and only add memory traffic, so they broadcast the
 # (n,) bounds.
 _BUFFERED_COLUMNS = 128
-# Rows per tile of _copy_transposed. compute_signature_batches' copy reads rows
-# of a chunk's k window sums, kilobytes each, and 64 rows keep those reads
-# within the TLB: tiles of 256 made that copy 2.1-2.8 against 1.6 ms at 1,024
-# sensors x 1,024 windows. _normalized_window's copy reads rows of w samples,
-# each on its own page of the window's matrix, so a tile of 64 reads too
-# little per call: its copy took 18.7 against 10.1 us at 1,024 x 16, and 9.4
-# against 8.0 ms at 32,000 x 100.
-_TILE_ROWS = 64
+# Sensor rows per tile of _copy_transposed, measured for each copy on its
+# own: _TILE_ROWS for a batch chunk's rows, _TILE_SENSORS for a window's.
+# Tiles of 64 read too little per call: a chunk's copy took 5.4 against 3.4 ms
+# at 1,024 sensors x 1,040 samples, a window's 18.7 against 10.1 us at 1,024 x
+# 16. Untiled, the chunk copy took 11.2 against 6.0 ms at 4,000 x 362. Only
+# few, long rows favour 64: 1.6 against 3.5 ms at 100 x 8,000, about 1 % of
+# that batch.
+_TILE_ROWS = 256
 _TILE_SENSORS = 256
 
 
@@ -779,15 +761,16 @@ def compute_signature_batches(
 ) -> list[SignatureBatch]:
     """compute_signature_batch for each of ``block_counts``, from one pass over the data.
 
-    Each sample is normalized once instead of once per window, by
-    _normalize_block over all rows of a time chunk: row sums come from a
-    sliding view over the normalized rows and derivative sums telescope as in
-    compute_signature. Both are put in permutation order once per time chunk,
-    then reduced into every layout's blocks. Windows go in time chunks of
-    k = max(1, _CHUNK_VALUES // (n * step)) windows, n * ((k - 1) * step + w + 1)
-    normalized values (5.1 M, 41 MB, at n = 1,024, w = 4,000 and step 1), that
-    share one set of buffers, so memory stays bounded at any stream length.
-    Every block count is checked before any window is signed.
+    Each sample is normalized once instead of once per window: the windows go
+    in time chunks of k = max(1, _CHUNK_VALUES // (n * step)) windows, whose
+    (k - 1) * step + w + 1 samples are copied time-major (the column before the
+    first window leading) and normalized against the (n,) bounds. A chunk's
+    windows are then summed by _window_sums, at least 8 windows and about
+    _SUM_ADDS adds at a time so that the sums stay in cache, put in
+    permutation order by one take and reduced into every layout's blocks, bit
+    for bit as compute_signature signs each window. All chunks share one set
+    of buffers, so memory stays bounded at any stream length. Every block
+    count is checked before any window is signed.
     """
     _check_sensors(matrix.sensor_ids, model)
     n = model.n_sensors
@@ -797,41 +780,27 @@ def compute_signature_batches(
     blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
     data, p = matrix.data, model.permutation
     per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
+    per_sum = min(per_chunk, max(8, _SUM_ADDS // (n * width)))
     # Buffers sized by the first chunk, the largest: fresh ones in every chunk
-    # fault their pages in anew. A chunk's normalized columns start with the one
-    # before its first window, so a chunk of k windows spans (k - 1) step + w + 1.
-    norm_buf = np.empty(n * ((per_chunk - 1) * step + width + 1))
-    sums_buf = np.empty(2 * per_chunk * n)
+    # fault their pages in anew.
+    norm_buf = np.empty(((per_chunk - 1) * step + width + 1) * n)
+    sums_buf, permuted_buf = np.empty(2 * per_sum * n), np.empty(2 * per_sum * n)
     for i in range(0, len(starts), per_chunk):
         chunk = starts[i : i + per_chunk]
-        k, begin, end = len(chunk), int(chunk[0]), int(chunk[-1]) + width
-        cols = end - begin + 1
-        norm = norm_buf[: n * cols].reshape(n, cols)
+        begin, end = int(chunk[0]), int(chunk[-1]) + width
+        norm = norm_buf[: (end - begin + 1) * n].reshape(-1, n)
         # At column 0 the first column stands in for the one before it: difference 0.
-        _normalize_block(model, slice(None), data[:, max(begin - 1, 0)], data[:, begin:end], norm)
-        # Window sums, then derivative sums (last column minus the one before
-        # the window). The windows are a strided view of norm from column 1 on
-        # (as sliding_window_view builds it, at a fraction of the call cost);
-        # each window's sum runs along its contiguous row segment, as
-        # compute_signature's does. A one-window chunk never uses the window
-        # stride, and step may exceed what a stride can hold: cols bounds it.
-        sums = sums_buf[: 2 * n * k].reshape(2, n, k)
-        windows = np.ndarray(
-            (n, k, width), buffer=norm_buf, offset=8, strides=(8 * cols, 8 * min(step, cols), 8)
-        )
-        windows.sum(axis=2, out=sums[0])
-        np.subtract(norm[:, width::step], norm[:, : (k - 1) * step + 1 : step], out=sums[1])
-        # The normalized block is spent: its buffer takes each half transposed to
-        # windows x rows. The spent half then takes those rows in permutation
-        # order, so every block's rows are contiguous; mode="clip" (the indices
-        # are valid) writes straight into ``out``, where the default mode
-        # buffers it.
-        transposed = norm_buf[: k * n].reshape(k, n)
-        for half, row_sums in enumerate(sums):
-            _copy_transposed(transposed, row_sums, _TILE_ROWS)
-            permuted = transposed.take(p, 1, row_sums.reshape(k, n), "clip")
+        norm[0] = data[:, max(begin - 1, 0)]
+        _copy_transposed(norm[1:], data[:, begin:end], _TILE_ROWS)
+        _normalize(norm, *model._scaling)
+        for j in range(0, len(chunk), per_sum):
+            k = min(per_sum, len(chunk) - j)
+            sums = _window_sums(norm[j * step :], width, step, sums_buf[: 2 * k * n].reshape(2, k, n))
+            # mode="clip" (the indices are valid) writes straight into the
+            # buffer, where the default mode buffers it.
+            permuted = sums.take(p, 2, permuted_buf[: 2 * k * n].reshape(2, k, n), "clip")
             for layout, out in zip(layouts, blocks):
-                out[half, i : i + k] = _block_means(permuted, layout, width)
+                out[:, i + j : i + j + k] = _block_means(permuted, layout, width)
     return [SignatureBatch(*instants, real, imag) for real, imag in blocks]
 
 
@@ -843,10 +812,10 @@ def _signature_stack(
 
     One pass for the stack: each window's (n, w + 1) columns, the column
     before it first as in compute_signature_batches, are gathered into one
-    (n, k, w + 1) stack and normalized against its own model's bounds. One
-    transposed (w + 1, n k) copy of the stack then goes to _window_blocks,
-    which reduces it with each window's own permutation. It holds
-    2 len(models) x n x (w + 1) values: callers bound the stack.
+    (n, k, w + 1) stack and normalized against its own model's bounds.
+    _window_blocks then reduces a time-major view of it, (w + 1, n k), with
+    each window's own permutation. It holds len(models) x n x (w + 1) values:
+    callers bound the stack.
     """
     for model in models:
         _check_sensors(matrix.sensor_ids, model)
@@ -859,9 +828,9 @@ def _signature_stack(
         np.array([m.lower_bounds for m in models]).T, np.array([m.upper_bounds for m in models]).T
     )
     _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, k, w + 1)
-    # Row r of window j is column r k + j of the (w + 1, n k) copy.
+    # Row r of window j is column r k + j of the time-major view.
     order = np.array([m.permutation for m in models]) * k + np.arange(k)[:, None]
-    real, imag = _window_blocks(np.ascontiguousarray(norm.reshape(-1, width + 1).T), order, layout)
+    real, imag = _window_blocks(norm.reshape(-1, width + 1).T, order, layout)
     return SignatureBatch(*instants, real, imag)
 
 

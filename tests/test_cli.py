@@ -585,8 +585,8 @@ class TestSignCommand:
         # Window 5; steps below, at and above it (step 1: a two-window first
         # run). A flat sensor and a ramp that leaves every earlier model's
         # bounds; the loaded model knows only the first 10 samples. 100 values
-        # group 2 prefixes (6 x 6 covariances); 150 stack 2 one-window runs
-        # (two copies of 6 sensors x 6 columns each) and group 4 prefixes.
+        # group 2 prefixes (6 x 6 covariances) and stack 2 one-window runs (6
+        # sensors x 6 columns each); 150 stack 4 and group 4 prefixes.
         rng = np.random.default_rng(25)
         data = np.cumsum(rng.standard_normal((6, 90)), axis=1)
         data[3] = 2.5

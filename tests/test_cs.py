@@ -843,8 +843,8 @@ class TestComputeSignature:
         st.integers(0, 2**32 - 1),
         st.integers(1, 24),
         # w + 1 on both sides of the repeated-bounds width gate, well past it,
-        # and w = 1; w at the edges of _row_sums' regimes (8 and 128 terms,
-        # and one and two blocks of eight).
+        # and w = 1; w at the edges of numpy's pairwise regimes (8 and 128
+        # terms, and one and two blocks of eight), which the rule does not use.
         st.one_of(st.integers(1, 9),
                   st.sampled_from([7, 8, 9, 15, 16, 17, 128, 129]),
                   st.integers(cs._BUFFERED_COLUMNS - 3, cs._BUFFERED_COLUMNS + 1),
@@ -992,8 +992,8 @@ class TestComputeSignature:
     @pytest.mark.parametrize("wl", [7, 8, 16, 129])
     def test_negative_zero_samples_give_positive_zero_blocks(self, wl):
         # Row s1 is trained to lower bound +0.0 and its window holds only -0.0,
-        # which normalizes and clips to -0.0. ndarray.sum adds its identity
-        # +0.0 in front, so the row sums to +0.0 on every path.
+        # which normalizes and clips to -0.0. The rule adds from +0.0, so the
+        # row sums to +0.0 on every path.
         model = CSModel(("s0", "s1", "s2"), [2, 1, 0], [0.0, 0.0, -1.0], [1.0, 2.0, 1.0])
         values = np.full((3, wl + 1), -0.0)
         values[0], values[2] = 0.5, 0.25
@@ -1007,32 +1007,165 @@ class TestComputeSignature:
             assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
 
-class TestRowSums:
+def oldest_first(terms):
+    """The summation rule by hand: ((0.0 + x1) + x2) + ..., one float add at a
+    time. Not sum(), which compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for x in terms:
+        total = total + float(x)
+    return total
+
+
+def normalized_by_hand(values, model):
+    """Min-max normalized rows, clamped to [0, 1]; a flat row is +0.0."""
+    lo, hi = model.lower_bounds[:, None], model.upper_bounds[:, None]
+    flat = lo == hi
+    norm = np.clip((values - lo) / np.where(flat, 1.0, hi - lo), 0.0, 1.0)
+    return np.where(flat, 0.0, norm)
+
+
+def samples_of_kind(rng, kind, shape):
+    if kind == "random":
+        # Magnitudes spread over 16 decades, so any other order of the adds
+        # shows in the bits.
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    if kind == "all -0.0":
+        return np.full(shape, -0.0)
+    return rng.choice([-0.0, 0.0, 1e-300, -1e-300], size=shape)
+
+
+class TestWindowSums:
+    """cs._window_sums, the summation rule of every signer, against the rule
+    added by hand, byte for byte."""
+
     @given(
-        st.one_of(st.integers(0, 300), st.integers(8191, 8193)),
+        st.one_of(st.integers(1, 300), st.integers(4000, 4100), st.integers(8191, 8193)),
         st.integers(1, 5),
+        st.sampled_from(["random", "all -0.0", "mixed +-0.0"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # One column, where numpy's own reduction would add pairwise.
+    @example(16, 1, "random", False, 0)
+    @example(129, 1, "random", False, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_one_window_adds_oldest_first(self, width, c, kind, contiguous_time, seed):
+        # One window of c columns, as compute_signature hands over rows of
+        # sensors, or, contiguous along time, as the retrain stack views its
+        # gathered windows.
+        norm = samples_of_kind(np.random.default_rng(seed), kind, (width + 1, c))
+        if contiguous_time:
+            norm = np.ascontiguousarray(norm.T).T
+        sums = cs._window_sums(norm, width, 1, np.empty((2, 1, c)))
+        want = np.array([oldest_first(norm[1:, j]) for j in range(c)])
+        assert sums[0, 0].tobytes() == want.tobytes()
+        assert sums[1, 0].tobytes() == (norm[width] - norm[0]).tobytes()
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.integers(1, 20),
         st.sampled_from(["random", "all -0.0", "mixed +-0.0"]),
         st.integers(0, 2**32 - 1),
     )
-    # Two groups of eight are added without a reduction, so only the identity
-    # turns a column of -0.0 into +0.0 there.
-    @example(16, 3, "all -0.0", 0)
-    @example(23, 2, "all -0.0", 0)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_ndarray_sum_bytes(self, m, c, kind, seed):
-        # c rows of m terms each, summed by ndarray.sum along the contiguous row
-        # and by _row_sums down the columns of the transposed copy.
-        rng = np.random.default_rng(seed)
-        if kind == "random":
-            # Magnitudes spread over 16 decades, so any other order of the adds
-            # shows in the bits.
-            rows = rng.normal(size=(c, m)) * 10.0 ** rng.integers(-8, 8, size=(c, m))
-        elif kind == "all -0.0":
-            rows = np.full((c, m), -0.0)
-        else:
-            rows = rng.choice([-0.0, 0.0], size=(c, m))
-        got = cs._row_sums(np.ascontiguousarray(rows.T), np.empty(c))
-        assert got.tobytes() == rows.sum(axis=1).tobytes()
+    @example(4001, 1, 3, 7, "random", 0)
+    @example(4001, 3, 2, 1, "mixed +-0.0", 0)
+    @settings(max_examples=150, deadline=None)
+    def test_windows_at_a_step_add_oldest_first(self, width, c, k, step, kind, seed):
+        # k windows, step rows apart, of one time-major block, as the batch
+        # kernel sums them.
+        norm = samples_of_kind(np.random.default_rng(seed), kind, ((k - 1) * step + width + 1, c))
+        sums = cs._window_sums(norm, width, step, np.empty((2, k, c)))
+        for j in range(k):
+            window = norm[j * step : j * step + width + 1]
+            want = np.array([oldest_first(window[1:, col]) for col in range(c)])
+            assert sums[0, j].tobytes() == want.tobytes(), j
+            assert sums[1, j].tobytes() == (window[-1] - window[0]).tobytes(), j
+
+
+class TestSignersFollowTheRule:
+    """compute_signature, compute_signature_batch and _signature_stack against
+    each other, against the rule by hand (l = n: each block one row) byte for
+    byte, and against the criterion-1 oracle."""
+
+    @staticmethod
+    def assert_rule(values, model, spec, starts, batch):
+        """Each window at ``starts`` by hand, against the batch's blocks of it."""
+        width, p = spec.length_samples, model.permutation
+        norm = normalized_by_hand(values, model)
+        for start in starts:
+            before = norm[:, max(start - 1, 0)]
+            real = np.array([oldest_first(norm[r, start : start + width]) for r in p]) / width
+            imag = (norm[p, start + width - 1] - before[p]) / width
+            assert batch.real[start].tobytes() == real.tobytes(), start
+            assert batch.imag[start].tobytes() == imag.tobytes(), start
+
+    @staticmethod
+    def assert_oracle(values, model, spec, starts, batch):
+        width = spec.length_samples
+        perm, lo, hi = (model.permutation.tolist(), model.lower_bounds.tolist(),
+                        model.upper_bounds.tolist())
+        for start in starts:
+            preceding = values[:, start - 1].tolist() if start else None
+            real, imag = naive_signature(values[:, start : start + width].tolist(), preceding,
+                                         perm, lo, hi, len(perm))
+            np.testing.assert_allclose(batch.real[start], real, atol=1e-9)
+            np.testing.assert_allclose(batch.imag[start], imag, atol=1e-9)
+
+    @staticmethod
+    def assert_same(a, b):
+        for field in ("window_starts", "window_ends", "real", "imag"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+    @pytest.mark.parametrize("wl", [9, 16, 129])
+    def test_one_sensor(self, wl):
+        # Samples over eight decades, where numpy's pairwise order of one
+        # contiguous row gives other bits than the rule.
+        rng = np.random.default_rng(wl)
+        values = 10.0 ** rng.uniform(-8.0, 0.0, size=(1, wl + 40))
+        model = train(matrix_from(values[:, :wl]))
+        mat, spec = matrix_from(values), WindowSpec(wl, 1)
+        count = len(spec.starts(mat.n_samples))
+        batch = compute_signature_batch(mat, model, spec, 1)
+        sigs = [compute_signature(w, model, 1) for w in windows(mat, spec)]
+        assert batch.real.tobytes() == np.stack([s.blocks_real for s in sigs]).tobytes()
+        assert batch.imag.tobytes() == np.stack([s.blocks_imag for s in sigs]).tobytes()
+        self.assert_same(cs._signature_stack(mat, [model] * count, spec, 1, 0), batch)
+        starts = list(range(count))
+        self.assert_rule(values, model, spec, starts, batch)
+        self.assert_oracle(values, model, spec, starts, batch)
+        norm = normalized_by_hand(values, model)[0]
+        pairwise = [norm[s : s + wl].sum() != oldest_first(norm[s : s + wl]) for s in starts]
+        assert any(pairwise)  # the data tells the two orders apart
+
+    def test_windows_across_accumulator_and_chunk_boundaries(self):
+        # Natural sizes: at 256 sensors a time chunk holds _CHUNK_VALUES // 256
+        # step-1 windows, summed per_sum at a time. The stream holds one chunk,
+        # one accumulator and a few windows more.
+        n, wl = 256, 16
+        per_chunk = cs._CHUNK_VALUES // n
+        per_sum = max(8, cs._SUM_ADDS // (n * wl))
+        count = per_chunk + per_sum + 5
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(n, count + wl - 1)) * rng.uniform(0.1, 100.0, size=(n, 1))
+        values[7] = 2.5  # flat in training: a flat row of the model
+        values[7, 5000:] = 3.0
+        model = train(matrix_from(values[:, :200]))
+        mat, spec = matrix_from(values), WindowSpec(wl, 1)
+        assert len(spec.starts(mat.n_samples)) == count
+        batch = compute_signature_batch(mat, model, spec, n)
+        sigs = [compute_signature(w, model, n) for w in windows(mat, spec)]
+        assert batch.real.tobytes() == np.stack([s.blocks_real for s in sigs]).tobytes()
+        assert batch.imag.tobytes() == np.stack([s.blocks_imag for s in sigs]).tobytes()
+        edges = sorted({0, per_sum - 1, per_sum, per_chunk - 1, per_chunk,
+                        per_chunk + per_sum - 1, per_chunk + per_sum, count - 1})
+        for first in edges:
+            first = min(first, count - 2)
+            self.assert_same(cs._signature_stack(mat, [model] * 2, spec, n, first),
+                             compute_signature_batch(mat, model, spec, n, first, first + 2))
+        self.assert_rule(values, model, spec, edges, batch)
+        self.assert_oracle(values, model, spec, edges, batch)
 
 
 class TestComputeSignatureBatch:
@@ -1182,7 +1315,7 @@ class TestComputeSignatureBatch:
     def test_every_block_count_checked_before_signing(self, monkeypatch):
         mat = matrix_from(np.random.default_rng(0).uniform(size=(4, 20)))
         model = train(mat)
-        monkeypatch.setattr(cs, "_normalize_block", None)  # signing would call it
+        monkeypatch.setattr(cs, "_normalize", None)  # signing would call it
         with pytest.raises(InvalidBlockCountError):
             compute_signature_batches(mat, model, WindowSpec(4, 1), [2, 5])
 
