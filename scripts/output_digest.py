@@ -4,14 +4,14 @@
 Builds the 24-sensor demo set and a 128-sensor set with
 make_synthetic_dataset.py in a temporary directory, then runs on each:
 train; sign with cs at step 1, and at step 16 with and without
---retrain-every 3; sign with cs --retrain-every 1 at steps 1, 4 and 16; sign
-with tuncer, bodik and lan at step 1; fidelity for l = 5, 10, 20; and the
-classification eval of the step-16 cs batch. Prints one
-``<sha256>  <set>/<file>`` line per output. No command calls the library's
-per-window path, so one more line per set, ``<set>/compute_signature``,
-digests the blocks of compute_signature over every step-1 window, signed with
-the set's trained model. Two trees produce the same outputs bit for bit when
-their lines are equal:
+--retrain-every 3; sign with cs --retrain-every 1 at steps 1, 4, 16 and 20
+(whose windows skip samples); sign with tuncer, bodik and lan at step 1;
+fidelity for l = 5, 10, 20; and the classification eval of the step-16 cs
+batch. Prints one ``<sha256>  <set>/<file>`` line per output. No command
+calls the library's per-window path, so one more line per set,
+``<set>/compute_signature``, digests the blocks of compute_signature over
+every step-1 window, signed with the set's trained model. Two trees produce
+the same outputs bit for bit when their lines are equal:
 
     python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -62,6 +62,7 @@ def runs(data: Path, out: Path) -> list[tuple[str, list[str]]]:
     dataset, model = ["--dataset", str(data)], ["--model", str(out / "model.json")]
     step1, step16 = ["--window", "16", "--step", "1"], ["--window", "16", "--step", "16"]
     step4 = ["--window", "16", "--step", "4"]  # overlapping windows, a one-window first run
+    step20 = ["--window", "16", "--step", "20"]  # windows that skip samples
     return [
         ("model.json", ["train", *dataset]),
         ("cs_step1.csv", ["sign", *dataset, *model, *step1]),
@@ -70,6 +71,7 @@ def runs(data: Path, out: Path) -> list[tuple[str, list[str]]]:
         ("cs_step1_retrain1.csv", ["sign", *dataset, *model, *step1, "--retrain-every", "1"]),
         ("cs_step4_retrain1.csv", ["sign", *dataset, *model, *step4, "--retrain-every", "1"]),
         ("cs_step16_retrain1.csv", ["sign", *dataset, *model, *step16, "--retrain-every", "1"]),
+        ("cs_step20_retrain1.csv", ["sign", *dataset, *model, *step20, "--retrain-every", "1"]),
         *((f"{m}_step1.csv", ["sign", *dataset, "--method", m, *step1])
           for m in ("tuncer", "bodik", "lan")),
         ("fidelity.csv", ["fidelity", *dataset, *model, *step1, "--blocks", "5,10,20"]),

@@ -166,8 +166,9 @@ def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
     A run of several windows goes through compute_signature_batch, which
     shares normalized samples where its windows overlap. Consecutive runs of
     one window, as --retrain-every 1 makes, go through cs._signature_stack in
-    stacks of about cs._BLOCK_VALUES normalized values, with the same bits.
-    A wrong model or block count fails before any retrain.
+    stacks of about cs._BLOCK_VALUES gathered values, twice that with their
+    time-major copy (stacks of half the windows were slower), with the same
+    bits. A wrong model or block count fails before any retrain.
     """
     model = cs.load_model(args.model)
     cs._check_sensors(matrix.sensor_ids, model)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _power_of_two_scales, _window_geometry
 from .errors import (
@@ -168,7 +169,7 @@ class BlockLayout:
         return bounds[:-1], np.diff(bounds)[0::2]
 
     def _divisor(self, width: int) -> np.ndarray:
-        """Block sizes times a window width, _block_means' divisor: cached for
+        """Block sizes times a window width, _window_blocks' divisor: cached for
         the last width only, in the instance __dict__ as CSModel._wide_scaling
         caches its pair. Read once, the cached pair is never of the wrong width
         under threads."""
@@ -263,7 +264,7 @@ def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np
 
 # Values per row block of _comoments and of _correlation_stats' division, per
 # group of prefix_models' covariances and per stack of sign's one-window runs
-# (its gathered copy): 512 KB, cache-sized.
+# (its gather; its time-major copy holds as many again): 512 KB, cache-sized.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -546,7 +547,7 @@ def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
     """A window's values min-max normalized into a fresh C-contiguous,
     time-major (w + 1, n) buffer: row 0 the column before the window (with
     none, the first column stands in, so its difference is 0), row 1 + i the
-    window's sample i. Copied first, transposed _TILE_SENSORS sensors at a
+    window's sample i. Copied first, transposed _TILE_ROWS sensors at a
     time, then normalized in place against CSModel._wide_scaling, so each
     ufunc runs once over the buffer. The window must pass _check_sensors and
     hold (n, w) values, w >= 1, and an (n,) preceding column, if any. Values
@@ -562,29 +563,16 @@ def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
         raise DegenerateInputError("window holds no samples")
     buffer = np.empty((values.shape[1] + 1, n))
     buffer[0] = values[:, 0] if before is None else before
-    _copy_transposed(buffer[1:], values, _TILE_SENSORS)
+    _copy_transposed(buffer[1:], values)
     return _normalize(buffer, *model._wide_scaling(len(buffer)))
 
 
-def _copy_transposed(out: np.ndarray, rows: np.ndarray, tile: int) -> None:
-    """``out[...] = rows.T``, ``tile`` rows at a time, so the rows that a tile
-    reads column by column stay in cache and in the TLB: one plain copy of
-    32,000 sensors x 100 samples takes about 1.6x the tiled one."""
-    for r in range(0, len(rows), tile):
-        out[:, r : r + tile] = rows[r : r + tile].T
-
-
-def _normalize_block(model: CSModel, rows: slice, before, values, out: np.ndarray) -> np.ndarray:
-    """Min-max normalize sensor ``rows`` of a block of samples into ``out``, a
-    C-contiguous (rows, 1 + samples) buffer, clamped to [0,1] (flat rows to 0):
-    column 0 takes ``before``, the column preceding the block, the rest
-    ``values``. Copied first, then normalized in place against (rows, 1)
-    bounds, which broadcast along each row: fidelity's row chunks are wide
-    enough that repeated bounds would only add memory traffic."""
-    out[:, 0] = before
-    out[:, 1:] = values
-    lo, denom = model._scaling
-    return _normalize(out, lo[rows, None], denom[rows, None])
+def _copy_transposed(out: np.ndarray, rows: np.ndarray) -> None:
+    """``out[...] = rows.T``, _TILE_ROWS rows at a time, so the rows that a
+    tile reads column by column stay in cache and in the TLB: one plain copy
+    of 32,000 sensors x 100 samples takes about 1.6x the tiled one."""
+    for r in range(0, len(rows), _TILE_ROWS):
+        out[:, r : r + _TILE_ROWS] = rows[r : r + _TILE_ROWS].T
 
 
 def _min_max_scaling(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -641,67 +629,56 @@ def _block_ranges(n: int, l: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _block_means(row_sums: np.ndarray, layout: BlockLayout, width: int) -> np.ndarray:
-    """Block means from per-row window sums, rows in block order along the last axis.
+def _window_blocks(
+    windows: np.ndarray, order: np.ndarray, layouts: Iterable[BlockLayout],
+    sums: np.ndarray, permuted: np.ndarray,
+) -> list[np.ndarray]:
+    """(real, imag) block means of k windows, (2, k, l), for each of ``layouts``.
 
-    ``row_sums`` is C-contiguous, 1-D or with leading axes (windows, or real and
-    imaginary sums); each block's rows are added in the same order either way.
-    """
-    blocks = np.add.reduceat(row_sums, layout._reduction[0], axis=-1)[..., 0::2]
-    return blocks / layout._divisor(width)
-
-
-def _window_blocks(norm: np.ndarray, order: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """(real, imag) block means of windows from their normalized samples.
-
-    ``norm`` is time-major, (w + 1, c): each column is one sensor row of one
-    window, its row 0 the sample before the window and row 1 + i the window's
-    sample i. ``order`` gathers the columns into permutation order, (n,) for
-    one window or (k, n) for a stack. The block means of sort_normalize's
+    ``windows`` is a time-major (w + 1, k, n) view of normalized samples, its
+    last axis contiguous: row 0 of window j holds the sample before it, row
+    1 + i its sample i. ``order`` holds flat indices into the (k, n) sums:
+    window j's permutation plus j n. The block means of sort_normalize's
     matrices need only per-row window sums, and the backward differences
     telescope to (last normalized sample - the one before the window), so the
-    sorted matrices are never built: _window_sums takes both over whole rows of
-    c values, by the rule that every signer follows. O(c * w).
+    sorted matrices are never built: _window_sums takes both into ``sums`` by
+    the rule that every signer follows, one take puts them in permutation
+    order into ``permuted`` (both C-contiguous, (2, k, n)) and np.add.reduceat
+    adds each block's rows in that order. O(k * n * w).
     """
-    width = len(norm) - 1
-    sums = _window_sums(norm, width, 1, np.empty((2, 1, norm.shape[1])))
-    return _block_means(sums[:, 0].take(order, axis=1), layout, width)
+    _window_sums(windows, sums)
+    # mode="clip" (the indices are valid) writes straight into the buffer,
+    # where the default mode buffers it.
+    sums.reshape(2, -1).take(order, 1, permuted, "clip")
+    return [
+        np.add.reduceat(permuted, layout._reduction[0], axis=-1)[..., 0::2]
+        / layout._divisor(len(windows) - 1)
+        for layout in layouts
+    ]
 
 
-def _window_sums(norm: np.ndarray, width: int, step: int, out: np.ndarray) -> np.ndarray:
-    """Value and derivative sums of k windows of time-major normalized rows, into
-    ``out``, (2, k, c). Window j spans rows j step + 1 .. j step + width of
-    ``norm``, (rows, c), and row j step holds the sample before it.
+def _window_sums(windows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Value and derivative sums of k windows into ``out``, (2, k, n), from a
+    time-major (w + 1, k, n) view whose last axis is contiguous; row 0 of each
+    window holds the sample before it.
 
     This is the summation rule of every signer: a window's value sum is
     ((0.0 + x1) + x2) + ... + xw, its samples added one at a time, oldest
     first, from +0.0, so -0.0 samples sum to +0.0. Its derivative sum
-    telescopes to xw - x0. Over a (width, k, c) view of the windows whose
-    last axis is contiguous and holds two or more columns, that axis has the
-    smallest stride, so np.add.reduce loops over it innermost and adds whole
-    rows in order. Its first partial is x1, not 0.0 + x1, which differs only
-    in the sign of a zero, and the closing + 0.0 settles that. numpy adds a
-    contiguous run pairwise, so one column takes np.add.accumulate, which adds
-    in order, and columns strided along time (the retrain stack's view) are
-    added one row at a time.
+    telescopes to xw - x0. The last axis has the smallest stride, so
+    np.add.reduce over axis 0 loops over it innermost and adds whole rows in
+    order. Its first partial is x1, not 0.0 + x1, which differs only in the
+    sign of a zero, and the closing + 0.0 settles that. numpy adds a
+    contiguous run pairwise, so one sensor takes np.add.accumulate, which adds
+    in order.
     """
-    values, k = out[0], out.shape[1]
-    (time, column), c = norm.strides, norm.shape[1]
-    if k == 1:  # as_strided's 3-4 us would cost most of one window's reduction
-        terms = norm[1 : width + 1, None]
+    values = out[0]
+    if windows.shape[2] == 1:
+        values[...] = np.add.accumulate(windows[1:], axis=0)[-1]
     else:
-        terms = np.lib.stride_tricks.as_strided(norm[1:], (width, k, c), (time, step * time, column))
-    if c == 1:
-        values[...] = np.add.accumulate(terms, axis=0)[-1]
-    elif column == norm.itemsize:
-        np.add.reduce(terms, axis=0, out=values)
-    else:
-        np.copyto(values, terms[0])
-        for term in terms[1:]:
-            values += term
+        np.add.reduce(windows[1:], axis=0, out=values)
     np.add(values, 0.0, out=values)
-    last = (k - 1) * step + 1
-    np.subtract(norm[width : width + last : step], norm[:last:step], out=out[1])
+    np.subtract(windows[-1], windows[0], out=out[1])
     return out
 
 
@@ -715,8 +692,9 @@ def compute_signature(window: Window, model: CSModel, n_blocks: int) -> Signatur
     """
     norm = _normalized_window(window, model)
     layout = block_layout(model.n_sensors, n_blocks)
-    real, imag = _window_blocks(norm, model.permutation, layout)
-    return Signature(real, imag, layout, window.start, window.end, model.model_id)
+    buf = np.empty((2, 2, 1, model.n_sensors))  # indexed below: unpacking costs 0.5 us
+    [blocks] = _window_blocks(norm[:, None], model.permutation[None], (layout,), buf[0], buf[1])
+    return Signature(blocks[0, 0], blocks[1, 0], layout, window.start, window.end, model.model_id)
 
 
 _CHUNK_VALUES = 1 << 20  # normalized values per chunk: 8 MB
@@ -732,15 +710,12 @@ _SUM_ADDS = 1 << 18
 # grow with the window and only add memory traffic, so they broadcast the
 # (n,) bounds.
 _BUFFERED_COLUMNS = 128
-# Sensor rows per tile of _copy_transposed, measured for each copy on its
-# own: _TILE_ROWS for a batch chunk's rows, _TILE_SENSORS for a window's.
-# Tiles of 64 read too little per call: a chunk's copy took 5.4 against 3.4 ms
-# at 1,024 sensors x 1,040 samples, a window's 18.7 against 10.1 us at 1,024 x
-# 16. Untiled, the chunk copy took 11.2 against 6.0 ms at 4,000 x 362. Only
-# few, long rows favour 64: 1.6 against 3.5 ms at 100 x 8,000, about 1 % of
-# that batch.
+# Sensor rows per tile of _copy_transposed, for a batch chunk's rows and a
+# window's alike. Tiles of 64 read too little per call: a chunk's copy took
+# 5.4 against 3.4 ms at 1,024 sensors x 1,040 samples, a window's 18.7
+# against 10.1 us at 1,024 x 16. Untiled, the chunk copy took 11.2 against
+# 6.0 ms at 4,000 x 362.
 _TILE_ROWS = 256
-_TILE_SENSORS = 256
 
 
 def compute_signature_batch(
@@ -764,13 +739,13 @@ def compute_signature_batches(
     Each sample is normalized once instead of once per window: the windows go
     in time chunks of k = max(1, _CHUNK_VALUES // (n * step)) windows, whose
     (k - 1) * step + w + 1 samples are copied time-major (the column before the
-    first window leading) and normalized against the (n,) bounds. A chunk's
-    windows are then summed by _window_sums, at least 8 windows and about
-    _SUM_ADDS adds at a time so that the sums stay in cache, put in
-    permutation order by one take and reduced into every layout's blocks, bit
-    for bit as compute_signature signs each window. All chunks share one set
-    of buffers, so memory stays bounded at any stream length. Every block
-    count is checked before any window is signed.
+    first window leading) and normalized against the (n,) bounds.
+    _window_blocks then reduces a strided (w + 1, k, n) view of the chunk's
+    windows into every layout's blocks, at least 8 windows and about _SUM_ADDS
+    adds at a time so that the sums stay in cache, bit for bit as
+    compute_signature signs each window. All chunks share one set of
+    buffers, so memory stays bounded at any stream length. Every block count
+    is checked before any window is signed.
     """
     _check_sensors(matrix.sensor_ids, model)
     n = model.n_sensors
@@ -778,29 +753,33 @@ def compute_signature_batches(
     width, step = spec.length_samples, spec.step_samples
     starts, *instants = _window_geometry(matrix, spec, first, stop)
     blocks = [np.empty((2, len(starts), layout.n_blocks)) for layout in layouts]
-    data, p = matrix.data, model.permutation
+    data = matrix.data
     per_chunk = min(len(starts), max(1, _CHUNK_VALUES // (n * step)))
     per_sum = min(per_chunk, max(8, _SUM_ADDS // (n * width)))
     # Buffers sized by the first chunk, the largest: fresh ones in every chunk
     # fault their pages in anew.
     norm_buf = np.empty(((per_chunk - 1) * step + width + 1) * n)
-    sums_buf, permuted_buf = np.empty(2 * per_sum * n), np.empty(2 * per_sum * n)
+    sums_buf = np.empty((2, 2 * per_sum * n))
+    order = model.permutation + n * np.arange(per_sum)[:, None]
     for i in range(0, len(starts), per_chunk):
         chunk = starts[i : i + per_chunk]
         begin, end = int(chunk[0]), int(chunk[-1]) + width
         norm = norm_buf[: (end - begin + 1) * n].reshape(-1, n)
         # At column 0 the first column stands in for the one before it: difference 0.
         norm[0] = data[:, max(begin - 1, 0)]
-        _copy_transposed(norm[1:], data[:, begin:end], _TILE_ROWS)
+        _copy_transposed(norm[1:], data[:, begin:end])
         _normalize(norm, *model._scaling)
+        time = norm.strides[0]
         for j in range(0, len(chunk), per_sum):
             k = min(per_sum, len(chunk) - j)
-            sums = _window_sums(norm[j * step :], width, step, sums_buf[: 2 * k * n].reshape(2, k, n))
-            # mode="clip" (the indices are valid) writes straight into the
-            # buffer, where the default mode buffers it.
-            permuted = sums.take(p, 2, permuted_buf[: 2 * k * n].reshape(2, k, n), "clip")
-            for layout, out in zip(layouts, blocks):
-                out[:, i + j : i + j + k] = _block_means(permuted, layout, width)
+            # One window has stride 0: a step past the stream's end may be no
+            # stride that numpy holds.
+            strides = (time, step * time if k > 1 else 0, norm.itemsize)
+            windows = as_strided(norm[j * step :], (width + 1, k, n), strides)
+            sums, permuted = sums_buf[:, : 2 * k * n].reshape(2, 2, k, n)
+            parts = _window_blocks(windows, order[:k], layouts, sums, permuted)
+            for part, out in zip(parts, blocks):
+                out[:, i + j : i + j + k] = part
     return [SignatureBatch(*instants, real, imag) for real, imag in blocks]
 
 
@@ -811,26 +790,36 @@ def _signature_stack(
     ``models[j]``: bit for bit compute_signature_batch on each window alone.
 
     One pass for the stack: each window's (n, w + 1) columns, the column
-    before it first as in compute_signature_batches, are gathered into one
-    (n, k, w + 1) stack and normalized against its own model's bounds.
-    _window_blocks then reduces a time-major view of it, (w + 1, n k), with
-    each window's own permutation. It holds len(models) x n x (w + 1) values:
-    callers bound the stack.
+    before it first as in compute_signature_batches, are gathered along the
+    rows into one contiguous (n, k, w + 1) stack, copied time-major into
+    (w + 1, k, n) and normalized there against each window's own model's
+    bounds. _window_blocks reduces that copy with each window's own
+    permutation. Copying the stack's whole span time-major instead would also
+    copy the samples between windows. The stack holds 2 x len(models) x n x
+    (w + 1) values: callers bound it.
     """
     for model in models:
         _check_sensors(matrix.sensor_ids, model)
-    layout = block_layout(len(matrix.sensor_ids), n_blocks)
-    k, width = len(models), spec.length_samples
+    n, k, width = len(matrix.sensor_ids), len(models), spec.length_samples
+    layout = block_layout(n, n_blocks)
     starts, *instants = _window_geometry(matrix, spec, first, first + k)
+    # One allocation for the gather, its time-major copy and the sums: the next
+    # stack reuses it, where separate ones went back to the system and faulted
+    # in anew (766 against 4 page faults in sign's 7 stacks at 64 x 6,400).
+    size = n * k * (width + 1)
+    buf = np.empty(2 * size + 4 * k * n)
+    gathered = buf[:size].reshape(n, k, width + 1)
+    windows = buf[size : 2 * size].reshape(width + 1, k, n)
     # At column 0 the first column stands in for the one before it: difference 0.
-    norm = matrix.data.take(np.maximum(starts[:, None] + np.arange(-1, width), 0), axis=1)
+    matrix.data.take(np.maximum(starts[:, None] + np.arange(-1, width), 0), 1, gathered, "clip")
+    np.copyto(windows, gathered.transpose(2, 1, 0))
     lo, denom = _min_max_scaling(
-        np.array([m.lower_bounds for m in models]).T, np.array([m.upper_bounds for m in models]).T
+        np.array([m.lower_bounds for m in models]), np.array([m.upper_bounds for m in models])
     )
-    _normalize(norm, lo[:, :, None], denom[:, :, None])  # norm is (n, k, w + 1)
-    # Row r of window j is column r k + j of the time-major view.
-    order = np.array([m.permutation for m in models]) * k + np.arange(k)[:, None]
-    real, imag = _window_blocks(norm.reshape(-1, width + 1).T, order, layout)
+    _normalize(windows, lo, denom)
+    order = np.array([m.permutation for m in models]) + n * np.arange(k)[:, None]
+    sums, permuted = buf[2 * size :].reshape(2, 2, k, n)
+    [(real, imag)] = _window_blocks(windows, order, (layout,), sums, permuted)
     return SignatureBatch(*instants, real, imag)
 
 

@@ -176,12 +176,16 @@ def fidelity_table(
     # Original side: rows in chunks of about cs._CHUNK_VALUES values, sharing two
     # buffers that are binned in place; count rows then go to permutation order.
     # The first column stands in for the one before it, so its difference is 0.
-    data = original.data
+    # (rows, 1) bounds broadcast: on rows this wide, repeated ones only add traffic.
+    data, (lo, denom) = original.data, model._scaling
     per_chunk = min(n, max(1, cs._CHUNK_VALUES // (t + 1)))
     norm_buf, diff_buf = np.empty((per_chunk, t + 1)), np.empty((per_chunk, t))
     for start in range(0, n, per_chunk):
         rows = slice(start, start + per_chunk)
-        norm = cs._normalize_block(model, rows, data[rows, 0], data[rows], norm_buf[: n - start])
+        norm = norm_buf[: n - start]
+        norm[:, 0] = data[rows, 0]
+        norm[:, 1:] = data[rows]
+        cs._normalize(norm, lo[rows, None], denom[rows, None])
         diff = np.subtract(norm[:, 1:], norm[:, :-1], out=diff_buf[: n - start])
         values[rows] = _bin_counts(norm[:, 1:], bins, 0.0, 1.0, out=norm[:, 1:])
         derivs[rows] = _bin_counts(diff, bins, -1.0, 1.0, out=diff)
