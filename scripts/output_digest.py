@@ -10,8 +10,11 @@ fidelity for l = 5, 10, 20; and the classification eval of the step-16 cs
 batch. Prints one ``<sha256>  <set>/<file>`` line per output. No command
 calls the library's per-window path, so one more line per set,
 ``<set>/compute_signature``, digests the blocks of compute_signature over
-every step-1 window, signed with the set's trained model. Two trees produce
-the same outputs bit for bit when their lines are equal:
+every step-1 window, signed with the set's trained model. No CLI run puts a
+retrain's new columns across a segment boundary of cs.prefix_models, so a
+last line, ``wide128/prefix_models``, digests its models of an in-process
+128 x 9,000 class_stream matrix at ends 16, 8,500 and 9,000. Two trees
+produce the same outputs bit for bit when their lines are equal:
 
     python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -30,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cs_smooth import core, cs  # noqa: E402
+from cs_smooth import core, cs, synthetic  # noqa: E402
 from cs_smooth.cli import main as cli  # noqa: E402
 
 DATASETS = {
@@ -95,6 +98,19 @@ def signature_digest(data: Path, model_path: Path) -> str:
     return digest.hexdigest()
 
 
+def prefix_models_digest() -> str:
+    """sha256 of the permutation, lower then upper bound bytes of every
+    cs.prefix_models model of class_stream(0, 128, 9_000) at ends 16, 8,500
+    and 9,000. At 128 sensors a segment holds 8,192 columns, so the columns
+    from 16 to 8,500 are merged in two segments."""
+    matrix = synthetic.class_stream(0, 128, 9_000)
+    digest = hashlib.sha256()
+    for model in cs.prefix_models(matrix, [16, 8_500, 9_000]):
+        for array in (model.permutation, model.lower_bounds, model.upper_bounds):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cs_smooth_digest_") as tmp:
         for name, flags in DATASETS.items():
@@ -108,6 +124,7 @@ def main() -> int:
                     return 1
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{file}")
             print(f"{signature_digest(data, out / 'model.json')}  {name}/compute_signature")
+    print(f"{prefix_models_digest()}  wide128/prefix_models")
     return 0
 
 

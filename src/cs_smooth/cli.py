@@ -2,9 +2,10 @@
 
 Every command is deterministic given its inputs; eval and bench also take
 --seed, for the fold shuffle and the random matrices bench signs. sign
---retrain-every k retrains the cs model every k windows; the baseline
-methods (tuncer, bodik, lan) have no model and reject it. bench times the
-batch signers that sign runs and reports the median seconds per signature.
+--retrain-every k retrains the cs model every k windows; cs._sign_retraining
+holds that schedule and signs every cs batch. The baseline methods (tuncer,
+bodik, lan) have no model and reject it. bench times the batch signers that
+sign runs and reports the median seconds per signature.
 
 Each flag is checked once, by its argparse type, and every default lives in
 the parser; sign's two cross-flag checks run next. So a bad flag is reported
@@ -28,13 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cs
-from .core import (
-    SensorMatrix,
-    WindowSpec,
-    align,
-    infer_grid,
-    load_dataset_dir,
-)
+from .core import SensorMatrix, WindowSpec, align, infer_grid, load_dataset_dir
 from .errors import (
     CsSmoothError,
     FormatError,
@@ -160,46 +155,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sign_cs(args: argparse.Namespace, matrix: SensorMatrix, spec: WindowSpec):
-    """Sign every window, one batch per run of windows that share a model.
-
-    A run of several windows goes through compute_signature_batch, which
-    shares normalized samples where its windows overlap. Consecutive runs of
-    one window, as --retrain-every 1 makes, go through cs._signature_stack in
-    stacks of about cs._BLOCK_VALUES gathered values, twice that with their
-    time-major copy (stacks of half the windows were slower), with the same
-    bits. A wrong model or block count fails before any retrain.
-    """
-    model = cs.load_model(args.model)
-    cs._check_sensors(matrix.sensor_ids, model)
-    cs.block_layout(matrix.n_sensors, args.blocks)
-    starts = spec.starts(matrix.n_samples)
-    every = args.retrain_every
-    cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
-    # Each retrain learns from every sample before its first window.
-    retrained = cs.prefix_models(matrix, (starts[i] for i in cuts))
-    per_stack = max(1, cs._BLOCK_VALUES // (matrix.n_sensors * (spec.length_samples + 1)))
-    parts, stack = [], []  # stack: the models of the one-window runs just before ``first``
-    for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
-        if first:
-            model = next(retrained)
-            if log.isEnabledFor(logging.INFO):
-                log.info("window %d: retrained model %s", first, model.model_id)
-        single = stop - first == 1
-        if stack and (not single or len(stack) == per_stack):
-            parts.append(cs._signature_stack(matrix, stack, spec, args.blocks, first - len(stack)))
-            stack = []
-        if single:
-            stack.append(model)
-        else:
-            parts.append(cs.compute_signature_batch(matrix, model, spec, args.blocks, first, stop))
-    if stack:
-        first = len(starts) - len(stack)
-        parts.append(cs._signature_stack(matrix, stack, spec, args.blocks, first))
-    fields = ("window_starts", "window_ends", "real", "imag")
-    return cs.SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
-
-
 def cmd_sign(args: argparse.Namespace) -> int:
     if args.method == "cs" and not args.model:
         raise InvalidParameterError("--model is required for method cs")
@@ -210,7 +165,8 @@ def cmd_sign(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
     spec = _window_spec(args, matrix)
     if args.method == "cs":
-        batch = _sign_cs(args, matrix, spec)
+        model = cs.load_model(args.model)
+        batch = cs._sign_retraining(matrix, model, spec, args.blocks, args.retrain_every)
     else:
         from . import baselines
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 from collections.abc import Iterable, Iterator
@@ -19,7 +20,9 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import SensorMatrix, TimeGrid, Window, WindowSpec, _power_of_two_scales, _window_geometry
+from .core import (
+    SensorMatrix, TimeGrid, Window, WindowSpec, _power_of_two_scales, _window_geometry, log,
+)
 from .errors import (
     CsSmoothError,
     DegenerateInputError,
@@ -263,8 +266,8 @@ def _train_stats(matrix: SensorMatrix) -> tuple[CorrelationStats, np.ndarray, np
 
 
 # Values per row block of _comoments and of _correlation_stats' division, per
-# group of prefix_models' covariances and per stack of sign's one-window runs
-# (its gather; its time-major copy holds as many again): 512 KB, cache-sized.
+# group of prefix_models' covariances and per stack of _sign_retraining's
+# one-window runs (its gather; its time-major copy as many again): 512 KB.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -275,16 +278,17 @@ def _comoments(
     (raw - shift) x scale, the row bounds and the row scales.
 
     The bounds are the minima and maxima of raw and, where given, of ``lo``
-    and ``hi`` (those of earlier columns); a row's scale is the
-    _power_of_two_scales of its bounds, and the scales are None where all are
-    1. Shifting each row by one of its own samples keeps the centring exact on
-    data with a large offset and small spread; a constant row becomes exact
-    zeros, so it is flat. A centred value is below 4 in a scaled row and 2^402
-    in any other: no co-moment overflows. One pass over blocks of about
-    _BLOCK_VALUES values (whole rows) fills the centred n x t copy, the means
-    and the bounds, so each block is read from memory once. The co-moment
-    product is one BLAS syrk, which mirrors its triangle: the matrix is
-    exactly symmetric.
+    and ``hi``, those of earlier columns: _Moments.add merges each segment of
+    a prefix this way, for prefix_models and so for _sign_retraining's
+    retrain schedule. A row's scale is the _power_of_two_scales of its
+    bounds, and the scales are None where all are 1. Shifting each row by one
+    of its own samples keeps the centring exact on data with a large offset
+    and small spread; a constant row becomes exact zeros, so it is flat. A
+    centred value is below 4 in a scaled row and 2^402 in any other: no
+    co-moment overflows. One pass over blocks of about _BLOCK_VALUES values
+    (whole rows) fills the centred n x t copy, the means and the bounds, so
+    each block is read from memory once. The co-moment product is one BLAS
+    syrk, which mirrors its triangle: the matrix is exactly symmetric.
     """
     n, t = raw.shape
     centered = np.empty((n, t))
@@ -429,50 +433,54 @@ _SCORE_MARGIN = 1e-11
 def prefix_models(matrix: SensorMatrix, ends: Iterable[int]) -> Iterator[CSModel]:
     """Yield train(matrix[:, :end]) for each end of increasing ``ends``.
 
-    Reads each sample once. Co-moments of the data shifted by its first column
-    are merged one segment of new columns at a time with the pairwise update of
-    Chan, Golub & LeVeque (1979) and bounds are running min/max, so a model
-    costs O(n^2) plus O(n^2) per new column instead of O(n^2 end). The
-    covariance goes through train's correlation and ordering code. Where the
-    order could differ from batch train's (a pick won by less than
-    _SCORE_MARGIN), train runs on the prefix instead. Each segment takes the
-    scales of the bounds so far, as train on that prefix would; when they fall
-    (the bounds only widen), the merged co-moments follow by the exact ratio.
+    Reads each sample once: a _Moments accumulator merges the columns up to
+    each end into the co-moments and bounds so far, so a model costs O(n^2)
+    plus O(n^2) per new column instead of O(n^2 end). The covariance goes
+    through train's correlation and ordering code. Where the order could
+    differ from batch train's (a pick won by less than _SCORE_MARGIN), train
+    runs on the prefix instead. sign --retrain-every drives this through
+    _sign_retraining.
 
     Prefixes are ordered in groups of g = max(1, _BLOCK_VALUES // n^2) (16 at
     64 sensors, 1 from 182 on): each covariance goes into a (g, n, n) buffer,
     and correlation and the greedy order, which yields each order's pick
-    margin, run once per group on the stack, with the values each prefix gets
-    alone. A bad end or a prefix's span error comes after the earlier
+    margin, run once per full group on the stack, with the values each prefix
+    gets alone. A bad end or a prefix's span error comes after the earlier
     prefixes' models.
     """
-    n = matrix.n_sensors
+    data = matrix.data
+    n, t = data.shape
     covs = np.empty((max(1, _BLOCK_VALUES // (n * n)), n, n))
-    prefixes = _merged_prefixes(matrix, ends)
-    while True:
-        group, failure = [], None
+    moments, group = _Moments(data[:, :1]), []
+    for end in ends:
         try:
-            # zip takes a slot first: a full group reads no further prefix.
-            for cov, (count, comoment, lo, hi) in zip(covs, prefixes):
-                np.divide(comoment, count, out=cov)
-                group.append((count, lo, hi))
-        except CsSmoothError as exc:
-            failure = exc
-        if group:
-            yield from _group_models(matrix, covs[: len(group)], group)
-        if failure is not None:
-            raise failure
-        if len(group) < len(covs):
-            return
+            if not (max(moments.count + 1, 2) <= end <= t):
+                raise InvalidParameterError(
+                    f"prefix ends must increase within [2, {t}]; got {end} after {moments.count}"
+                )
+            moments.add(data[:, moments.count : end])
+            _check_spans(matrix.sensor_ids, moments.lo, moments.hi)
+        except CsSmoothError:
+            yield from _group_models(matrix, covs, group)
+            raise
+        np.divide(moments.comoment, moments.count, out=covs[len(group)])
+        group.append((moments.count, moments.lo, moments.hi))
+        if len(group) == len(covs):
+            yield from _group_models(matrix, covs, group)
+            group = []
+    yield from _group_models(matrix, covs, group)
 
 
 def _group_models(
     matrix: SensorMatrix, covs: np.ndarray, group: list[tuple[int, np.ndarray, np.ndarray]]
 ) -> Iterator[CSModel]:
-    """prefix_models' models of a group of prefixes, from their stacked
-    covariances (consumed) and (sample count, bounds) each: _greedy_order,
-    given the rows whose bounds meet, yields each order and its pick margin."""
-    stats = _correlation_stats(covs)
+    """prefix_models' models of a group of prefixes, none if it is empty, from
+    their covariances, the first len(group) of ``covs`` (consumed), and
+    (sample count, bounds) each: _greedy_order, given the rows whose bounds
+    meet, yields each order and its pick margin."""
+    if not group:
+        return
+    stats = _correlation_stats(covs[: len(group)])
     flat = np.array([lo == hi for _, lo, hi in group])
     orders, margins = _greedy_order(stats.pairwise, stats.global_coeffs, flat)
     for (count, lo, hi), order, margin in zip(group, orders, margins):
@@ -483,48 +491,44 @@ def _group_models(
         yield train(SensorMatrix(matrix.sensor_ids, grid, matrix.data[:, :count]))
 
 
-def _merged_prefixes(
-    matrix: SensorMatrix, ends: Iterable[int]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(sample count, co-moments, lower and upper bounds) of each prefix of
-    prefix_models, merged segment by segment; the co-moments are updated in
-    place for the next prefix."""
-    data = matrix.data
-    n, t = data.shape
-    shift = data[:, :1]
-    per_segment = max(1, _CHUNK_VALUES // n)
-    count = 0
-    mean = np.zeros(n)
-    comoment = np.zeros((n, n))
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    scale = None
-    for end in ends:
-        if not (max(count + 1, 2) <= end <= t):
-            raise InvalidParameterError(
-                f"prefix ends must increase within [2, {t}]; got {end} after {count}"
-            )
-        for first in range(count, end, per_segment):
-            raw = data[:, first : min(first + per_segment, end)]
-            # New bounds, not in place: a yielded model holds the previous ones.
-            seg_mean, seg_comoment, lo, hi, new_scale = _comoments(raw, shift, lo, hi)
-            if new_scale is not None or scale is not None:
+class _Moments:
+    """Sample count, row means, co-moments, bounds and scales of the columns
+    added so far, each row shifted by its sample in ``shift``, (n, 1).
+
+    add merges new columns in segments of _CHUNK_VALUES // n, each through
+    _comoments with the bounds so far (so it takes the scales train would on
+    that prefix), by the pairwise update of Chan, Golub & LeVeque (1979). When
+    the scales fall (the bounds only widen), the merged mean and co-moments
+    follow by the exact power-of-two ratio. Bounds are replaced, never written
+    in place: a model may hold the previous ones.
+    """
+
+    def __init__(self, shift: np.ndarray):
+        n = len(shift)
+        self.shift, self.count, self.scale = shift, 0, None
+        self.mean, self.comoment = np.zeros(n), np.zeros((n, n))
+        self.lo, self.hi = np.full(n, np.inf), np.full(n, -np.inf)
+
+    def add(self, columns: np.ndarray) -> None:
+        per_segment = max(1, _CHUNK_VALUES // len(columns))
+        for first in range(0, columns.shape[1], per_segment):
+            raw = columns[:, first : first + per_segment]
+            mean, comoment, self.lo, self.hi, scale = _comoments(raw, self.shift, self.lo, self.hi)
+            if scale is not None or self.scale is not None:
                 # A power of two per row: at most 1 after the first segment, where all is 0.
-                previous = 1.0 if scale is None else scale
-                ratio = (1.0 if new_scale is None else new_scale) / previous
-                mean *= ratio
-                comoment *= ratio[:, None]
-                comoment *= ratio
-                scale = new_scale
+                previous = 1.0 if self.scale is None else self.scale
+                ratio = (1.0 if scale is None else scale) / previous
+                self.mean *= ratio
+                self.comoment *= ratio[:, None]
+                self.comoment *= ratio
+                self.scale = scale
             width = raw.shape[1]
-            delta = seg_mean - mean
-            total = count + width
-            comoment += seg_comoment
-            comoment += np.outer(delta, delta) * (count * width / total)
-            mean += delta * (width / total)
-            count = total
-        _check_spans(matrix.sensor_ids, lo, hi)
-        yield count, comoment, lo, hi
+            delta = mean - self.mean
+            total = self.count + width
+            self.comoment += comoment
+            self.comoment += np.outer(delta, delta) * (self.count * width / total)
+            self.mean += delta * (width / total)
+            self.count = total
 
 
 def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
@@ -538,9 +542,7 @@ def _check_sensors(sensor_ids: tuple[str, ...], model: CSModel) -> None:
             f"window sensors do not match model: missing={sorted(missing)} "
             f"extra={sorted(extra)}"
         )
-    raise ModelIncompatibilityError(
-        "window sensors match the model but are ordered differently"
-    )
+    raise ModelIncompatibilityError("window sensors match the model but are ordered differently")
 
 
 def _normalized_window(window: Window, model: CSModel) -> np.ndarray:
@@ -624,9 +626,7 @@ def block_layout(n_sensors: int, n_blocks: int) -> BlockLayout:
 
 
 def _block_ranges(n: int, l: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (1 + (i - 1) * n // l, math.ceil(i * n / l)) for i in range(1, l + 1)
-    )
+    return tuple((1 + (i - 1) * n // l, math.ceil(i * n / l)) for i in range(1, l + 1))
 
 
 def _window_blocks(
@@ -823,6 +823,46 @@ def _signature_stack(
     return SignatureBatch(*instants, real, imag)
 
 
+def _sign_retraining(
+    matrix: SensorMatrix, model: CSModel, spec: WindowSpec, n_blocks: int, every: int | None
+) -> SignatureBatch:
+    """sign's cs batch: the windows of windows(matrix, spec) signed with
+    ``model``, which given ``every`` is retrained through prefix_models on all
+    samples before every every-th window (from the third sample on).
+
+    A run of several windows that share a model goes through
+    compute_signature_batch, which shares normalized samples where its windows
+    overlap. Consecutive one-window runs, as every = 1 makes, go through
+    _signature_stack in stacks of about _BLOCK_VALUES gathered values (twice
+    that with their time-major copy; stacks of half the windows were slower),
+    with the same bits. A wrong model or block count fails before any retrain.
+    """
+    _check_sensors(matrix.sensor_ids, model)
+    block_layout(matrix.n_sensors, n_blocks)
+    starts = spec.starts(matrix.n_samples)
+    cuts = [i for i in range(every, len(starts), every) if starts[i] >= 2] if every else []
+    retrained = prefix_models(matrix, (starts[i] for i in cuts))
+    per_stack = max(1, _BLOCK_VALUES // (matrix.n_sensors * (spec.length_samples + 1)))
+    parts, stack = [], []  # stack: the models of the one-window runs just before ``first``
+    for first, stop in zip([0, *cuts], [*cuts, len(starts)]):
+        if first:
+            model = next(retrained)
+            if log.isEnabledFor(logging.INFO):
+                log.info("window %d: retrained model %s", first, model.model_id)
+        single = stop - first == 1
+        if stack and (not single or len(stack) == per_stack):
+            parts.append(_signature_stack(matrix, stack, spec, n_blocks, first - len(stack)))
+            stack = []
+        if single:
+            stack.append(model)
+        else:
+            parts.append(compute_signature_batch(matrix, model, spec, n_blocks, first, stop))
+    if stack:
+        parts.append(_signature_stack(matrix, stack, spec, n_blocks, len(starts) - len(stack)))
+    fields = ("window_starts", "window_ends", "real", "imag")
+    return SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
+
+
 def resample_signature(sig: Signature, new_blocks: int) -> Signature:
     """Rescale a signature to a new block count by linear interpolation.
 
@@ -850,9 +890,7 @@ def _strictly_increasing(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     if len(x) < 2 or np.all(np.diff(x) > 0):
         return x, y
     ux, inverse = np.unique(x, return_inverse=True)
-    sums = np.bincount(inverse, weights=y)
-    counts = np.bincount(inverse)
-    return ux, sums / counts
+    return ux, np.bincount(inverse, weights=y) / np.bincount(inverse)
 
 
 def trim_central(sig: Signature, keep_fraction: float) -> Signature:

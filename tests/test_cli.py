@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -646,11 +647,14 @@ class TestSignCommand:
             np.testing.assert_allclose(real, want_real, rtol=0, atol=1e-9)
             np.testing.assert_allclose(imag, want_imag, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("retrain", [None, 2])
     @pytest.mark.parametrize("step", [1, 4])
-    def test_raw_irregular_csv_matches_naive_pipeline(self, tmp_path, step):
+    def test_raw_irregular_csv_matches_naive_pipeline(self, tmp_path, step, retrain):
         # Sensors sampled at their own irregular instants over different spans,
         # written as raw files: lines shuffled, a comment, and a duplicate
-        # timestamp whose later line wins.
+        # timestamp whose later line wins. Retraining, each window's model is
+        # the brute-force training of the interpolated columns before the last
+        # retrain at or before it, or the loaded model before the first.
         rng = np.random.default_rng(21)
         dataset = tmp_path / "raw"
         dataset.mkdir()
@@ -668,6 +672,7 @@ class TestSignCommand:
         assert run(
             "sign", "--dataset", dataset, "--model", model, "--interval", 1000,
             "--window", 6, "--step", step, "--blocks", 3, "--out", out,
+            *(["--retrain-every", retrain] if retrain else []),
         ) == 0
         start = max(ts[0] for ts, _ in truth)
         count = (min(ts[-1] for ts, _ in truth) - start) // 1000 + 1
@@ -677,12 +682,36 @@ class TestSignCommand:
         batch = batchio.read_signature_batch(out)
         starts = range(0, count - 6 + 1, step)
         assert batch.window_starts.tolist() == [start + 1000 * s for s in starts]
-        for real, imag, s in zip(batch.real, batch.imag, starts, strict=True):
+        for i, (real, imag, s) in enumerate(zip(batch.real, batch.imag, starts, strict=True)):
+            if retrain and i % retrain == 0 and s >= 2:
+                perm, lo, hi = naive_train([row[:s] for row in aligned])
             window = [row[s : s + 6] for row in aligned]
             preceding = [row[s - 1] for row in aligned] if s else None
             want_real, want_imag = naive_signature(window, preceding, perm, lo, hi, 3)
             np.testing.assert_allclose(real, want_real, rtol=0, atol=1e-9)
             np.testing.assert_allclose(imag, want_imag, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("every", [None, 2])
+    def test_retrain_logs_each_new_model(self, write_dataset, tmp_path, caplog, every):
+        # Window 5, step 3 over 40 samples: 12 windows, a retrain before
+        # windows 2, 4, ..., 10, each on the samples before its window.
+        data = np.cumsum(np.random.default_rng(26).standard_normal((4, 40)), axis=1)
+        dataset = write_dataset(data)
+        model = self.make_model(dataset, tmp_path)
+        caplog.set_level(logging.INFO, logger="cs_smooth")
+        assert run(
+            "sign", "--dataset", dataset, "--model", model, "--window", 5, "--step", 3,
+            "--blocks", 2, "--out", tmp_path / "batch.csv",
+            *(["--retrain-every", every] if every else []),
+        ) == 0
+        series = load_dataset_dir(dataset)
+        matrix = align(series, infer_grid(series))
+        expected = []
+        for i in range(every, 12, every) if every else []:
+            end = 3 * i  # the start of window i
+            history = SensorMatrix(matrix.sensor_ids, TimeGrid(0, 1000, end), matrix.data[:, :end])
+            expected.append(f"window {i}: retrained model {cs.train(history).model_id}")
+        assert [m for m in caplog.messages if m.startswith("window ")] == expected
 
     @pytest.mark.parametrize("method", ["tuncer", "bodik", "lan"])
     def test_retrain_every_rejected_for_baselines(self, write_dataset, tmp_path, capsys, method):

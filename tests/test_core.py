@@ -523,7 +523,9 @@ def _grid_and_series(draw):
             shift = draw(st.sampled_from([-interval, interval]))
             stamps = [t + shift for t in stamps]
         elif kind == "jittered":
-            stamps = [t + draw(st.integers(-(interval // 3), interval // 3)) for t in stamps]
+            # Clamped into int64: a dropped end stamp could leave none on the grid's span.
+            jitter = st.integers(-(interval // 3), interval // 3)
+            stamps = [min(max(t + draw(jitter), _INT64_MIN), _INT64_MAX) for t in stamps]
         elif kind == "sparse":
             keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
             stamps = [t for t, k in zip(stamps, keep) if k] or stamps[:1]

@@ -411,6 +411,78 @@ class TestPrefixModels:
             next(models)
 
 
+class TestPrefixModelsControlFlow:
+    """prefix_models' loop at 4 sensors and 32 block values, so that a group
+    holds 2 prefixes: every group is ordered once, none empty, a bad end
+    flushes the group read so far, and close() ends the generator anywhere."""
+
+    MATRIX = matrix_from(np.random.default_rng(3).normal(size=(4, 40)))
+
+    @pytest.fixture
+    def group_sizes(self, monkeypatch):
+        """The stack size of every _correlation_stats call."""
+        monkeypatch.setattr(cs, "_BLOCK_VALUES", 2 * 16)
+        sizes = []
+
+        def recording(cov):
+            sizes.append(len(cov))
+            return correlation_stats(cov)
+
+        correlation_stats = cs._correlation_stats
+        monkeypatch.setattr(cs, "_correlation_stats", recording)
+        return sizes
+
+    def expected(self, ends, group_sizes):
+        models = [train(prefix(self.MATRIX, end)) for end in ends]
+        group_sizes.clear()  # train's stacks of one
+        return models
+
+    def test_no_ends_yield_nothing(self, group_sizes):
+        assert list(cs.prefix_models(self.MATRIX, [])) == []
+        assert group_sizes == []
+
+    @pytest.mark.parametrize(
+        "ends, sizes",
+        [([8], [1]), ([8, 16], [2]), ([8, 16, 24], [2, 1]), ([8, 16, 24, 32], [2, 2])],
+    )
+    def test_each_group_is_ordered_once(self, group_sizes, ends, sizes):
+        expected = self.expected(ends, group_sizes)
+        assert list(cs.prefix_models(self.MATRIX, ends)) == expected
+        assert group_sizes == sizes
+
+    @pytest.mark.parametrize(
+        "ends, sizes",
+        [
+            ([1], []), ([4, 2], [1]), ([8, 16, 16], [2]), ([8, 16, 24, 41], [2, 1]),
+            ([8, 16, 24, 32, 30], [2, 2]),
+        ],
+    )
+    def test_a_bad_end_flushes_the_group_read_so_far(self, group_sizes, ends, sizes):
+        expected = self.expected(ends[:-1], group_sizes)
+        models = cs.prefix_models(self.MATRIX, ends)
+        assert [next(models) for _ in expected] == expected
+        with pytest.raises(InvalidParameterError, match=f"got {ends[-1]} after"):
+            next(models)
+        assert group_sizes == sizes
+
+    @pytest.mark.parametrize(
+        "ends, taken",
+        [
+            ([8, 16, 24], 1),  # inside a full group
+            ([8, 16, 24], 2),  # after a full group
+            ([8, 16, 24], 3),  # after the last, partial group
+            ([8, 16, 24, 4], 3),  # inside the flush before a bad end
+        ],
+    )
+    def test_close_returns_cleanly(self, group_sizes, ends, taken):
+        models = cs.prefix_models(self.MATRIX, ends)
+        for _ in range(taken):
+            next(models)
+        models.close()
+        with pytest.raises(StopIteration):
+            next(models)
+
+
 class TestStackedOrdering:
     """_correlation_stats and _greedy_order, orders and pick margins, give each
     matrix of a stack the bytes it gets alone, at any division block size."""
