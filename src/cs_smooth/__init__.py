@@ -42,11 +42,9 @@ _EXPORTS = {
         "load_model",
         "pairwise_correlation",
         "prefix_models",
-        "resample_signature",
         "save_model",
         "sort_normalize",
         "train",
-        "trim_central",
     ),
     "errors": ("CsSmoothError",),
     "evaluation": (

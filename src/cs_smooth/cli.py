@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cs
-from .core import SensorMatrix, WindowSpec, align, infer_grid, load_dataset_dir
+from .core import SensorMatrix, WindowSpec, align, infer_grid, load_dataset_dir, log
 from .errors import (
     CsSmoothError,
     FormatError,
@@ -39,8 +39,6 @@ from .errors import (
     fits_in_memory,
     opened,
 )
-
-log = logging.getLogger("cs_smooth")
 
 METHODS = ("cs", "tuncer", "bodik", "lan")
 # fidelity.DEFAULT_BINS and (evaluation.CLASSIFICATION, evaluation.REGRESSION),

@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -109,18 +109,20 @@ class CSModel:
     def _wide_scaling(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
         """_scaling for _normalized_window's time-major (columns, n) buffer,
         columns = w + 1: up to _BUFFERED_COLUMNS, C-contiguous (columns, n)
-        copies of _scaling, one row per column, cached for the last width
-        only, in the instance __dict__ like _scaling (never a field: equality,
-        model_id and the saved file do not see it); beyond, the (n,) vectors,
-        which broadcast. Read once, the cached pair is never of the wrong width
-        under threads."""
+        copies of _scaling, one row per column. One pair is cached, for the
+        widest width asked so far, in the instance __dict__ like _scaling
+        (never a field: equality, model_id and the saved file do not see it);
+        a narrower width gets its leading rows, C-contiguous views, so
+        alternating widths build no pair twice. Beyond the gate, the (n,)
+        vectors, which broadcast. Read once, the cached pair is never too
+        narrow under threads."""
         if columns > _BUFFERED_COLUMNS:
             return self._scaling
         wide = self.__dict__.get("_repeated_scaling")
-        if wide is None or len(wide[0]) != columns:
+        if wide is None or len(wide[0]) < columns:
             wide = tuple(np.repeat(a[None], columns, axis=0) for a in self._scaling)
             self.__dict__["_repeated_scaling"] = wide
-        return wide
+        return wide if len(wide[0]) == columns else (wide[0][:columns], wide[1][:columns])
 
     @functools.cached_property
     def model_id(self) -> str:
@@ -622,11 +624,9 @@ def block_layout(n_sensors: int, n_blocks: int) -> BlockLayout:
         raise InvalidBlockCountError(
             f"block count must be in [1, {n_sensors}], got {n_blocks}"
         )
-    return BlockLayout(n_sensors=n_sensors, ranges=_block_ranges(n_sensors, n_blocks))
-
-
-def _block_ranges(n: int, l: int) -> tuple[tuple[int, int], ...]:
-    return tuple((1 + (i - 1) * n // l, math.ceil(i * n / l)) for i in range(1, l + 1))
+    n, l = n_sensors, n_blocks
+    ranges = tuple((1 + (i - 1) * n // l, math.ceil(i * n / l)) for i in range(1, l + 1))
+    return BlockLayout(n_sensors=n, ranges=ranges)
 
 
 def _window_blocks(
@@ -861,59 +861,6 @@ def _sign_retraining(
         parts.append(_signature_stack(matrix, stack, spec, n_blocks, len(starts) - len(stack)))
     fields = ("window_starts", "window_ends", "real", "imag")
     return SignatureBatch(**{f: np.concatenate([getattr(p, f) for p in parts]) for f in fields})
-
-
-def resample_signature(sig: Signature, new_blocks: int) -> Signature:
-    """Rescale a signature to a new block count by linear interpolation.
-
-    Interpolation runs over block-center coordinates in sensor-row space, so
-    signatures of different resolutions over the same sensors stay comparable.
-    """
-    if new_blocks < 1:
-        raise InvalidBlockCountError(f"block count must be >= 1, got {new_blocks}")
-    n = sig.layout.n_sensors
-    new_layout = BlockLayout(n_sensors=n, ranges=_block_ranges(n, new_blocks))
-    old_centers = _block_centers(sig.layout)
-    new_centers = _block_centers(new_layout)
-    real = np.interp(new_centers, *_strictly_increasing(old_centers, sig.blocks_real))
-    imag = np.interp(new_centers, *_strictly_increasing(old_centers, sig.blocks_imag))
-    return replace(sig, blocks_real=real, blocks_imag=imag, layout=new_layout)
-
-
-def _block_centers(layout: BlockLayout) -> np.ndarray:
-    return np.array([(b + e) / 2.0 for b, e in layout.ranges])
-
-
-def _strictly_increasing(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.interp needs increasing sample points; duplicate centers (possible
-    # only when a layout has more blocks than rows) collapse to their mean.
-    if len(x) < 2 or np.all(np.diff(x) > 0):
-        return x, y
-    ux, inverse = np.unique(x, return_inverse=True)
-    return ux, np.bincount(inverse, weights=y) / np.bincount(inverse)
-
-
-def trim_central(sig: Signature, keep_fraction: float) -> Signature:
-    """Drop the central, least informative blocks of a signature.
-
-    Keeps ceil(l * keep_fraction / 2) blocks from each end (at least one per
-    side); the layout records which original sensor ranges survive.
-    """
-    if not (0.0 < keep_fraction <= 1.0):
-        raise InvalidParameterError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}"
-        )
-    l = sig.n_blocks
-    per_side = max(1, math.ceil(l * keep_fraction / 2))
-    keep = sorted(set(range(per_side)) | set(range(l - per_side, l)))
-    idx = np.array(keep, dtype=np.int64)
-    layout = BlockLayout(
-        n_sensors=sig.layout.n_sensors,
-        ranges=tuple(sig.layout.ranges[i] for i in keep),
-    )
-    return replace(
-        sig, blocks_real=sig.blocks_real[idx], blocks_imag=sig.blocks_imag[idx], layout=layout
-    )
 
 
 def _model_json(model: CSModel) -> str:

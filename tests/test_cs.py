@@ -17,18 +17,15 @@ from cs_smooth import cs
 from cs_smooth.cs import (
     BlockLayout,
     CSModel,
-    Signature,
     block_layout,
     compute_signature,
     compute_signature_batch,
     compute_signature_batches,
     load_model,
     pairwise_correlation,
-    resample_signature,
     save_model,
     sort_normalize,
     train,
-    trim_central,
 )
 from cs_smooth.batchio import write_signature_batch
 from cs_smooth.errors import (
@@ -784,6 +781,17 @@ class TestBlockLayout:
         with pytest.raises(InvalidBlockCountError):
             block_layout(4, 0)
 
+    @pytest.mark.parametrize("ranges", [((0, 2),), ((3, 5),), ((3, 2),)])
+    def test_constructor_rejects_ranges_outside_the_rows(self, ranges):
+        # Before row 1, past row n, and last before first.
+        with pytest.raises(InvalidBlockCountError):
+            BlockLayout(4, ranges)
+
+    def test_constructor_takes_numpy_ints_as_python_ints(self):
+        layout = BlockLayout(4, ((np.int64(1), np.int32(2)), (np.uint8(3), np.int64(4))))
+        assert layout.ranges == ((1, 2), (3, 4))
+        assert all(type(v) is int for r in layout.ranges for v in r)
+
     @given(st.integers(1, 64))
     @settings(max_examples=64)
     def test_invariants_for_all_block_counts(self, n):
@@ -976,15 +984,21 @@ class TestComputeSignature:
         model = train(matrix_from(data[:, :50]))
         saved = io.StringIO()
         save_model(model, saved)
-        for start in range(1, 60, 3):
+        pairs = []
+        for start in range(1, 60, 3):  # widths 40, 7, 40, 7, ...
             wl = (7, 40)[start % 2]
             window = window_from(data[:, start : start + wl], preceding=data[:, start - 1])
             sig = compute_signature(window, model, 4)
-            # One repeated pair is cached, for the last width, outside the model's fields.
-            assert [a.shape for a in model.__dict__["_repeated_scaling"]] == [(wl + 1, 30)] * 2
+            pairs.append(model.__dict__["_repeated_scaling"])
             fresh = compute_signature(window, train(matrix_from(data[:, :50])), 4)
             assert sig.blocks_real.tobytes() == fresh.blocks_real.tobytes()
             assert sig.blocks_imag.tobytes() == fresh.blocks_imag.tobytes()
+        # One repeated pair is cached, for the widest width, outside the model's
+        # fields; the narrower width reads its leading rows and never rebuilds it.
+        assert [a.shape for a in pairs[0]] == [(41, 30)] * 2
+        assert all(pair[0] is pairs[0][0] and pair[1] is pairs[0][1] for pair in pairs)
+        for narrow, wide in zip(model._wide_scaling(8), pairs[0]):
+            assert narrow.flags.c_contiguous and np.shares_memory(narrow, wide)
         untouched = train(matrix_from(data[:, :50]))
         assert model == untouched and model.model_id == untouched.model_id
         after = io.StringIO()
@@ -1007,8 +1021,9 @@ class TestComputeSignature:
         assert "_repeated_scaling" not in model.__dict__
 
     def test_threads_sharing_a_model_sign_as_serial(self):
-        # Two threads sign with one model at w + 1 = 8 and 41, so each keeps
-        # replacing the pair the other cached; neither may use a pair of the
+        # Two threads sign with one model at w + 1 = 8 and 41: the narrower one
+        # reads the leading rows of the pair the wider one caches, and a race may
+        # still replace it with a narrower pair; neither may use a pair of the
         # wrong width.
         data = np.random.default_rng(5).normal(size=(24, 400))
 
@@ -1417,69 +1432,6 @@ class TestComputeSignatureBatch:
         other = train(matrix_from(np.random.default_rng(1).uniform(size=(4, 10))))
         with pytest.raises(ModelIncompatibilityError):
             compute_signature_batch(mat, other, WindowSpec(4, 1), 2)
-
-
-class TestResample:
-    def make(self, real, imag, n):
-        layout = block_layout(n, len(real))
-        return Signature(np.array(real), np.array(imag), layout, 5, 9, "m1")
-
-    def test_identity(self):
-        sig = self.make([0.2, 0.8], [0.0, 0.1], n=4)
-        out = resample_signature(sig, 2)
-        assert out.blocks_real.tolist() == [0.2, 0.8]
-        assert out.blocks_imag.tolist() == [0.0, 0.1]
-
-    def test_constant_preserved(self):
-        sig = self.make([0.5, 0.5, 0.5], [0.1, 0.1, 0.1], n=6)
-        out = resample_signature(sig, 5)
-        assert np.allclose(out.blocks_real, 0.5)
-        assert np.allclose(out.blocks_imag, 0.1)
-
-    def test_linear_interpolation_at_centers(self):
-        sig = self.make([0.0, 1.0], [0.0, 0.0], n=4)
-        out = resample_signature(sig, 3)
-        assert out.blocks_real.tolist() == [0.0, 0.5, 1.0]
-        assert out.layout.ranges == ((1, 2), (2, 3), (3, 4))
-
-    def test_metadata_preserved(self):
-        out = resample_signature(self.make([0.1, 0.9], [0, 0], n=4), 3)
-        assert (out.window_start, out.window_end, out.model_id) == (5, 9, "m1")
-
-    def test_upscale_beyond_rows(self):
-        out = resample_signature(self.make([0.0, 1.0], [0, 0], n=2), 4)
-        assert len(out.blocks_real) == 4
-        assert out.blocks_real[0] == 0.0 and out.blocks_real[-1] == 1.0
-
-
-class TestTrimCentral:
-    def make(self, l, n=None):
-        n = n or l
-        return Signature(
-            np.linspace(0, 1, l), np.zeros(l), block_layout(n, l), 0, 0, ""
-        )
-
-    def test_keep_all(self):
-        sig = self.make(7)
-        out = trim_central(sig, 1.0)
-        assert out.blocks_real.tolist() == sig.blocks_real.tolist()
-        assert out.layout == sig.layout
-
-    def test_forty_percent_of_ten(self):
-        sig = self.make(10)
-        out = trim_central(sig, 0.4)
-        kept = [sig.blocks_real[i] for i in (0, 1, 8, 9)]
-        assert out.blocks_real.tolist() == kept
-        assert out.layout.ranges == ((1, 1), (2, 2), (9, 9), (10, 10))
-
-    def test_two_blocks_keep_minimum(self):
-        sig = self.make(2)
-        out = trim_central(sig, 0.01)
-        assert out.blocks_real.tolist() == sig.blocks_real.tolist()
-
-    def test_invalid_fraction(self):
-        with pytest.raises(InvalidParameterError):
-            trim_central(self.make(4), 0.0)
 
 
 class TestRuntimeScaling:

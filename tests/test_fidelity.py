@@ -115,9 +115,9 @@ class TestExpandSignatures:
         with pytest.raises(IncompatibilityError):
             expand_signatures([self.sig([0.1, 0.5, 0.9], 3)], 2)
 
-    def test_trimmed_layout_gap_rows_take_nearest_block(self):
-        # ranges (1,2) and (7,8) over 8 rows: rows 3-4 are closer to the first
-        # block, rows 5-6 to the second
+    def test_gapped_layout_gap_rows_take_nearest_block(self):
+        # ranges (1,2) and (7,8) over 8 rows, a layout that block_layout never
+        # makes: rows 3-4 are closer to the first block, rows 5-6 to the second
         layout = BlockLayout(n_sensors=8, ranges=((1, 2), (7, 8)))
         sig = Signature(np.array([0.1, 0.9]), np.zeros(2), layout)
         real, _ = expand_signatures([sig], 8)
