@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
@@ -145,21 +146,29 @@ class BlockLayout:
     """The l block ranges over n sensors, 1-based inclusive (first, last).
 
     Adjacent blocks may share one boundary sensor; together they cover all n
-    rows when produced by :func:`block_layout`.
+    rows when produced by :func:`block_layout`. A layout has at least one
+    block, integer bounds, and blocks whose firsts and lasts both increase.
     """
 
     n_sensors: int
     ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "ranges", tuple((int(b), int(e)) for b, e in self.ranges)
-        )
-        for b, e in self.ranges:
+        try:
+            ranges = tuple((operator.index(b), operator.index(e)) for b, e in self.ranges)
+        except TypeError:
+            raise InvalidBlockCountError(f"block ranges {self.ranges} are not integers") from None
+        object.__setattr__(self, "ranges", ranges)
+        if not ranges:
+            raise InvalidBlockCountError("a block layout needs at least one block")
+        for b, e in ranges:
             if not (1 <= b <= e <= self.n_sensors):
                 raise InvalidBlockCountError(
                     f"block range ({b},{e}) outside [1,{self.n_sensors}]"
                 )
+        for (b, e), (nb, ne) in zip(ranges, ranges[1:]):
+            if not (b < nb and e < ne):
+                raise InvalidBlockCountError(f"block range ({nb},{ne}) does not follow ({b},{e})")
 
     @property
     def n_blocks(self) -> int:

@@ -62,7 +62,7 @@ class ModelIncompatibilityError(CsSmoothError):
 
 
 class InvalidBlockCountError(CsSmoothError):
-    """Requested block count outside [1, sensor count]."""
+    """Requested block count outside [1, sensor count], or a malformed block layout."""
 
     code = "invalid-block-count"
 

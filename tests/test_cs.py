@@ -787,6 +787,22 @@ class TestBlockLayout:
         with pytest.raises(InvalidBlockCountError):
             BlockLayout(4, ranges)
 
+    @pytest.mark.parametrize("ranges", [((1.7, 2.9),), ((1.0, 2.0),), (("1", "2"),)])
+    def test_constructor_rejects_non_integer_ranges(self, ranges):
+        # int() would truncate (1.7, 2.9) to (1, 2) and parse strings.
+        with pytest.raises(InvalidBlockCountError):
+            BlockLayout(4, ranges)
+
+    def test_constructor_rejects_an_empty_layout(self):
+        with pytest.raises(InvalidBlockCountError):
+            BlockLayout(4, ())
+
+    @pytest.mark.parametrize("ranges", [((3, 4), (1, 2)), ((1, 4), (2, 3)), ((2, 3), (2, 4))])
+    def test_constructor_rejects_ranges_out_of_order(self, ranges):
+        # Reversed, nested, and sharing a first row.
+        with pytest.raises(InvalidBlockCountError):
+            BlockLayout(4, ranges)
+
     def test_constructor_takes_numpy_ints_as_python_ints(self):
         layout = BlockLayout(4, ((np.int64(1), np.int32(2)), (np.uint8(3), np.int64(4))))
         assert layout.ranges == ((1, 2), (3, 4))
@@ -1004,6 +1020,33 @@ class TestComputeSignature:
         after = io.StringIO()
         save_model(model, after)
         assert after.getvalue() == saved.getvalue()
+
+    def test_a_wider_width_replaces_the_cached_pair_once(self):
+        # Widths 7, 40, 7, 40, ...: the pair cached at 8 columns gives way to one
+        # of 41 at the first wide window, which every later window reads.
+        data = np.random.default_rng(6).normal(size=(30, 120))
+        model = train(matrix_from(data[:, :50]))
+        pairs = []
+        for start in range(1, 60, 3):
+            wl = (40, 7)[start % 2]
+            window = window_from(data[:, start : start + wl], preceding=data[:, start - 1])
+            sig = compute_signature(window, model, 4)
+            pairs.append(model.__dict__["_repeated_scaling"])
+            fresh = compute_signature(window, train(matrix_from(data[:, :50])), 4)
+            assert sig.blocks_real.tobytes() == fresh.blocks_real.tobytes()
+            assert sig.blocks_imag.tobytes() == fresh.blocks_imag.tobytes()
+        assert [a.shape for a in pairs[0]] == [(8, 30)] * 2
+        assert [a.shape for a in pairs[1]] == [(41, 30)] * 2
+        assert all(pair[0] is pairs[1][0] and pair[1] is pairs[1][1] for pair in pairs[1:])
+
+    def test_a_width_past_the_gate_keeps_the_cached_pair(self):
+        model = train(matrix_from(np.random.default_rng(8).normal(size=(12, 30))))
+        held = model._wide_scaling(20)
+        wide = model._wide_scaling(cs._BUFFERED_COLUMNS + 1)
+        assert [a.shape for a in wide] == [(12,)] * 2
+        assert model.__dict__["_repeated_scaling"] is held
+        narrow = model._wide_scaling(5)
+        assert np.shares_memory(narrow[0], held[0]) and np.shares_memory(narrow[1], held[1])
 
     def test_short_streams_of_every_length_cache_no_repeated_pair(self):
         # Step-1 streams of 17-127 samples normalize time chunks 18-128 columns
